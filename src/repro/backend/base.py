@@ -193,26 +193,42 @@ class ExecutionBackend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # banded factor / solve (batched, one shared symbolic setup)
-    def banded_factor_many(
-        self, st, n: int, data: np.ndarray, pivot_tol: float = 0.0
-    ) -> tuple[str, object]:
-        """Factor ``X`` band matrices sharing one symbolic setup ``st``.
+    # banded factor / solve (batched, one shared symbolic setup, factors
+    # resident in backend-owned storage addressed by slot)
+    def banded_alloc(self, st, n: int, count: int) -> tuple[str, object]:
+        """Storage for ``count`` resident band LU factors of order ``n``
+        sharing the symbolic setup ``st`` (a
+        :class:`repro.sparse.band._BandStructure`, duck-typed: needs
+        ``B``, ``pos``, ``lapack_rows(n)`` and ``lapack_positions(n)``).
 
-        ``st`` is a :class:`repro.sparse.band._BandStructure` (duck-typed:
-        needs ``B``, ``pos`` and ``lapack_positions(n)``); ``data`` is
-        ``(X, nnz)`` CSR data rows.  Returns ``(engine, factors)`` where
-        ``engine`` names the numeric kernel used (``"lapack"``,
-        ``"python"`` or ``"numba"``) and ``factors`` is the opaque state
-        consumed by :meth:`banded_solve_many` / :meth:`banded_solve_one`.
+        Returns ``(engine, factors)``: ``engine`` names the numeric
+        kernel (``"lapack"``, ``"python"`` or ``"numba"``) and
+        ``factors`` is the opaque state — ``len(factors) == count``,
+        ``factors[x]`` is what :meth:`banded_solve_one` consumes — that
+        :meth:`banded_factor_many` fills and :meth:`banded_solve_many`
+        reads.  Nothing is factored yet.
         """
         raise NotImplementedError
 
+    def banded_factor_many(
+        self,
+        st,
+        n: int,
+        data: np.ndarray,
+        factors,
+        rows: np.ndarray,
+        pivot_tol: float = 0.0,
+    ) -> None:
+        """Factor the ``X`` band matrices ``data (X, nnz)`` (CSR data
+        rows) into slots ``rows (X,)`` of ``factors`` (from
+        :meth:`banded_alloc`), replacing whatever those slots held."""
+        raise NotImplementedError
+
     def banded_solve_many(
-        self, engine: str, factors, st, rhs_p: np.ndarray
+        self, engine: str, factors, st, rhs_p: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
-        """Solve all factored systems; ``rhs_p`` is ``(X, n)`` already in
-        the band (RCM-permuted) ordering.  Returns permuted solutions."""
+        """Solve ``rhs_p[k]`` against slot ``rows[k]``; ``rhs_p`` is
+        ``(K, n)`` already in the band (RCM-permuted) ordering.  Returns permuted solutions ``(K, n)``."""
         raise NotImplementedError
 
     def banded_solve_one(self, engine: str, factor, st, b_p: np.ndarray) -> np.ndarray:

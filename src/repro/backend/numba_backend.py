@@ -74,11 +74,13 @@ def _get_kernels():  # pragma: no cover - requires numba
         return _KERNELS
 
     @njit(cache=False)
-    def factor_stack(W, B):
-        # W: (X, n, 2B+1), factored in place; returns 0 or 1-based index
-        # of the first zero pivot encountered.
-        X, n, _ = W.shape
-        for x in range(X):
+    def factor_stack(W, B, rows):
+        # W: (count, n, 2B+1) resident stack; the slots ``rows`` are
+        # factored in place; returns 0 or 1-based index of the first
+        # zero pivot encountered.
+        n = W.shape[1]
+        for r in range(rows.size):
+            x = rows[r]
             for k in range(n - 1):
                 piv = W[x, k, B]
                 if piv == 0.0:
@@ -92,22 +94,24 @@ def _get_kernels():  # pragma: no cover - requires numba
         return 0
 
     @njit(cache=False)
-    def solve_stack(W, B, rhs):
-        # W: (X, n, 2B+1) factored; rhs: (X, n) permuted, solved in place.
-        X, n, _ = W.shape
-        for x in range(X):
+    def solve_stack(W, B, rhs, rows):
+        # W: (count, n, 2B+1) factored; rhs: (K, n) permuted, rhs[k]
+        # solved in place against slot rows[k].
+        n = W.shape[1]
+        for k in range(rows.size):
+            x = rows[k]
             for i in range(1, n):
                 j0 = max(0, i - B)
                 acc = 0.0
                 for j in range(j0, i):
-                    acc += W[x, i, B + j - i] * rhs[x, j]
-                rhs[x, i] -= acc
+                    acc += W[x, i, B + j - i] * rhs[k, j]
+                rhs[k, i] -= acc
             for i in range(n - 1, -1, -1):
                 j1 = min(n, i + B + 1)
-                acc = rhs[x, i]
+                acc = rhs[k, i]
                 for j in range(i + 1, j1):
-                    acc -= W[x, i, B + j - i] * rhs[x, j]
-                rhs[x, i] = acc / W[x, i, B]
+                    acc -= W[x, i, B + j - i] * rhs[k, j]
+                rhs[k, i] = acc / W[x, i, B]
         return rhs
 
     @njit(cache=False)
@@ -161,10 +165,11 @@ class NumbaBackend(ThreadedBackend):
         t0 = time.perf_counter()
         nk.warm_all()
         factor_stack, solve_stack, matmul_cols = _get_kernels()
+        slot = np.zeros(1, dtype=np.intp)
         W = np.zeros((1, 3, 3))
         W[:, :, 1] = 2.0  # diagonal band column (B = 1)
-        factor_stack(W, 1)
-        solve_stack(W, 1, np.ones((1, 3)))
+        factor_stack(W, 1, slot)
+        solve_stack(W, 1, np.ones((1, 3)), slot)
         matmul_cols(np.eye(2), np.eye(2), np.zeros((2, 2)), 0, 2)
         self.warmed = True
         self.warmup_seconds = time.perf_counter() - t0
@@ -248,29 +253,39 @@ class NumbaBackend(ThreadedBackend):
         return out
 
     # ------------------------------------------------------------------
-    def banded_factor_many(
-        self, st, n: int, data: np.ndarray, pivot_tol: float = 0.0
+    def banded_alloc(
+        self, st, n: int, count: int
     ) -> tuple[str, object]:  # pragma: no cover - requires numba
+        return "numba", np.empty((count, n, 2 * st.B + 1))
+
+    def banded_factor_many(
+        self,
+        st,
+        n: int,
+        data: np.ndarray,
+        factors,
+        rows: np.ndarray,
+        pivot_tol: float = 0.0,
+    ) -> None:  # pragma: no cover - requires numba
         factor_stack, _, _ = _get_kernels()
-        X = data.shape[0]
-        B = st.B
-        Wflat = np.zeros((X, n * (2 * B + 1)))
-        Wflat[:, st.pos] = data
-        W = np.ascontiguousarray(Wflat.reshape(X, n, 2 * B + 1))
-        info = factor_stack(W, B)
+        flat = factors.reshape(len(factors), -1)
+        flat[rows] = 0.0
+        flat[rows[:, None], st.pos] = data
+        info = factor_stack(factors, st.B, rows)
         if info != 0:
             raise ZeroDivisionError(
                 f"zero pivot at step {info - 1} (no pivoting)"
             )
-        return "numba", W
 
     def banded_solve_many(
-        self, engine: str, factors, st, rhs_p: np.ndarray
+        self, engine: str, factors, st, rhs_p: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:  # pragma: no cover - requires numba
         if engine != "numba":
-            return super().banded_solve_many(engine, factors, st, rhs_p)
+            return super().banded_solve_many(engine, factors, st, rhs_p, rows)
         _, solve_stack, _ = _get_kernels()
-        return solve_stack(factors, st.B, np.ascontiguousarray(rhs_p, dtype=float))
+        return solve_stack(
+            factors, st.B, np.ascontiguousarray(rhs_p, dtype=float), rows
+        )
 
     def banded_solve_one(
         self, engine: str, factor, st, b_p: np.ndarray
@@ -280,4 +295,4 @@ class NumbaBackend(ThreadedBackend):
         _, solve_stack, _ = _get_kernels()
         W = np.ascontiguousarray(factor)[None]
         rhs = np.ascontiguousarray(b_p, dtype=float)[None].copy()
-        return solve_stack(W, st.B, rhs)[0]
+        return solve_stack(W, st.B, rhs, np.zeros(1, dtype=np.intp))[0]

@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numpy_backend import NumpyBackend
+from .numpy_backend import NumpyBackend, einsum
 from .shm import (
     ATTACH_DROP_HOOKS,
     SharedArena,
@@ -161,7 +161,7 @@ def _task_matmul(A_spec, B_spec, out_h, c0: int, c1: int) -> None:
 def _task_contract(spec: str, op_specs, out_h, i0: int, i1: int) -> None:
     ops = [_resolve_operand(s) for s in op_specs]
     out = attach_array(out_h, cache=False)
-    out[i0:i1] = np.einsum(spec, *ops, optimize=True)
+    out[i0:i1] = einsum(spec, *ops)
 
 
 def _task_scatter(csr_spec, flat_spec, out_h, i0: int, i1: int) -> None:
@@ -194,20 +194,32 @@ def _get_structure(st_spec):
     return st
 
 
-def _task_band_factor(
-    st_spec, n: int, data_block: np.ndarray, pivot_tol: float, token: int, block: int
-) -> str:
+def _task_band_alloc(st_spec, n: int, count: int, token: int, block: int) -> str:
     st = _get_structure(st_spec)
-    engine, factors = _WORKER_BACKEND.banded_factor_many(
-        st, n, data_block, pivot_tol=pivot_tol
-    )
+    engine, factors = _WORKER_BACKEND.banded_alloc(st, n, count)
     _FACTOR_STORE[(token, block)] = (engine, factors, st)
     return engine
 
 
-def _task_band_solve(token: int, block: int, rhs_p: np.ndarray) -> np.ndarray:
+def _task_band_factor(
+    token: int,
+    block: int,
+    n: int,
+    data: np.ndarray,
+    local_rows: np.ndarray,
+    pivot_tol: float,
+) -> None:
+    _engine, factors, st = _FACTOR_STORE[(token, block)]
+    _WORKER_BACKEND.banded_factor_many(
+        st, n, data, factors, local_rows, pivot_tol=pivot_tol
+    )
+
+
+def _task_band_solve(
+    token: int, block: int, rhs_p: np.ndarray, local_rows: np.ndarray
+) -> np.ndarray:
     engine, factors, st = _FACTOR_STORE[(token, block)]
-    return _WORKER_BACKEND.banded_solve_many(engine, factors, st, rhs_p)
+    return _WORKER_BACKEND.banded_solve_many(engine, factors, st, rhs_p, local_rows)
 
 
 def _task_band_solve_one(
@@ -240,6 +252,14 @@ class _RemoteFactors:
 
     def __len__(self) -> int:
         return self.blocks[-1][1] if self.blocks else 0
+
+    def split(self, rows: np.ndarray):
+        """``(block id, selector into rows, block-local slots)`` for
+        every block that owns some of the slots ``rows``."""
+        for block, (i0, i1) in enumerate(self.blocks):
+            sel = np.nonzero((rows >= i0) & (rows < i1))[0]
+            if sel.size:
+                yield block, sel, rows[sel] - i0
 
     def __getitem__(self, index: int):
         for block, (i0, i1) in enumerate(self.blocks):
@@ -580,10 +600,8 @@ class ProcessPoolBackend(NumpyBackend):
             return op[tuple(key)]
 
         i0, i1 = blocks[0]
-        first = np.einsum(
-            spec,
-            *[_sliced(op, sub, i0, i1) for sub, op in zip(in_subs, ops)],
-            optimize=True,
+        first = einsum(
+            spec, *[_sliced(op, sub, i0, i1) for sub, op in zip(in_subs, ops)]
         )
         arena, out, out_h = self._alloc_scratch((n,) + first.shape[1:], first.dtype)
         if out is None:
@@ -703,27 +721,23 @@ class ProcessPoolBackend(NumpyBackend):
             )
             return spec
 
-    def banded_factor_many(
-        self, st, n: int, data: np.ndarray, pivot_tol: float = 0.0
-    ) -> tuple[str, object]:
-        X = data.shape[0]
-        blocks = self.batch_blocks(X)
+    def banded_alloc(self, st, n: int, count: int) -> tuple[str, object]:
+        """Slot ranges are dealt to the workers in contiguous blocks;
+        each worker allocates, fills and solves against its own range."""
+        blocks = self.batch_blocks(count)
         if self.workers <= 1 or len(blocks) <= 1:
-            return super().banded_factor_many(st, n, data, pivot_tol=pivot_tol)
+            return super().banded_alloc(st, n, count)
         st_spec = self._ship_structure(st, n)
         if st_spec is None:
-            return super().banded_factor_many(st, n, data, pivot_tol=pivot_tol)
+            return super().banded_alloc(st, n, count)
         token = next(self._token)
         pools = self._get_pools()
-        futures = []
-        for k, (i0, i1) in enumerate(blocks):
-            block = np.ascontiguousarray(data[i0:i1])
-            self.ipc_bytes_sent += block.nbytes
-            futures.append(
-                pools[k % self.workers].submit(
-                    _task_band_factor, st_spec, n, block, pivot_tol, token, k
-                )
+        futures = [
+            pools[k % self.workers].submit(
+                _task_band_alloc, st_spec, n, i1 - i0, token, k
             )
+            for k, (i0, i1) in enumerate(blocks)
+        ]
         engines = [fut.result() for fut in futures]
         factors = _RemoteFactors(token=token, blocks=list(blocks))
         weakref.finalize(
@@ -731,28 +745,53 @@ class ProcessPoolBackend(NumpyBackend):
         )
         return engines[0], factors
 
+    def banded_factor_many(
+        self,
+        st,
+        n: int,
+        data: np.ndarray,
+        factors,
+        rows: np.ndarray,
+        pivot_tol: float = 0.0,
+    ) -> None:
+        if not isinstance(factors, _RemoteFactors):
+            return super().banded_factor_many(
+                st, n, data, factors, rows, pivot_tol=pivot_tol
+            )
+        pools = self._get_pools()
+        futures = []
+        for k, sel, local in factors.split(rows):
+            block = np.ascontiguousarray(data[sel])
+            self.ipc_bytes_sent += block.nbytes
+            futures.append(
+                pools[k % self.workers].submit(
+                    _task_band_factor, factors.token, k, n, block, local, pivot_tol
+                )
+            )
+        for fut in futures:
+            fut.result()
+
     def banded_solve_many(
-        self, engine: str, factors, st, rhs_p: np.ndarray
+        self, engine: str, factors, st, rhs_p: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
         if not isinstance(factors, _RemoteFactors):
-            return super().banded_solve_many(engine, factors, st, rhs_p)
+            return super().banded_solve_many(engine, factors, st, rhs_p, rows)
         out = np.empty_like(rhs_p)
         pools = self._get_pools()
         futures = []
-        for k, (i0, i1) in enumerate(factors.blocks):
-            block = np.ascontiguousarray(rhs_p[i0:i1])
+        for k, sel, local in factors.split(rows):
+            block = np.ascontiguousarray(rhs_p[sel])
             self.ipc_bytes_sent += block.nbytes
             futures.append(
                 (
-                    i0,
-                    i1,
+                    sel,
                     pools[k % self.workers].submit(
-                        _task_band_solve, factors.token, k, block
+                        _task_band_solve, factors.token, k, block, local
                     ),
                 )
             )
-        for i0, i1, fut in futures:
-            out[i0:i1] = fut.result()
+        for sel, fut in futures:
+            out[sel] = fut.result()
         return out
 
     def banded_solve_one(self, engine: str, factor, st, b_p: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numpy_backend import NumpyBackend
+from .numpy_backend import NumpyBackend, einsum
 
 __all__ = ["ThreadedBackend"]
 
@@ -96,7 +96,7 @@ class ThreadedBackend(NumpyBackend):
         inputs, out_sub = spec.replace(" ", "").split("->")
         in_subs = inputs.split(",")
         if not out_sub:
-            return np.einsum(spec, *ops, optimize=True)
+            return einsum(spec, *ops)
         axis_letter = out_sub[0]
         n = None
         for sub, op in zip(in_subs, ops):
@@ -105,7 +105,7 @@ class ThreadedBackend(NumpyBackend):
                 break
         blocks = self.batch_blocks(n) if n is not None else []
         if len(blocks) <= 1:
-            return np.einsum(spec, *ops, optimize=True)
+            return einsum(spec, *ops)
         out = None
 
         def einsum_block(i0: int, i1: int) -> None:
@@ -119,7 +119,7 @@ class ThreadedBackend(NumpyBackend):
                     sliced.append(op[tuple(key)])
                 else:
                     sliced.append(op)
-            res = np.einsum(spec, *sliced, optimize=True)
+            res = einsum(spec, *sliced)
             if out is None:
                 shape = (n,) + res.shape[1:]
                 out = np.empty(shape, dtype=res.dtype)

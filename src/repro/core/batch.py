@@ -9,18 +9,46 @@ dispatches them asynchronously from MPI ranks; the conclusion proposes
 
 :class:`BatchedVertexSolver` implements that: one quasi-Newton sweep
 advances all B vertex states together.  The O(N^2) pair tables are shared
-(they depend only on the mesh), the G-field computation becomes a single
+(they depend only on the mesh) and the G-field computation becomes a single
 dense matrix-matrix product over the batch instead of B matrix-vector
-products, the per-vertex Jacobian assemblies collapse into two batched
-einsum contractions plus two sparse matmuls through the cached scatter
-structure, and the per-sweep factorizations share one band symbolic setup
-(RCM ordering + CSR→band scatter) via
-:class:`~repro.sparse.band.CachedBandSolverFactory` — the batched-LU
-pattern of the paper follow-up's batched solvers.  Optional per-vertex
-Anderson mixing (``accel_m``) accelerates the linearly converging Picard
-sweeps toward the same fixed point.  The counters expose exactly the
-effect the paper predicts: launch-equivalents drop from O(B * iterations)
-to O(iterations).
+products.
+
+**Factor once per step.**  The paper wrote its own band LU (§III-G)
+because the factorization dominated once the kernel was fast; the
+follow-up (arXiv 2209.03228) assembles once, keeps the factors resident
+and solves many times behind a cheap preconditioner.  A step here does
+the same.  Sweep 0 assembles and factors ``A0 = M - dt L(f^n)`` per
+(vertex, species) — two batched einsum contractions plus two sparse
+matmuls through the cached scatter structure, then one shared-symbolic
+batched band LU (:class:`~repro.sparse.band.CachedBandSolverFactory`),
+done in vertex blocks straight into preallocated factor slots.  Every
+sweep then evaluates the backward-Euler residual
+
+    r = M (f^n - f_k) + dt C(f_k)[f_k]
+
+*matrix-free* (:meth:`LandauOperator.action_batch`: the flux at the
+integration points and one sparse product — nothing is assembled or
+factored) and takes the chord update ``g = f_k + A0^-1 r``; at sweep 0,
+where ``f_k = f^n``, that is the Picard update ``A0^-1 M f^n``.  The fixed
+point is ``r = 0``, the state Picard converges to; the lagged factors
+only set the path to it.  Measured, the chord iteration tracks Picard sweep
+for sweep (identical counts without mixing, within one sweep with it on
+``tests/test_factor_once.py``'s matrix up to 10x the benchmark's dt), so
+there is no inner Krylov iteration and no periodic refresh: a factor is
+rebuilt only by a per-vertex **divergence guard**, when that vertex's own
+update norm is back at the norm of the first update those factors
+produced — no net contraction since they were built (counted in
+``BatchStats.refactorizations``; zero on every tracked workload).  The
+convergence test and the optional per-vertex Anderson mixing
+(``accel_m``) are applied to ``g`` exactly as they would be to a Picard
+image.  :class:`~repro.core.solver.ImplicitLandauSolver` deliberately
+stays plain Picard with a fresh factorization per iteration: it
+is the independent oracle the tests, the benchmark's correctness gate and
+the serve tier's retry path check this iteration against.
+
+The counters expose the effects the paper predicts: launch-equivalents
+drop from O(B * iterations) to O(iterations), and factorizations from
+O(B * S * iterations) to B * S.
 """
 
 from __future__ import annotations
@@ -35,6 +63,13 @@ from .operator import LandauOperator
 from .options import AssemblyOptions
 from .species import SpeciesSet
 
+#: vertices assembled and factored per block at sweep 0: bounds the
+#: assembly temporaries (element blocks, CSR data rows, lhs) to O(block)
+#: instead of O(batch) — 2 MB instead of 12 MB at B = 64 on the Q3 mesh,
+#: below the later sweeps' field temporaries, so smaller buys nothing —
+#: while the einsum contractions stay large enough to plan well
+FACTOR_BLOCK = 8
+
 
 @dataclass
 class BatchStats:
@@ -43,17 +78,19 @@ class BatchStats:
     ``equivalent_unbatched_launches`` counts, per sweep, the *active*
     (not yet converged) vertices a per-vertex dispatcher would have
     launched a field computation for; ``field_launches`` counts the
-    batched launches actually issued.  ``symbolic_setups`` /
+    batched launches actually issued.  ``factorizations`` is one per
+    (vertex, species) per step plus ``refactorizations``, the rebuilds
+    forced by the divergence guard.  ``symbolic_setups`` /
     ``symbolic_reuses`` record the band solver's symbolic work: one RCM /
-    scatter setup serves every (species, vertex, sweep) factorization of
-    a step.  ``accelerated_sweeps`` counts sweeps that applied Anderson
-    mixing on top of the plain Picard update.
+    scatter setup serves every factorization.  ``accelerated_sweeps``
+    counts sweeps that applied Anderson mixing on top of the plain update.
     """
 
     vertices: int = 0
     newton_sweeps: int = 0
     field_launches: int = 0  # batched G-field computations
     factorizations: int = 0
+    refactorizations: int = 0
     equivalent_unbatched_launches: int = 0
     symbolic_setups: int = 0
     symbolic_reuses: int = 0
@@ -66,6 +103,11 @@ class BatchStats:
         if self.field_launches == 0:
             return 0.0
         return self.equivalent_unbatched_launches / self.field_launches
+
+
+def _update_norm(g: np.ndarray, f: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Per-vertex convergence measure ``max_s |g_s - f_s| / |f^n|``."""
+    return np.linalg.norm(g - f, axis=2).max(axis=1) / norms
 
 
 class BatchedVertexSolver:
@@ -82,14 +124,14 @@ class BatchedVertexSolver:
         frozen (masked out of subsequent sweeps), mirroring warp-level
         early exit.
     accel_m:
-        Anderson mixing depth for the Picard sweeps (``0`` disables; the
+        Anderson mixing depth for the sweeps (``0`` disables; the
         default ``2`` roughly halves the sweep count at identical fixed
         points — each vertex mixes its own flattened ``(S, ndofs)`` state).
     options:
         assembly configuration; the default (structure caching on) enables
         the batched assembly + shared-symbolic band factorization fast
-        path.  With ``cache_structure=False`` the solver falls back to
-        per-vertex assembly and SuperLU factorizations.
+        path.  With ``cache_structure=False`` the same factor-once sweep
+        runs on per-vertex element assembly and per-system band factors.
 
     After each :meth:`step`, ``last_converged`` holds the per-vertex
     convergence mask and ``last_sweeps`` the sweep count at which each
@@ -115,7 +157,7 @@ class BatchedVertexSolver:
         if accel_m < 0:
             raise ValueError(f"accel_m must be >= 0, got {accel_m}")
         self.accel_m = int(accel_m)
-        # one symbolic band setup serves every (species, vertex, sweep)
+        # one symbolic band setup serves every (species, vertex)
         # factorization — the pattern never changes
         self._factory = CachedBandSolverFactory()
         self.stats = BatchStats()
@@ -123,78 +165,67 @@ class BatchedVertexSolver:
         self.last_sweeps: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    def _batched_fields(self, states: np.ndarray):
-        """G_D / G_K for every vertex at once.
+    def _factor(self, resident, rows: np.ndarray, G_D, G_K, dt: float):
+        """(Re)build the factors of ``A = M - dt L(G)`` for the vertices
+        ``rows`` (``G_D``/``G_K`` hold those vertices' fields, in order)
+        inside the step's resident factor state, which is returned;
+        ``resident=None`` allocates it, with ``rows`` naming every vertex
+        of the batch.
 
-        ``states`` has shape (B, S, ndofs).  Returns ``G_D (B, N, 2, 2)``
-        and ``G_K (B, N, 2)`` via batched matmuls on the shared tables.
-        """
-        op = self.op
-        B, S, n = states.shape
-        N = op.N
-        fs = self.fs
-        # evaluate all (vertex, species) fields at quadrature points at once
-        flat = states.reshape(B * S, n)
-        full = (fs.dofmap.P @ flat.T).T  # (B*S, n_full)
-        cd = full[:, fs.dofmap.cell_nodes]  # (B*S, ne, nb)
-        vals = np.einsum("qb,xeb->xeq", fs.B, cd).reshape(B, S, N)
-        g_ref = np.einsum("qbd,xeb->xeqd", fs.Dref, cd)
-        g_phys = g_ref * fs.inv_jac[None, :, None, :]
-        gr = g_phys[..., 0].reshape(B, S, N)
-        gz = g_phys[..., 1].reshape(B, S, N)
-
-        z2 = self.species.charges**2
-        z2om = z2 / self.species.masses
-        T_D = np.einsum("s,bsn->bn", z2, vals)
-        T_Kr = np.einsum("s,bsn->bn", z2om, gr)
-        T_Kz = np.einsum("s,bsn->bn", z2om, gz)
-
-        # one big GEMM per tensor component over the whole batch
-        w = op.w
-        return op.fields_batch(w * T_D, w * T_Kr, w * T_Kz)
-
-    # ------------------------------------------------------------------
-    def _solve_active(
-        self, fk_active: np.ndarray, Mfn_active: np.ndarray, dt: float
-    ) -> np.ndarray:
-        """One Picard update for the active vertices.  Returns ``g (X, S, n)``.
-
-        With structure caching the whole batch goes through one batched
-        assembly (:meth:`LandauOperator.species_data_batch`) and one
-        shared-symbolic batched band LU dispatched to the operator's
-        execution backend.  Without it, each (vertex, species) system is
-        assembled per element and factored through the same cached band
-        factory — one implementation, two granularities, no separate
-        legacy solver.
+        With structure caching the systems are assembled
+        (:meth:`LandauOperator.species_data_batch`) and factored in
+        vertex blocks straight into the preallocated slots of the
+        shared-symbolic batched band LU, so assembly temporaries are
+        O(block) and the factors are the only O(batch) state.  Without
+        it each (vertex, species) system is assembled per element and
+        factored through the same cached band factory — one iteration,
+        two granularities.
         """
         op = self.op
         M = op.mass_matrix
-        X = fk_active.shape[0]
         S = len(self.species)
-        G_D, G_K = self._batched_fields(fk_active)
-        if op.scatter_map is not None:
-            data = op.species_data_batch(G_D, G_K)  # (S, X, nnz)
+        self.stats.factorizations += S * rows.size
+        if op.scatter_map is None:
+            if resident is None:
+                resident = [None] * rows.size
+            for k, x in enumerate(rows):
+                resident[x] = [
+                    self._factory(M - dt * L)
+                    for L in op.species_matrices(G_D[k], G_K[k])
+                ]
+            return resident
+        capacity = S * rows.size
+        species = np.arange(S)[:, None]
+        for k0 in range(0, rows.size, FACTOR_BLOCK):
+            blk = slice(k0, k0 + FACTOR_BLOCK)
+            data = op.species_data_batch(G_D[blk], G_K[blk])  # (S, xb, nnz)
             # shared pattern: lhs data rows are M.data - dt * L.data directly
             lhs = M.data[None, None, :] - dt * data
-            solver = self._factory.factor_batch(
-                M, lhs.reshape(S * X, -1), backend=op.backend
+            resident = self._factory.factor_batch(
+                M,
+                lhs.reshape(-1, lhs.shape[2]),
+                backend=op.backend,
+                into=resident,
+                rows=(rows[blk] * S + species).ravel(),
+                capacity=capacity,
             )
-            self.stats.factorizations += S * X
-            rhs = np.ascontiguousarray(
-                Mfn_active.transpose(1, 0, 2).reshape(S * X, -1)
-            )
-            y = solver.solve_many(rhs)
-            return np.ascontiguousarray(
-                y.reshape(S, X, -1).transpose(1, 0, 2)
-            )
-        g = np.empty_like(fk_active)
-        for x in range(X):
-            mats = op.species_matrices(G_D[x], G_K[x])
-            for s_idx, L in enumerate(mats):
-                solver = self._factory(M - dt * L)
-                self.stats.factorizations += 1
-                g[x, s_idx] = solver(Mfn_active[x, s_idx])
-        return g
+        return resident
+
+    def _solve(self, resident, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``A_x^-1 rhs[k]`` per species for the vertices ``x = rows[k]``
+        against their resident factors; ``rhs`` and the result are
+        ``(len(rows), S, n)``."""
+        S = len(self.species)
+        if self.op.scatter_map is None:
+            out = np.empty_like(rhs)
+            for k, x in enumerate(rows):
+                for s_idx in range(S):
+                    out[k, s_idx] = resident[x][s_idx](rhs[k, s_idx])
+            return out
+        slots = (rows[:, None] * S + np.arange(S)).ravel()
+        return resident.solve_many(
+            rhs.reshape(slots.size, -1), rows=slots
+        ).reshape(rhs.shape)
 
     # ------------------------------------------------------------------
     def step(self, states: np.ndarray, dt: float) -> np.ndarray:
@@ -217,62 +248,86 @@ class BatchedVertexSolver:
         B, S, n = states.shape
         op = self.op
         M = op.mass_matrix
-        fn = states.copy()
         fk = states.copy()
-        active = np.ones(B, dtype=bool)
+        idx = np.arange(B)  # the still-active vertices
         converged = np.zeros(B, dtype=bool)
         sweeps_at = np.full(B, self.max_newton, dtype=int)
-        norms = np.maximum(np.linalg.norm(fn, axis=(1, 2)), 1e-300)
-        # the Picard right-hand side M f^n is sweep-invariant: one spmm
-        Mfn = np.ascontiguousarray(
-            (M @ fn.reshape(B * S, n).T).T.reshape(B, S, n)
-        )
+        norms = np.maximum(np.linalg.norm(states, axis=(1, 2)), 1e-300)
+        # divergence-guard reference per vertex: the norm of the first
+        # update its current factors produced
+        first_delta = np.full(B, np.inf)
 
         sym0_setups = self._factory.symbolic_setups
         sym0_reuses = self._factory.symbolic_reuses
         self.stats.vertices += B
-        # Anderson history: flattened per-vertex states and Picard images
-        hist_x: list[np.ndarray] = []
-        hist_g: list[np.ndarray] = []
+        resident = None  # every (vertex, species) LU, alive for this step
+        # Anderson history rings: images g and residuals g - f of the last
+        # accel_m + 1 sweeps; only still-active rows are written or read
+        depth = self.accel_m + 1 if self.accel_m > 0 else 0
+        hist_g = np.empty((depth, B, S * n))
+        hist_r = np.empty((depth, B, S * n))
+        ring: list[int] = []  # history slots in use, oldest first
         sweeps = 0
-        for _ in range(self.max_newton):
+        while sweeps < self.max_newton:
             sweeps += 1
-            idx = np.nonzero(active)[0]
             # frozen vertices are sliced out *before* the field launch —
             # the early-exit mask saves their G_D/G_K recomputation too
-            g = self._solve_active(fk[idx], Mfn[idx], dt)
+            f_act = fk[idx]
+            vals, gr, gz = op.point_values_batch(f_act)
+            G_D, G_K = op.fields_from_values(vals, gr, gz)
             self.stats.field_launches += 1
             self.stats.equivalent_unbatched_launches += int(idx.size)
-
-            delta = (
-                np.linalg.norm(g - fk[idx], axis=2).max(axis=1) / norms[idx]
-            )
+            if sweeps == 1:
+                resident = self._factor(None, idx, G_D, G_K, dt)  # A0, f_k = f^n
+            # chord update: the exact backward-Euler residual, evaluated
+            # matrix-free, corrected through the resident (lagged) factors
+            res = (M @ (states[idx] - f_act).reshape(-1, n).T).T.reshape(
+                f_act.shape
+            ) + dt * op.action_batch(G_D, G_K, vals, gr, gz)
+            g = f_act + self._solve(resident, idx, res)
+            delta = _update_norm(g, f_act, norms[idx])
             done = delta < self.rtol
+
+            # divergence guard: a vertex whose update norm is back at (or
+            # above) that of the first update its current factors produced
+            # has made no net progress with them.  Its factors are rebuilt
+            # at its current iterate and its update redone from them — a
+            # Picard step.  (Sweep-to-sweep growth is no signal: mixed
+            # iterates legitimately bump the norm for a few sweeps.)
+            stalled = np.nonzero(~done & (delta >= first_delta[idx]))[0]
+            if stalled.size:
+                rows = idx[stalled]
+                self._factor(resident, rows, G_D[stalled], G_K[stalled], dt)
+                self.stats.refactorizations += S * stalled.size
+                g[stalled] = f_act[stalled] + self._solve(
+                    resident, rows, res[stalled]
+                )
+                delta[stalled] = _update_norm(
+                    g[stalled], f_act[stalled], norms[rows]
+                )
+                done = delta < self.rtol
+            rebuilt = slice(None) if sweeps == 1 else stalled
+            first_delta[idx[rebuilt]] = delta[rebuilt]
+
             just = idx[done]
             converged[just] = True
             sweeps_at[just] = sweeps
-            active[just] = False
             fk[just] = g[done]
-
-            still = idx[~done]
-            if still.size == 0:
+            idx = idx[~done]
+            if idx.size == 0:
                 break
-            g_still = g[~done]
-            if self.accel_m > 0:
-                xk_flat = fk.reshape(B, -1).copy()
-                g_flat = np.zeros((B, S * n))
-                g_flat[idx] = g.reshape(idx.size, -1)
-                hist_x.append(xk_flat)
-                hist_g.append(g_flat)
-                if len(hist_x) > self.accel_m + 1:
-                    hist_x.pop(0)
-                    hist_g.pop(0)
-                mixed = self._anderson_mix(hist_x, hist_g, still)
+            g = g[~done].reshape(idx.size, -1)
+            if depth:
+                slot = (sweeps - 1) % depth
+                hist_g[slot, idx] = g
+                hist_r[slot, idx] = g - f_act[~done].reshape(idx.size, -1)
+                ring = (ring + [slot])[-depth:]
+                pick = np.ix_(ring, idx)
+                mixed = self._anderson_mix(hist_g[pick], hist_r[pick])
                 if mixed is not None:
-                    fk[still] = mixed.reshape(still.size, S, n)
+                    g = mixed
                     self.stats.accelerated_sweeps += 1
-                    continue
-            fk[still] = g_still
+            fk[idx] = g.reshape(idx.size, S, n)
         self.stats.newton_sweeps += sweeps
         self.stats.symbolic_setups += self._factory.symbolic_setups - sym0_setups
         self.stats.symbolic_reuses += self._factory.symbolic_reuses - sym0_reuses
@@ -281,30 +336,25 @@ class BatchedVertexSolver:
         return fk
 
     # ------------------------------------------------------------------
-    def _anderson_mix(
-        self,
-        hist_x: list[np.ndarray],
-        hist_g: list[np.ndarray],
-        rows: np.ndarray,
-    ) -> np.ndarray | None:
-        """Per-vertex Anderson(m) mixing of the Picard iteration.
+    @staticmethod
+    def _anderson_mix(G: np.ndarray, R: np.ndarray) -> np.ndarray | None:
+        """Per-vertex Anderson(m) mixing of the fixed-point iteration.
 
-        Each vertex solves its own tiny least-squares problem (normal
-        equations over the residual differences) for the mixing weights;
-        returns the mixed iterates ``(len(rows), S*n)`` or ``None`` when
-        there is no usable history yet (callers then take the plain
-        Picard update).  Ill-conditioned or non-finite mixes fall back to
-        the plain update row-wise — acceleration never changes the fixed
-        point, only the path to it.
+        ``G`` and ``R`` are the chronological history ``(m + 1, X, D)``
+        of the images ``g(f_j)`` and residuals ``g(f_j) - f_j`` of the
+        ``X`` active vertices.  Each vertex solves its own tiny
+        least-squares problem (normal equations over the residual
+        differences) for the mixing weights; returns the mixed iterates
+        ``(X, D)`` or ``None`` when there is no usable history yet
+        (callers then take the plain update).  Ill-conditioned or
+        non-finite mixes fall back to the plain update row-wise —
+        acceleration never changes the fixed point, only the path to it.
         """
-        mk = len(hist_x) - 1
+        mk = G.shape[0] - 1
         if mk < 1:
             return None
-        R = np.stack([hg[rows] - hx[rows] for hx, hg in zip(hist_x, hist_g)])
         dR = R[1:] - R[:-1]  # (mk, X, D)
-        dG = np.stack(
-            [hist_g[j + 1][rows] - hist_g[j][rows] for j in range(mk)]
-        )
+        dG = G[1:] - G[:-1]
         gram = np.einsum("iad,jad->aij", dR, dR)
         rhs = np.einsum("iad,ad->ai", dR, R[-1])
         # Tikhonov guard keeps near-singular Gram matrices solvable
@@ -315,9 +365,8 @@ class BatchedVertexSolver:
             theta = np.linalg.solve(gram, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
             return None
-        g_last = hist_g[-1][rows]
-        mixed = g_last - np.einsum("ai,iad->ad", theta, dG)
+        mixed = G[-1] - np.einsum("ai,iad->ad", theta, dG)
         bad = ~np.isfinite(mixed).all(axis=1)
         if bad.any():
-            mixed[bad] = g_last[bad]
+            mixed[bad] = G[-1][bad]
         return mixed

@@ -38,8 +38,6 @@ dict records structure reuses and parallel builds for
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -51,13 +49,21 @@ from ..fem.assembly import (
 )
 from ..fem.function_space import FunctionSpace
 from .landau_tensor import landau_tensors_cyl
-from .options import AssemblyOptions, PairTableMemoryError
+from .options import ONTHEFLY_BYTES_PER_PAIR, AssemblyOptions, PairTableMemoryError
 from .species import SpeciesSet
 
 #: default cap on cached pair-table memory (bytes); kept as a module
 #: constant for backwards compatibility — the effective limit is
 #: ``AssemblyOptions.memory_budget``.
 PAIR_TABLE_MEMORY_LIMIT = 400 * 1024 * 1024
+
+#: scratch bytes one row block of the O(N^2) kernels may touch: the ~26
+#: float64 temporaries per pair of ``landau_tensors_cyl`` should stay
+#: cache-resident while the block is evaluated.  A block sized by the
+#: memory budget alone is every row at once (53 MB of scratch at
+#: N = 504), which is both slower and the largest transient allocation
+#: of a plan; 2 MiB is the measured optimum on N = 320 and N = 504.
+ROW_BLOCK_BYTES = 2 * 1024 * 1024
 
 #: packed component order: Drr, Drz, Dzz, Krr, Kzr (Krz/Kzz alias Drz/Dzz)
 _PACKED_COMPONENTS = ("Drr", "Drz", "Dzz", "Krr", "Kzr")
@@ -139,6 +145,14 @@ class LandauOperator:
             # batched contractions ship handles, not pickled copies
             self.backend.register_shared(self._scatter.gphys)
         self._mass: sp.csr_matrix | None = None
+        self._projector: sp.csr_matrix | None = None
+        # per-species source weights of eq. (10) and weak-form scalings
+        # (Algorithm 1 lines 13-16)
+        z2 = species.charges**2
+        self._z2 = z2
+        self._z2om = z2 / species.masses
+        self._fac_k = self.nu0 * z2 / species.masses
+        self._fac_d = -self.nu0 * z2 / species.masses**2
 
     # ------------------------------------------------------------------
     def _build_pair_tables(self) -> dict[str, np.ndarray]:
@@ -164,11 +178,13 @@ class LandauOperator:
         self.backend.pair_table_rows(out, self.r, self.z, i0, i1)
 
     def _row_blocks(self, N: int) -> list[tuple[int, int]]:
-        """Row blocks for O(N^2) table/field work: sized by the memory
-        budget (the scratch tensors dominate the working set), split
-        further so a parallel backend's workers all have work."""
+        """Row blocks for O(N^2) table/field work: sized so a block's
+        scratch tensors fit :data:`ROW_BLOCK_BYTES` (and the memory
+        budget, when that is smaller), split further so a parallel
+        backend's workers all have work."""
         workers = self.backend.workers
-        chunk = min(self.options.row_chunk(N), N)
+        cache_rows = ROW_BLOCK_BYTES // (max(1, N) * ONTHEFLY_BYTES_PER_PAIR)
+        chunk = max(1, min(self.options.row_chunk(N), cache_rows, N))
         starts = list(range(0, N, chunk))
         if workers > 1 and len(starts) < workers:
             chunk = max(1, -(-N // workers))
@@ -300,7 +316,7 @@ class LandauOperator:
         cached tables each tensor component is one contraction over the
         whole batch (the :class:`~repro.core.batch.BatchedVertexSolver`
         hot path); without them the tensors are re-evaluated on the fly
-        in backend-dispatched row blocks sized by the memory budget.
+        in backend-dispatched, cache-sized row blocks (:meth:`_row_blocks`).
         """
         if self.pair_tables_cached:
             return self._fields_from_products(
@@ -340,29 +356,117 @@ class LandauOperator:
         )
         return G_D[0], G_K[0]
 
-    def batched_fields(
-        self, wTD: np.ndarray, wTKr: np.ndarray, wTKz: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Deprecated alias of :meth:`fields_batch` (which no longer
-        requires cached pair tables)."""
-        warnings.warn(
-            "LandauOperator.batched_fields is deprecated; use fields_batch",
-            DeprecationWarning,
-            stacklevel=2,
+    # ------------------------------------------------------------------
+    # batch-shaped state evaluation and the matrix-free operator action
+    def point_values_batch(
+        self, states: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``f``, ``df/dr`` and ``df/dz`` of every (vertex, species) at
+        the integration points: ``states (X, S, n)`` gives three
+        ``(X, S, N)`` arrays.  One GEMM against the stacked reference
+        tabulation ``[B | dB/dxi | dB/deta]``, then the element Jacobian
+        scaling of the two gradient blocks."""
+        fs = self.fs
+        X, S, n = states.shape
+        nq = fs.nq
+        full = (fs.dofmap.P @ states.reshape(X * S, n).T).T
+        cd = full[:, fs.dofmap.cell_nodes]  # (X*S, ne, nb)
+        tab = np.concatenate([fs.B, fs.Dref[:, :, 0], fs.Dref[:, :, 1]])
+        q = (cd.reshape(-1, fs.nb) @ tab.T).reshape(X, S, fs.nelem, 3 * nq)
+        inv_jac = fs.inv_jac
+        return (
+            q[..., :nq].reshape(X, S, -1),
+            (q[..., nq : 2 * nq] * inv_jac[:, 0, None]).reshape(X, S, -1),
+            (q[..., 2 * nq :] * inv_jac[:, 1, None]).reshape(X, S, -1),
         )
-        return self.fields_batch(wTD, wTKr, wTKz)
+
+    def fields_from_values(
+        self, vals: np.ndarray, gr: np.ndarray, gz: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``G_D (X, N, 2, 2)`` / ``G_K (X, N, 2)`` of ``X`` states given
+        their :meth:`point_values_batch`: the species-summed sources of
+        eq. (10) through one :meth:`fields_batch` launch."""
+        w = self.w
+        return self.fields_batch(
+            w * np.einsum("s,xsn->xn", self._z2, vals),
+            w * np.einsum("s,xsn->xn", self._z2om, gr),
+            w * np.einsum("s,xsn->xn", self._z2om, gz),
+        )
+
+    @property
+    def _flux_projector(self) -> sp.csr_matrix:
+        """The ``(n, 2N)`` weak-form map of a point-wise flux ``(F_r |
+        F_z)``: ``sum_q w grad(psi_i) . F_q`` on the free dofs, hanging-
+        node constraints folded in (``P^T``).  State-independent, built
+        on first use."""
+        if self._projector is None:
+            fs = self.fs
+            gphys = (
+                self._scatter.gphys
+                if self._scatter is not None
+                else np.einsum("qbd,ed->eqbd", fs.Dref, fs.inv_jac)
+            )
+            wg = fs.qweights[:, :, None, None] * gphys  # (e, q, a, d)
+            N = self.N
+            rows = np.broadcast_to(
+                fs.dofmap.cell_nodes[:, None, :, None], wg.shape
+            )
+            cols = np.broadcast_to(
+                np.arange(N).reshape(wg.shape[:2])[:, :, None, None]
+                + N * np.arange(2),
+                wg.shape,
+            )
+            full = sp.coo_matrix(
+                (wg.ravel(), (rows.ravel(), cols.ravel())),
+                shape=(fs.dofmap.n_full, 2 * N),
+            )
+            self._projector = (fs.dofmap.P.T @ full.tocsr()).tocsr()
+        return self._projector
+
+    def action_batch(
+        self,
+        G_D: np.ndarray,
+        G_K: np.ndarray,
+        vals: np.ndarray,
+        gr: np.ndarray,
+        gz: np.ndarray,
+    ) -> np.ndarray:
+        """The frozen-coefficient operator applied matrix-free:
+        ``out[x, a] = L_a(G[x]) f_a[x]``, shape ``(X, S, n)``, without
+        assembling any ``L_a``.
+
+        The weak form (5) + (6) tests the point-wise flux ``fac_d G_D .
+        grad f_a + fac_k G_K f_a`` against ``grad psi_i``, so the action
+        is that flux at the integration points followed by one sparse
+        product with the state-independent :attr:`_flux_projector`.
+        Agrees with ``species_matrices(G_D, G_K)[a] @ f_a`` to round-off.
+        """
+        X, S, N = vals.shape
+        fac_d = self._fac_d[:, None]
+        fac_k = self._fac_k[:, None]
+        flux = np.empty((X, S, 2, N))
+        for d in (0, 1):
+            diffusion = G_D[:, None, :, d, 0] * gr + G_D[:, None, :, d, 1] * gz
+            flux[:, :, d] = fac_d * diffusion + fac_k * (G_K[:, None, :, d] * vals)
+        out = self._flux_projector @ flux.reshape(X * S, 2 * N).T
+        return np.ascontiguousarray(out.T).reshape(X, S, -1)
+
+    def apply_batch(self, states: np.ndarray) -> np.ndarray:
+        """The weak-form collision operator ``(psi, C_a(f))`` of ``X``
+        states, ``(X, S, n)`` in and out — the nonlinear evaluation, with
+        no matrix assembled."""
+        vals, gr, gz = self.point_values_batch(states)
+        G_D, G_K = self.fields_from_values(vals, gr, gz)
+        return self.action_batch(G_D, G_K, vals, gr, gz)
 
     # ------------------------------------------------------------------
     def species_coefficients(
         self, s_index: int, G_D: np.ndarray, G_K: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-species weak-form coefficients (Algorithm 1 lines 13-16)."""
-        s = self.species[s_index]
         ne, nq = self.fs.qweights.shape
-        fac_k = self.nu0 * s.charge**2 / s.mass
-        fac_d = -self.nu0 * s.charge**2 / s.mass**2
-        D_q = (fac_d * G_D).reshape(ne, nq, 2, 2)
-        K_q = (fac_k * G_K).reshape(ne, nq, 2)
+        D_q = (self._fac_d[s_index] * G_D).reshape(ne, nq, 2, 2)
+        K_q = (self._fac_k[s_index] * G_K).reshape(ne, nq, 2)
         return D_q, K_q
 
     def species_matrix(
@@ -434,11 +538,9 @@ class LandauOperator:
         )
         S = len(self.species)
         out = np.empty((S, X, dD.shape[1]))
-        for s_idx, s in enumerate(self.species):
-            fac_k = self.nu0 * s.charge**2 / s.mass
-            fac_d = -self.nu0 * s.charge**2 / s.mass**2
-            np.multiply(dD, fac_d, out=out[s_idx])
-            out[s_idx] += fac_k * dK
+        for s_idx in range(S):
+            np.multiply(dD, self._fac_d[s_idx], out=out[s_idx])
+            out[s_idx] += self._fac_k[s_idx] * dK
         self.counters["structure_reuses"] += S * X
         return out
 
@@ -457,18 +559,6 @@ class LandauOperator:
         data = self.species_data_batch(G_D[None], G_K[None])
         return [self._scatter.matrix(data[a, 0]) for a in range(len(self.species))]
 
-    def batched_species_data(
-        self, G_D: np.ndarray, G_K: np.ndarray
-    ) -> np.ndarray:
-        """Deprecated alias of :meth:`species_data_batch`."""
-        warnings.warn(
-            "LandauOperator.batched_species_data is deprecated; use "
-            "species_data_batch",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.species_data_batch(G_D, G_K)
-
     @property
     def scatter_map(self):
         """The cached element→CSR scatter structure (``None`` when
@@ -486,10 +576,9 @@ class LandauOperator:
 
     def apply(self, fields: list[np.ndarray]) -> list[np.ndarray]:
         """The weak-form collision operator applied to the current state:
-        ``(psi, C_a(f))`` for each species (nonlinear evaluation)."""
-        G_D, G_K = self.fields(fields)
-        mats = self.species_matrices(G_D, G_K)
-        return [mats[a] @ fields[a] for a in range(len(self.species))]
+        ``(psi, C_a(f))`` for each species (nonlinear evaluation) — the
+        ``X = 1`` slice of :meth:`apply_batch`."""
+        return list(self.apply_batch(np.stack(fields)[None])[0])
 
     # ------------------------------------------------------------------
     @property

@@ -241,6 +241,7 @@ class ShardWorker:
             "field_launches": 0,
             "equivalent_unbatched_launches": 0,
             "factorizations": 0,
+            "refactorizations": 0,
             "newton_sweeps": 0,
             "symbolic_setups": 0,
             "symbolic_reuses": 0,
@@ -253,6 +254,7 @@ class ShardWorker:
             agg["field_launches"] += st.field_launches
             agg["equivalent_unbatched_launches"] += st.equivalent_unbatched_launches
             agg["factorizations"] += st.factorizations
+            agg["refactorizations"] += st.refactorizations
             agg["newton_sweeps"] += st.newton_sweeps
             agg["symbolic_setups"] += st.symbolic_setups
             agg["symbolic_reuses"] += st.symbolic_reuses

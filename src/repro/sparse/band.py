@@ -24,7 +24,6 @@ and of the batched LU in the artifact repository.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,19 +203,30 @@ class _BandStructure:
     pos: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    #: flat scatter positions into LAPACK ``dgbtrf`` storage, built lazily
-    #: (``ab`` is ``(2*B + B + 1, n)`` column-banded with ``kl = ku = B``)
+    #: flat scatter positions into one LAPACK factor slot, built lazily
     pos_lapack: np.ndarray | None = None
 
+    def lapack_rows(self, n: int) -> int:
+        """Rows of one LAPACK factor array: the pivoted band form ``ab``
+        (``2B + B + 1`` rows, ``kl = ku = B``) or, on meshes so small
+        that the band is wider than the matrix (``n <= 3B + 1``), the
+        dense form — whichever is more compact for this ``(n, B)``."""
+        return min(3 * self.B + 1, n)
+
     def lapack_positions(self, n: int) -> np.ndarray:
+        """Positions of the CSR entries in the *transpose* of the LAPACK
+        array: a resident factor slot is C-ordered ``(n, lapack_rows)``,
+        and its ``.T`` is the Fortran-ordered array LAPACK factors in
+        place."""
         if self.pos_lapack is None:
             B = self.B
             # recover permuted (row, col) of each CSR entry from the band
             # scatter: pos = pr * (2B+1) + (B + pc - pr)
             pr, off = np.divmod(self.pos, 2 * B + 1)
             pc = pr + (off - B)
-            # LAPACK banded layout: ab[kl + ku + i - j, j] = A[i, j]
-            self.pos_lapack = (2 * B + pr - pc) * n + pc
+            rows = self.lapack_rows(n)
+            # dense: a[i, j] = A[i, j]; band: ab[kl + ku + i - j, j] = A[i, j]
+            self.pos_lapack = pc * rows + (pr if rows == n else 2 * B + pr - pc)
         return self.pos_lapack
 
 
@@ -238,57 +248,70 @@ class _CachedBandSolver:
 try:  # pragma: no cover - import probe
     from scipy.linalg import lapack as _lapack
 
-    _HAVE_GBTRF = hasattr(_lapack, "dgbtrf") and hasattr(_lapack, "dgbtrs")
+    _HAVE_GBTRF = all(
+        hasattr(_lapack, f) for f in ("dgbtrf", "dgbtrs", "dgetrf", "dgetrs")
+    )
 except ImportError:  # pragma: no cover - scipy without lapack wrappers
     _lapack = None
     _HAVE_GBTRF = False
 
 
 class BatchedBandSolver:
-    """LU factors of many same-pattern matrices sharing one band symbolic.
+    """Resident LU factors of many same-pattern matrices sharing one band
+    symbolic.
 
-    The serve/batch hot path factors ``X`` matrices per sweep that all come
-    from the same :class:`ScatterMap` structure — identical sparsity, hence
-    identical RCM ordering, bandwidth and CSR→band scatter.  The numeric
-    kernels (LAPACK ``dgbtrf``/``dgbtrs``, pure-python
-    :func:`band_factor`/:func:`band_solve`, or numba's JIT variant) live in
-    the :class:`~repro.backend.ExecutionBackend` that produced the factors;
-    this wrapper owns the shared symbolic state and applies the RCM
-    permutation once per solve call.
+    The serve/batch hot path factors one matrix per (vertex, species) at
+    the first sweep of a step and then solves against those factors on
+    every later sweep, for the shrinking set of still-active vertices —
+    so the factors live in ``capacity`` *slots* that are filled (and, by
+    the batched solver's divergence guard, refilled) through
+    :meth:`CachedBandSolverFactory.factor_batch` and addressed by slot in
+    :meth:`solve_many`.  All matrices come from the same
+    :class:`ScatterMap` structure — identical sparsity, hence identical
+    RCM ordering, bandwidth and CSR→band scatter.  The numeric kernels
+    (LAPACK band or dense LU in place in preallocated slots,
+    pure-python :func:`band_factor`/:func:`band_solve`, or numba's JIT
+    variant) and the factor storage live in the
+    :class:`~repro.backend.ExecutionBackend`; this wrapper owns the
+    shared symbolic state and applies the RCM permutation once per solve
+    call.
     """
 
-    def __init__(
-        self,
-        st: _BandStructure,
-        n: int,
-        factors,
-        engine: str,
-        backend=None,
-    ):
-        if backend is None:
-            from ..backend.numpy_backend import NumpyBackend
-
-            backend = NumpyBackend()
+    def __init__(self, st: _BandStructure, n: int, capacity: int, backend):
         self._st = st
         self.n = n
-        self._factors = factors
-        self.engine = engine
         self._backend = backend
+        self.engine, self._factors = backend.banded_alloc(st, n, capacity)
 
     @property
     def batch_size(self) -> int:
         return len(self._factors)
 
-    def solve_many(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve all systems: ``rhs`` is ``(X, n)``, returns ``(X, n)``."""
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (len(self._factors), self.n):
-            raise ValueError(
-                f"rhs must be ({len(self._factors)}, {self.n}), got {rhs.shape}"
+    def _slots(self, rows, count: int) -> np.ndarray:
+        if rows is None:
+            rows = np.arange(count)
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.shape != (count,):
+            raise ValueError(f"rows must name {count} slots, got {rows.shape}")
+        if count and not (0 <= rows.min() and rows.max() < self.batch_size):
+            raise IndexError(
+                f"slots {rows.min()}..{rows.max()} outside the "
+                f"{self.batch_size} resident factors"
             )
+        return rows
+
+    def solve_many(self, rhs: np.ndarray, rows=None) -> np.ndarray:
+        """Solve ``rhs[k]`` against the factors in slot ``rows[k]``
+        (default: slots ``0..len(rhs)``); ``rhs`` is ``(K, n)``, returns
+        ``(K, n)``.  Slots must have been factored."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim != 2 or rhs.shape[1] != self.n:
+            raise ValueError(f"rhs must be (K, {self.n}), got {rhs.shape}")
+        rows = self._slots(rows, rhs.shape[0])
         st = self._st
+        rhs_p = np.ascontiguousarray(rhs[:, st.perm])
         out = self._backend.banded_solve_many(
-            self.engine, self._factors, st, np.ascontiguousarray(rhs[:, st.perm])
+            self.engine, self._factors, st, rhs_p, rows
         )
         return out[:, st.iperm]
 
@@ -372,7 +395,14 @@ class CachedBandSolverFactory:
 
     # ------------------------------------------------------------------
     def factor_batch(
-        self, template: sp.csr_matrix, data: np.ndarray, backend=None
+        self,
+        template: sp.csr_matrix,
+        data: np.ndarray,
+        backend=None,
+        *,
+        into: BatchedBandSolver | None = None,
+        rows=None,
+        capacity: int | None = None,
     ) -> BatchedBandSolver:
         """Factor ``X`` matrices sharing ``template``'s sparsity pattern.
 
@@ -386,6 +416,13 @@ class CachedBandSolverFactory:
         serial numpy reference when ``None``): LAPACK's partial-pivoting
         band LU when available, the pure-python no-pivot
         :func:`band_factor` or numba's JIT kernel otherwise.
+
+        The factors are *resident*: they are written into slots ``rows``
+        (default ``0..X``) of the returned solver.  A new solver with
+        ``capacity`` slots (default ``X``) is allocated unless ``into``
+        names one from an earlier call, whose slots ``rows`` are then
+        (re)filled in place, on its backend — how a step is factored
+        block by block, and how single systems are refreshed later.
         """
         template = sp.csr_matrix(template)
         data = np.ascontiguousarray(data, dtype=float)
@@ -394,29 +431,27 @@ class CachedBandSolverFactory:
                 f"data must be (X, {template.nnz}), got {data.shape}"
             )
         st = self._structure(template)
-        self.symbolic_reuses += max(0, data.shape[0] - 1)
-        n = template.shape[0]
-        if backend is None:
-            from ..backend.registry import get_backend
+        X = data.shape[0]
+        self.symbolic_reuses += max(0, X - 1)
+        if into is None:
+            if backend is None:
+                from ..backend.registry import get_backend
 
-            backend = get_backend("numpy")
-        engine, factors = backend.banded_factor_many(
-            st, n, data, pivot_tol=self.pivot_tol
+                backend = get_backend("numpy")
+            into = BatchedBandSolver(
+                st, template.shape[0], X if capacity is None else capacity, backend
+            )
+        elif into._st is not st:
+            raise ValueError("into was factored for a different sparsity pattern")
+        into._backend.banded_factor_many(
+            st,
+            into.n,
+            data,
+            into._factors,
+            into._slots(rows, X),
+            pivot_tol=self.pivot_tol,
         )
-        return BatchedBandSolver(st, n, factors, engine, backend=backend)
-
-    def factor_many(
-        self, template: sp.csr_matrix, data: np.ndarray
-    ) -> BatchedBandSolver:
-        """Deprecated alias of :meth:`factor_batch` (serial reference
-        backend)."""
-        warnings.warn(
-            "CachedBandSolverFactory.factor_many is deprecated; use "
-            "factor_batch",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.factor_batch(template, data)
+        return into
 
 
 class BlockDiagonalBandSolver:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.amr import landau_mesh
 from repro.core import (
@@ -20,6 +21,12 @@ from repro.core import (
 )
 from repro.core.maxwellian import species_maxwellian
 from repro.fem import FunctionSpace, Mesh
+
+# Tier-1 is a gate, so its property tests draw the same examples on every
+# run and keep no example database (a failing case found once must not
+# make a later run of an unchanged tree red, or hide on a fresh clone).
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

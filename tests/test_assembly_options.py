@@ -5,15 +5,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.amr import landau_mesh
 from repro.core import (
     AssemblyOptions,
     ImplicitLandauSolver,
     LandauOperator,
     NewtonStats,
     PairTableMemoryError,
+    SpeciesSet,
+    deuterium,
+    electron,
 )
+from repro.core import operator as operator_module
 from repro.core.maxwellian import species_maxwellian
-from repro.core.options import DEFAULT_MEMORY_BUDGET
+from repro.core.options import DEFAULT_MEMORY_BUDGET, ONTHEFLY_BYTES_PER_PAIR
+from repro.fem import FunctionSpace
 from repro.fem.assembly import (
     ScatterMap,
     _scatter,
@@ -105,6 +111,83 @@ class TestMemoryBudget:
         assert packed == 5 * n * n * 8
         assert legacy == 8 * n * n * 8  # strided views pin the full tensors
         assert AssemblyOptions(table_dtype="float32").table_bytes(n) == packed // 2
+
+
+class TestRowBlocks:
+    """The O(N^2) kernels run in cache-sized row blocks: the block size
+    is an implementation constant, so results must not depend on it and
+    the scratch must stay bounded by it."""
+
+    @pytest.fixture(scope="class")
+    def big_fs(self):
+        """Electron+deuterium Q2: N = 504 integration points."""
+        spc = SpeciesSet([electron(), deuterium()])
+        fs = FunctionSpace(
+            landau_mesh([s.thermal_velocity for s in spc]), order=2
+        )
+        assert fs.n_integration_points >= 500
+        return fs, spc
+
+    @staticmethod
+    def _sources(N, B=16):
+        rng = np.random.default_rng(7)
+        return [rng.standard_normal((B, N)) for _ in range(3)]
+
+    def test_blocks_are_cache_sized_and_cover_all_rows(self, big_fs):
+        fs, spc = big_fs
+        op = LandauOperator(fs, spc, options=AssemblyOptions(cache_pair_tables=False))
+        blocks = op._row_blocks(op.N)
+        assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+        assert blocks[0][0] == 0 and blocks[-1][1] == op.N
+        rows = max(i1 - i0 for i0, i1 in blocks)
+        assert 1 <= rows < op.N  # no longer every row at once
+        assert rows * op.N * ONTHEFLY_BYTES_PER_PAIR <= operator_module.ROW_BLOCK_BYTES
+        # a tighter memory budget still wins
+        tight = LandauOperator(
+            fs, spc, options=AssemblyOptions(memory_budget=50_000)
+        )
+        assert max(i1 - i0 for i0, i1 in tight._row_blocks(op.N)) < rows
+
+    def test_packed_tables_bitwise_independent_of_block_size(
+        self, fs_q3, electron_species, monkeypatch
+    ):
+        ref = LandauOperator(fs_q3, electron_species).packed_table_buffer
+        for block_bytes in (64 * 1024, 1 << 40):  # 1-row blocks, one block
+            monkeypatch.setattr(operator_module, "ROW_BLOCK_BYTES", block_bytes)
+            op = LandauOperator(fs_q3, electron_species)
+            assert np.array_equal(op.packed_table_buffer, ref)
+
+    def test_on_the_fly_fields_independent_of_block_size(
+        self, big_fs, monkeypatch
+    ):
+        fs, spc = big_fs
+        options = AssemblyOptions(cache_pair_tables=False)
+        op = LandauOperator(fs, spc, options=options)
+        sources = self._sources(op.N)
+        G_D, G_K = op.fields_batch(*sources)
+        monkeypatch.setattr(operator_module, "ROW_BLOCK_BYTES", 1 << 40)
+        assert len(op._row_blocks(op.N)) == 1
+        G_D1, G_K1 = op.fields_batch(*sources)
+        assert np.abs(G_D - G_D1).max() <= 1e-13 * np.abs(G_D1).max()
+        assert np.abs(G_K - G_K1).max() <= 1e-13 * np.abs(G_K1).max()
+
+    def test_on_the_fly_scratch_is_bounded(self, big_fs):
+        """One block at a time: a few ROW_BLOCK_BYTES of temporaries
+        plus the outputs — evaluating all N = 504 rows at once took
+        53 MB."""
+        import tracemalloc
+
+        fs, spc = big_fs
+        op = LandauOperator(fs, spc, options=AssemblyOptions(cache_pair_tables=False))
+        sources = self._sources(op.N)
+        op.fields_batch(*sources)  # warm lazily built state
+        tracemalloc.start()
+        try:
+            op.fields_batch(*sources)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * operator_module.ROW_BLOCK_BYTES
 
 
 class TestScatterMap:

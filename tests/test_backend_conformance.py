@@ -3,8 +3,9 @@
 Every registered backend is exercised against the numpy reference on a
 two-species quench vertex, stage by stage: packed pair-table build,
 on-the-fly row-block field tensors, the two batched element-contraction
-specs, the CSR scatter-apply, and the banded factor/solve — each to
-<= 1e-12 (relative to the stage's max magnitude).  The numba legs are
+specs, the CSR scatter-apply, the banded factor/solve and the resident
+factor stack with subset solves — each to <= 1e-12 (relative to the
+stage's max magnitude).  The numba legs are
 *explicit skip-marked parameters* when numba is absent, so a container
 without numba reports visible skips instead of silently shrinking the
 matrix.
@@ -206,6 +207,43 @@ class TestStageConformance:
         out_ref = ref.solve_many(rhs)
         _assert_close(got.solve_many(rhs), out_ref, f"{name} band solve_many")
         _assert_close(got.solve(1, rhs[1]), out_ref[1], f"{name} band solve")
+
+    @pytest.mark.parametrize("name", BACKEND_PARAMS)
+    def test_resident_factors_subset_solve(self, quench_op, quench_fields, name):
+        """Resident factors, subset solve: slots of one preallocated
+        stack are filled in two calls, one is refilled with a different
+        matrix, and a subset is solved in arbitrary slot order — the
+        batched solver's sweep-0 blocks, divergence-guard refresh and
+        active-set solves."""
+        M = quench_op.mass_matrix.tocsr()
+        L = quench_op.jacobian(quench_fields)[0].tocsr()
+        template = (M - 0.05 * L).tocsr()
+        data = np.stack([template.data * (1.0 + 0.01 * x) for x in range(6)])
+        rng = np.random.default_rng(4)
+        rhs = rng.standard_normal((6, template.shape[0]))
+        # reference: each matrix factored on its own, serial numpy
+        ref = CachedBandSolverFactory().factor_batch(
+            template, data, backend=NumpyBackend()
+        ).solve_many(rhs)
+
+        factory = CachedBandSolverFactory()
+        slots = np.array([5, 0, 3, 7, 1])
+        solver = factory.factor_batch(
+            template, data[:3], backend=_backend(name), rows=slots[:3], capacity=8
+        )
+        assert solver.batch_size == 8
+        factory.factor_batch(template, data[3:5], into=solver, rows=slots[3:])
+        factory.factor_batch(template, data[5:], into=solver, rows=[3])  # refill
+        # matrices now resident: slot 5 <- 0, 0 <- 1, 3 <- 5, 7 <- 3, 1 <- 4
+        pick_slots = np.array([3, 7, 5, 1])
+        pick_mats = np.array([5, 3, 0, 4])
+        got = solver.solve_many(rhs[pick_mats], rows=pick_slots)
+        _assert_close(got, ref[pick_mats], f"{name} resident solve_many")
+        _assert_close(solver.solve(7, rhs[3]), ref[3], f"{name} resident solve")
+        with pytest.raises(IndexError):
+            solver.solve_many(rhs[:1], rows=[8])
+        with pytest.raises(ValueError):
+            solver.solve_many(rhs[:2], rows=[0])
 
     @pytest.mark.parametrize("name", BACKEND_PARAMS)
     def test_full_jacobian(self, ed_fs, ed_species, quench_fields, name):

@@ -106,7 +106,9 @@ class TestBatchedVertexPath:
         G_D, G_K = op.fields(fields)
         bvs = BatchedVertexSolver(fs, spc)
         states = np.stack([np.stack(fields)] * 3)  # three identical vertices
-        bG_D, bG_K = bvs._batched_fields(states)
+        bG_D, bG_K = bvs.op.fields_from_values(
+            *bvs.op.point_values_batch(states)
+        )
         for b in range(3):
             assert np.allclose(bG_D[b], G_D, atol=1e-12 * max(np.abs(G_D).max(), 1))
             assert np.allclose(bG_K[b], G_K, atol=1e-12 * max(np.abs(G_K).max(), 1))

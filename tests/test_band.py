@@ -172,6 +172,26 @@ class TestFactorMany:
             xk = solver.solve(k, rhs[k])
             np.testing.assert_array_equal(xk, x[k])
 
+    def test_band_wider_than_the_matrix_takes_the_dense_form(self):
+        """LAPACK factors live in the smaller of the band (3B+1 rows) and
+        dense (n rows) arrays; same solutions either way."""
+        from repro.sparse.band import CachedBandSolverFactory
+
+        n = 40
+        for B, dense in ((3, False), (14, True)):
+            A, data = self._batch(n=n, B=B)
+            solver = CachedBandSolverFactory().factor_batch(A, data)
+            st = solver._st
+            assert st.lapack_rows(n) == (n if dense else 3 * st.B + 1)
+            rhs = np.random.default_rng(16).normal(size=(data.shape[0], n))
+            x = solver.solve_many(rhs)
+            for k in range(data.shape[0]):
+                Ak = sp.csr_matrix((data[k], A.indices, A.indptr), shape=A.shape)
+                np.testing.assert_allclose(
+                    x[k], np.linalg.solve(Ak.toarray(), rhs[k]), rtol=1e-10
+                )
+                np.testing.assert_array_equal(solver.solve(k, rhs[k]), x[k])
+
     def test_one_symbolic_setup_per_pattern(self):
         from repro.sparse.band import CachedBandSolverFactory
 
@@ -183,6 +203,36 @@ class TestFactorMany:
         factory.factor_batch(A, data)  # second batch reuses across calls
         assert factory.symbolic_setups == 1
         assert factory.symbolic_reuses == 11
+
+    def test_resident_slots_filled_blockwise_and_solved_by_subset(self):
+        from repro.sparse.band import CachedBandSolverFactory
+
+        A, data = self._batch(X=5)
+        factory = CachedBandSolverFactory()
+        ref = factory.factor_batch(A, data)
+        solver = factory.factor_batch(A, data[:2], rows=[4, 2], capacity=5)
+        factory.factor_batch(A, data[2:], into=solver, rows=[0, 1, 3])
+        rhs = np.random.default_rng(14).normal(size=(5, A.shape[0]))
+        slot_of = np.array([4, 2, 0, 1, 3])  # matrix k lives in slot_of[k]
+        np.testing.assert_array_equal(
+            solver.solve_many(rhs[[3, 0]], rows=slot_of[[3, 0]]),
+            ref.solve_many(rhs)[[3, 0]],
+        )
+        # one symbolic setup served all three calls
+        assert factory.symbolic_setups == 1
+        assert factory.symbolic_reuses == 4 + 2 + 3
+
+    def test_into_must_share_the_pattern(self):
+        from repro.sparse.band import CachedBandSolverFactory
+
+        A, data = self._batch()
+        other = random_banded(A.shape[0], 2, seed=20)
+        factory = CachedBandSolverFactory()
+        solver = factory.factor_batch(A, data)
+        with pytest.raises(ValueError, match="pattern"):
+            factory.factor_batch(
+                other, np.tile(other.data, (2, 1)), into=solver, rows=[0, 1]
+            )
 
     def test_nnz_mismatch_rejected(self):
         from repro.sparse.band import CachedBandSolverFactory

@@ -1,6 +1,6 @@
 """The execution-backend layer: registry/env selection, cross-backend
-numerical equivalence on a two-species quench vertex, the deprecation
-shims, and the launch-reduction zero-launch regression."""
+numerical equivalence on a two-species quench vertex, and the
+launch-reduction zero-launch regression."""
 
 import numpy as np
 import pytest
@@ -233,40 +233,6 @@ class TestQuenchEquivalence:
         assert np.abs(out - out_ref).max() <= TOL * scale
         one = solver.solve(2, rhs[2])
         assert np.abs(one - out_ref[2]).max() <= TOL * scale
-
-
-class TestDeprecationShims:
-    def test_batched_fields_shim(self, ed_fs, ed_species, quench_fields):
-        op = _operator(ed_fs, ed_species, "numpy")
-        T_D, T_K = op.beta_sums(quench_fields)
-        args = (
-            (op.w * T_D)[None],
-            (op.w * T_K[0])[None],
-            (op.w * T_K[1])[None],
-        )
-        G_D, G_K = op.fields_batch(*args)
-        with pytest.warns(DeprecationWarning, match="fields_batch"):
-            G_D2, G_K2 = op.batched_fields(*args)
-        assert np.array_equal(G_D, G_D2) and np.array_equal(G_K, G_K2)
-
-    def test_batched_species_data_shim(self, ed_fs, ed_species, quench_fields):
-        op = _operator(ed_fs, ed_species, "numpy")
-        G_D, G_K = op.fields(quench_fields)
-        data = op.species_data_batch(G_D[None], G_K[None])
-        with pytest.warns(DeprecationWarning, match="species_data_batch"):
-            data2 = op.batched_species_data(G_D[None], G_K[None])
-        assert np.array_equal(data, data2)
-
-    def test_factor_many_shim(self, ed_fs, ed_species, quench_fields):
-        op = _operator(ed_fs, ed_species, "numpy")
-        template = op.mass_matrix.tocsr()
-        data = np.stack([template.data, 2.0 * template.data])
-        ref = CachedBandSolverFactory().factor_batch(template, data)
-        factory = CachedBandSolverFactory()
-        with pytest.warns(DeprecationWarning, match="factor_batch"):
-            legacy = factory.factor_many(template, data)
-        b = np.linspace(0.0, 1.0, template.shape[0])
-        assert np.array_equal(legacy.solve(0, b), ref.solve(0, b))
 
 
 class TestLaunchReductionRegression:
