@@ -20,6 +20,7 @@ the bar for real.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import time
@@ -82,10 +83,6 @@ def _bench_backend(name, fs, spc, fields, batch, repeats, threads):
     N = op.N
     r, z = op.r, op.z
     wTD, wTKr, wTKz = _batch_sources(op, fields, batch)
-    # column-major sources, as the on-the-fly field path feeds them
-    cTD = np.ascontiguousarray(wTD.T)
-    cTKr = np.ascontiguousarray(wTKr.T)
-    cTKz = np.ascontiguousarray(wTKz.T)
 
     # phase 1: packed pair-table build over all N rows
     table = np.empty((5, N, N))
@@ -99,21 +96,17 @@ def _bench_backend(name, fs, spc, fields, batch, repeats, threads):
     t_pair = _time(pair_build, repeats)
 
     # phase 2: Algorithm-1 on-the-fly row-block field integral, batch B
-    G_D = np.zeros((batch, N, 2, 2))
-    G_K = np.zeros((batch, N, 2))
+    # (through the operator: a field_rows call adds into rows beyond its
+    # block, so concurrent blocks need the per-worker outputs it sets up)
+    otf = LandauOperator(
+        fs, spc, options=dataclasses.replace(opts, cache_pair_tables=False)
+    )
 
     def field_rows():
-        G_D[...] = 0.0
-        G_K[...] = 0.0
-        backend.parallel_for(
-            backend.batch_blocks(N),
-            lambda i0, i1: backend.field_rows(
-                G_D, G_K, r, z, cTD, cTKr, cTKz, i0, i1
-            ),
-        )
+        return otf.fields_batch(wTD, wTKr, wTKz)
 
     t_field = _time(field_rows, repeats)
-    field_rows()
+    G_D, G_K = field_rows()
 
     # phase 3: element-Jacobian contraction of the batch-B fields
     from repro.fem.assembly import get_scatter_map

@@ -23,7 +23,10 @@ Guarantees:
   error (enforced by ``tests/test_execution_backends.py``); they may
   reassociate floating-point sums.
 * All backends are deterministic run-to-run: parallel work is split
-  into disjoint output blocks, never racing accumulations.
+  into disjoint output blocks, never racing accumulations.  The one
+  kernel whose blocks overlap in their output, :meth:`ExecutionBackend.
+  field_rows`, leaves that to its caller: concurrent calls are given
+  separate outputs, summed in a fixed order.
 
 Backends are looked up by name through :mod:`repro.backend.registry`
 (``REPRO_BACKEND`` / :attr:`repro.core.options.AssemblyOptions.backend`).
@@ -134,12 +137,18 @@ class ExecutionBackend:
     def pair_table_rows(
         self, out: np.ndarray, r: np.ndarray, z: np.ndarray, i0: int, i1: int
     ) -> None:
-        """Fill packed pair-table rows ``[i0, i1)`` of ``out (5, N, N)``
-        in ``(Drr, Drz, Dzz, Krr, Kzr)`` order for integration points
-        ``(r, z)``.  The default delegates to the numpy reference
-        (:func:`repro.core.landau_tensor.packed_pair_rows`); compiled
-        backends override with ``nopython`` kernels.  Must be safe to
-        call concurrently on disjoint row blocks."""
+        """Row block ``[i0, i1)``'s share of the packed pair table ``out
+        (5, N, N)``, ``(Drr, Drz, Dzz, Krr, Kzr)`` order, for integration
+        points ``(r, z)``.
+
+        ``out`` arrives uninitialised; calls over any partition of
+        ``[0, N)`` must leave it complete, with entries that do not
+        depend on the partition.  A call writes all of rows ``[i0, i1)``
+        or, like the default
+        (:func:`repro.core.landau_tensor.packed_pair_rows`), their
+        entries ``[i0:i1, i0:]`` and the mirror images ``[i1:, i0:i1]``
+        — either way disjoint from every other block's, so calls may run
+        concurrently."""
         from ..core.landau_tensor import packed_pair_rows
 
         packed_pair_rows(out, r, z, i0, i1)
@@ -156,12 +165,18 @@ class ExecutionBackend:
         i0: int,
         i1: int,
     ) -> None:
-        """Algorithm-1 on-the-fly inner integral for field rows
-        ``[i0, i1)``: evaluate the pair tensors against the ``(N, B)``
-        column sources and write ``G_D (B, N, 2, 2)`` / ``G_K (B, N,
-        2)`` rows.  Default delegates to
-        :func:`repro.core.landau_tensor.field_rows`; must be safe on
-        disjoint row blocks."""
+        """Row block ``[i0, i1)``'s share of the Algorithm-1 on-the-fly
+        inner integral: evaluate the pair tensors, contract them against
+        the ``(N, B)`` column sources and *add* into ``G_D (B, N, 2, 2)``
+        / ``G_K (B, N, 2)``.
+
+        The outputs arrive zero-initialised; calls over any partition of
+        ``[0, N)`` must leave them complete (including ``G_D[..., 1, 0]
+        == G_D[..., 0, 1]``).  A call may add into rows ``>= i1`` as well
+        as its own — the default
+        (:func:`repro.core.landau_tensor.field_rows`) serves the pairs
+        below the block from the block's integrals — so calls that run
+        concurrently must be given separate outputs."""
         from ..core.landau_tensor import field_rows
 
         field_rows(G_D, G_K, r, z, cTD, cTKr, cTKz, i0, i1)

@@ -67,7 +67,7 @@ __all__ = [
 #: (asserted by tests/test_backend_conformance.py)
 SINGULAR_REL_TOL = 1e-14
 #: series-switch threshold for the cancellation-prone combinations;
-#: must match the ``m < 2.0e-3`` crossover in ``azimuthal_integrals``
+#: must match :data:`repro.core.landau_tensor.SMALL_M`
 SMALL_M = 2.0e-3
 
 

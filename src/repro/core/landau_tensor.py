@@ -39,9 +39,24 @@ In the local (e_r, e_z) frame at the field point, with
 ``U^D`` contracts two field-point gradients (the diffusion term, eq. 5);
 ``U^K`` contracts a field-point gradient with a source-point gradient (the
 friction term, eq. 6).
+
+Pair symmetry
+-------------
+``A``, ``B`` and therefore all five integrals depend on the *unordered*
+pair only, and so do ``Dzz`` and ``Krr``.  Exchanging field and source
+point flips the sign of ``dz`` and swaps ``r <-> rp``, which maps
+``Drz(x, x') = Kzr(x', x)`` and leaves ``Drr`` as the one component whose
+exchanged value needs new arithmetic.  The expressions below are written
+so these identities hold *bitwise* (``(r^2 + rp^2) + dz^2``, ``(2 r) rp``:
+every rounding is of a quantity symmetric in the pair), which is what lets
+:func:`pair_block_tensors` evaluate each unordered pair once and still
+reproduce :func:`landau_tensors_cyl` entry for entry.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 from scipy import special as sps
@@ -50,6 +65,8 @@ __all__ = [
     "landau_tensor_3d",
     "azimuthal_integrals",
     "landau_tensors_cyl",
+    "pair_block_tensors",
+    "shared_block_scratch",
     "packed_pair_rows",
     "field_rows",
 ]
@@ -57,6 +74,10 @@ __all__ = [
 #: relative tolerance below which a pair is considered coincident and masked
 #: (the self-interaction term, dropped exactly as PETSc's ``mask`` does).
 SINGULAR_REL_TOL = 1e-14
+
+#: parameter below which the cancellation-prone combinations of ``K`` and
+#: ``E`` switch to their Maclaurin series (see :func:`azimuthal_integrals`)
+SMALL_M = 2.0e-3
 
 
 def landau_tensor_3d(v: np.ndarray, vp: np.ndarray) -> np.ndarray:
@@ -76,6 +97,26 @@ def landau_tensor_3d(v: np.ndarray, vp: np.ndarray) -> np.ndarray:
     return (u2[..., None, None] * eye - u[..., :, None] * u[..., None, :]) / norm[
         ..., None, None
     ]
+
+
+def _small_m_series(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maclaurin series of ``T1 = (T0 - K)/m``, ``T2 = (T0 - 2K + E)/m^2``
+    and ``2 (K - E)/m - K`` (``T0 = E/(1 - m)``), which cancel
+    catastrophically as ``m -> 0`` (nearly on-axis pairs): with
+    ``c = pi/2``,
+
+        T1   = c [ 1/2 + (9/16) m + (75/128) m^2 + (1225/2048) m^3 + ... ]
+        T2   = c [ 3/8 + (15/32) m + (525/1024) m^2 + ... ]
+        I11c = c [ m/8 + (3/32) m^2 + (75/1024) m^3 + ... ]
+
+    (series error O(m^3) ~ cancellation error at the ``SMALL_M``
+    crossover)."""
+    hp = 0.5 * np.pi
+    return (
+        hp * (0.5 + m * (9.0 / 16.0 + m * (75.0 / 128.0 + m * 1225.0 / 2048.0))),
+        hp * (3.0 / 8.0 + m * (15.0 / 32.0 + m * 525.0 / 1024.0)),
+        hp * m * (0.125 + m * (3.0 / 32.0 + m * 75.0 / 1024.0)),
+    )
 
 
 def azimuthal_integrals(
@@ -102,37 +143,19 @@ def azimuthal_integrals(
     inv_pow32 = inv_sqrt / ApB
 
     T0 = E * ApB / AmB  # E/(1-m), written to avoid forming 1-m
-    # The combinations (T0-K)/m, (T0-2K+E)/m^2 and 2(K-E)/m - K suffer
-    # catastrophic cancellation as m -> 0 (nearly on-axis pairs), so switch
-    # to their Maclaurin series there: with c = pi/2,
-    #   T1 = c [ 1/2 + (9/16) m + (75/128) m^2 + (1225/2048) m^3 + ... ]
-    #   T2 = c [ 3/8 + (15/32) m + (525/1024) m^2 + ... ]
-    #   I11c = c [ m/8 + (3/32) m^2 + (75/1024) m^3 + ... ]
-    # (series error O(m^3) ~ cancellation error at the 2e-3 crossover).
-    small = m < 2.0e-3
+    # (T0-K)/m, (T0-2K+E)/m^2 and 2(K-E)/m - K cancel catastrophically as
+    # m -> 0, so switch to their series there (_small_m_series)
+    small = m < SMALL_M
     msafe = np.where(small, 1.0, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         T1 = (T0 - K) / msafe
         T2 = (T0 - 2.0 * K + E) / (msafe * msafe)
         I11_core = 2.0 * (K - E) / msafe - K
     if np.any(small):
-        hp = 0.5 * np.pi
-        ms = np.where(small, m, 0.0)
-        T1 = np.where(
-            small,
-            hp * (0.5 + ms * (9.0 / 16.0 + ms * (75.0 / 128.0 + ms * 1225.0 / 2048.0))),
-            T1,
-        )
-        T2 = np.where(
-            small,
-            hp * (3.0 / 8.0 + ms * (15.0 / 32.0 + ms * 525.0 / 1024.0)),
-            T2,
-        )
-        I11_core = np.where(
-            small,
-            hp * ms * (0.125 + ms * (3.0 / 32.0 + ms * 75.0 / 1024.0)),
-            I11_core,
-        )
+        sT1, sT2, sI11 = _small_m_series(np.where(small, m, 0.0))
+        T1 = np.where(small, sT1, T1)
+        T2 = np.where(small, sT2, T2)
+        I11_core = np.where(small, sI11, I11_core)
     I10 = 4.0 * K * inv_sqrt
     I11 = 4.0 * I11_core * inv_sqrt
     I30 = 4.0 * T0 * inv_pow32
@@ -223,35 +246,209 @@ def landau_tensors_cyl(
 
 
 # ----------------------------------------------------------------------
-# Row-block reference kernels.
-#
-# These are the numpy reference implementations of the two Algorithm-1
-# hot loops that :class:`repro.backend.base.ExecutionBackend` exposes as
-# overridable hooks (``pair_table_rows`` / ``field_rows``): the packed
-# pair-table build and the on-the-fly field evaluation.  The numba
-# backend replaces them with ``nopython`` kernels; everything else runs
-# these exact expressions, so the numpy path stays bitwise-identical to
-# the pre-hook code.
+# The row-block kernel behind the two O(N^2) hot loops of Algorithm 1 —
+# the packed pair-table build and the on-the-fly field launch — which
+# :class:`repro.backend.base.ExecutionBackend` exposes as the hooks
+# ``pair_table_rows`` / ``field_rows``.  Both are the same evaluation of
+# the tensors for a block of point pairs, followed by "store"
+# (:func:`packed_pair_rows`) or "contract against the sources"
+# (:func:`field_rows`).
+
+#: float64 planes of per-pair scratch :func:`pair_block_tensors` holds
+#: live at its widest point (the six results, the integrals still to be
+#: consumed and one temporary); sizes the blocks the operator cuts
+PAIR_BLOCK_PLANES = 13
+
+#: the calling thread's open :func:`shared_block_scratch`, if any
+_scratch = threading.local()
+
+
+@contextlib.contextmanager
+def shared_block_scratch():
+    """Within the ``with``, the calling thread's :func:`pair_block_tensors`
+    calls — the blocks of one launch — share one scratch allocation, grown
+    to the largest block and released on exit.  Outside any ``with`` every
+    call allocates, and drops, its own."""
+    _scratch.buf = np.empty(0)
+    try:
+        yield
+    finally:
+        del _scratch.buf
+
+
+def _scratch_planes(R: int, W: int) -> list[np.ndarray]:
+    """``PAIR_BLOCK_PLANES`` uninitialised contiguous ``(R, W)`` planes."""
+    need = PAIR_BLOCK_PLANES * R * W
+    buf = getattr(_scratch, "buf", None)
+    if buf is None:
+        buf = np.empty(need)
+    elif buf.size < need:
+        buf = _scratch.buf = np.empty(need)
+    return list(buf[:need].reshape(PAIR_BLOCK_PLANES, R, W))
+
+
+def pair_block_tensors(
+    r: np.ndarray, z: np.ndarray, i0: int, i1: int
+) -> tuple[np.ndarray, ...]:
+    """The packed tensor components of field points ``[i0, i1)`` against
+    source points ``[i0, N)``: ``(Drr, Drz, Dzz, Krr, Kzr, DrrT)``, each
+    ``(i1 - i0, N - i0)``.
+
+    The first five are entry for entry what :func:`landau_tensors_cyl`
+    gives for those pairs (same expression trees, so ``np.array_equal``;
+    only signed zeros can differ).  ``DrrT[i, j]`` is ``Drr`` with field
+    and source exchanged, ``Drr(x_j, x_i)`` — together with ``Dzz``,
+    ``Krr`` (unchanged under exchange) and ``Drz``/``Kzr`` (which swap)
+    it gives the tensors of the pairs below the block without evaluating
+    their integrals again, see "Pair symmetry" in the module docstring.
+
+    Every intermediate is formed in place in ``PAIR_BLOCK_PLANES``
+    planes of scratch, and the results are views into it: inside a
+    :func:`shared_block_scratch` the calling thread's next block
+    overwrites them.  The coincident pairs and the ``m < SMALL_M``
+    series branch are fixed up by index on the few entries they touch.
+    """
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    R = i1 - i0
+    r_j = r[None, i0:]
+    r_i = r[i0:i1, None]
+    r2 = r[i0:] * r[i0:]
+    r2_j = r2[None, :]
+    r2_i = r2[:R, None]
+    free = _scratch_planes(R, r_j.shape[1])
+    take, drop = free.pop, free.append
+
+    # geometry: A = r^2 + rp^2 + dz^2, B = 2 r rp
+    dz = sub(z[i0:i1, None], z[None, i0:], out=take())
+    dz2 = mul(dz, dz, out=take())
+    rr = add(r2_i, r2_j, out=take())
+    A = add(rr, dz2, out=take())
+    B = mul(2.0 * r_i, r_j, out=take())
+    AmB = sub(A, B, out=take())
+    tol = np.maximum(A, 1.0, out=take())
+    tol *= SINGULAR_REL_TOL
+    coincident = np.flatnonzero(AmB <= tol)
+    if coincident.size:
+        # displaced like the reference; the results are zeroed below
+        A.ravel()[coincident] += 1.0
+        B.ravel()[coincident] = 0.0
+        AmB.ravel()[coincident] = A.ravel()[coincident]
+    ApB = add(A, B, out=A)
+
+    # azimuthal_integrals(A, B), statement for statement
+    m = mul(2.0, B, out=tol)
+    m /= ApB
+    K = sps.ellipk(m, out=take())
+    E = sps.ellipe(m, out=take())
+    small = np.flatnonzero(m < SMALL_M)
+    if small.size:
+        m_small = m.ravel()[small]
+        m.ravel()[small] = 1.0  # msafe
+    T0 = mul(E, ApB, out=take())
+    T0 /= AmB
+    inv_sqrt = np.sqrt(ApB, out=AmB)
+    div(1.0, inv_sqrt, out=inv_sqrt)
+    inv_pow32 = div(inv_sqrt, ApB, out=ApB)
+    T1 = sub(T0, K, out=take())
+    T1 /= m
+    T2 = mul(2.0, K, out=take())
+    sub(T0, T2, out=T2)
+    T2 += E
+    mm = mul(m, m, out=take())
+    T2 /= mm
+    drop(mm)
+    I11 = sub(K, E, out=E)
+    mul(2.0, I11, out=I11)
+    I11 /= m
+    I11 -= K
+    drop(m)
+    if small.size:
+        T1.ravel()[small], T2.ravel()[small], I11.ravel()[small] = _small_m_series(
+            m_small
+        )
+    I10 = mul(4.0, K, out=K)
+    I10 *= inv_sqrt
+    mul(4.0, I11, out=I11)
+    I11 *= inv_sqrt
+    I31 = mul(2.0, T1, out=inv_sqrt)
+    I31 -= T0
+    mul(4.0, I31, out=I31)
+    I31 *= inv_pow32
+    I32 = mul(4.0, T2, out=T2)
+    mul(4.0, T1, out=T1)
+    I32 -= T1
+    drop(T1)
+    I32 += T0
+    mul(4.0, I32, out=I32)
+    I32 *= inv_pow32
+    I30 = mul(4.0, T0, out=T0)
+    I30 *= inv_pow32
+    drop(inv_pow32)
+
+    # landau_tensors_cyl's components; 2 r rp is B (its displaced
+    # entries are zeroed with the rest)
+    BI31 = mul(B, I31, out=B)
+    tmp = take()
+
+    def radial(a2, b2):
+        """``I10 - (a2 I30 - 2 r rp I31 + b2 I32)``."""
+        out = mul(a2, I30, out=take())
+        out -= BI31
+        out += mul(b2, I32, out=tmp)
+        return sub(I10, out, out=out)
+
+    Drr = radial(r2_i, r2_j)
+    DrrT = radial(r2_j, r2_i)
+    drop(BI31)
+    Dzz = mul(dz2, I30, out=dz2)
+    sub(I10, Dzz, out=Dzz)
+    Krr = mul(rr, I31, out=rr)
+    cross = mul(r_i, r_j, out=tmp)
+    cross *= add(I30, I32, out=I10)
+    Krr -= cross
+    sub(I11, Krr, out=Krr)
+
+    def axial(a, b, out):
+        """``-(dz (r a - rp b))``."""
+        mul(r_i, a, out=out)
+        out -= mul(r_j, b, out=tmp)
+        out *= dz
+        return np.negative(out, out=out)
+
+    Drz = axial(I30, I31, I10)
+    Kzr = axial(I31, I30, I11)
+
+    comps = (Drr, Drz, Dzz, Krr, Kzr, DrrT)
+    if coincident.size:
+        for comp in comps:
+            comp.ravel()[coincident] = 0.0
+    return comps
 
 
 def packed_pair_rows(
     out: np.ndarray, r: np.ndarray, z: np.ndarray, i0: int, i1: int
 ) -> None:
-    """Fill packed pair-table rows ``[i0, i1)`` of the ``(5, N, N)``
-    buffer ``out`` in ``(Drr, Drz, Dzz, Krr, Kzr)`` component order
-    (``Krz``/``Kzz`` alias ``Drz``/``Dzz`` and are not stored).
+    """Store the tensors of row block ``[i0, i1)`` into the packed
+    ``(5, N, N)`` table ``out`` in ``(Drr, Drz, Dzz, Krr, Kzr)`` order
+    (``Krz``/``Kzz`` alias ``Drz``/``Dzz`` and are not stored): entries
+    ``[i0:i1, i0:]`` directly and their mirror images ``[i1:, i0:i1]``
+    from the same integrals.
 
-    Thread-safe over disjoint row blocks: each call writes only its own
-    ``out[:, i0:i1]`` slice.
+    Calls over any partition of ``[0, N)`` fill ``out`` completely, with
+    entries that do not depend on the partition; different blocks write
+    disjoint entries, so the calls may run concurrently.
     """
-    UD, UK = landau_tensors_cyl(
-        r[i0:i1, None], z[i0:i1, None], r[None, :], z[None, :]
-    )
-    out[0, i0:i1] = UD[..., 0, 0]
-    out[1, i0:i1] = UD[..., 0, 1]
-    out[2, i0:i1] = UD[..., 1, 1]
-    out[3, i0:i1] = UK[..., 0, 0]
-    out[4, i0:i1] = UK[..., 1, 0]
+    Drr, Drz, Dzz, Krr, Kzr, DrrT = pair_block_tensors(r, z, i0, i1)
+    R = i1 - i0
+    for c, direct, mirror in (
+        (0, Drr, DrrT),
+        (1, Drz, Kzr),
+        (2, Dzz, Dzz),
+        (3, Krr, Krr),
+        (4, Kzr, Drz),
+    ):
+        out[c, i0:i1, i0:] = direct
+        out[c, i1:, i0:i1] = mirror[:, R:].T
 
 
 def field_rows(
@@ -265,20 +462,41 @@ def field_rows(
     i0: int,
     i1: int,
 ) -> None:
-    """On-the-fly Algorithm-1 inner integral for field-point rows
-    ``[i0, i1)``: re-evaluate the pair tensors for the row block and
-    contract them against the ``(N, B)`` column sources, accumulating
-    into ``G_D (B, N, 2, 2)`` / ``G_K (B, N, 2)``.
+    """On-the-fly Algorithm-1 inner integral, the share of row block
+    ``[i0, i1)``: evaluate the block's tensors and contract them against
+    the ``(N, B)`` column sources, *adding* into ``G_D (B, N, 2, 2)`` /
+    ``G_K (B, N, 2)`` the sums over sources ``[i0, N)`` for field rows
+    ``[i0, i1)`` and, through the mirror, the sums over sources
+    ``[i0, i1)`` for field rows ``[i1, N)``.
 
-    Thread-safe over disjoint row blocks (each call writes only the
-    ``[:, i0:i1]`` slices of the outputs).
+    Calls over any partition of ``[0, N)`` turn zero-initialised outputs
+    into the complete fields.  A call writes rows beyond its own block,
+    so concurrent calls need separate outputs (summed by the caller).
     """
-    UD, UK = landau_tensors_cyl(
-        r[i0:i1, None], z[i0:i1, None], r[None, :], z[None, :]
+    Drr, Drz, Dzz, Krr, Kzr, DrrT = pair_block_tensors(r, z, i0, i1)
+    rows = slice(i0, i1)
+    sD, sKr, sKz = cTD[i0:], cTKr[i0:], cTKz[i0:]
+    Grz = (Drz @ sD).T
+    G_D[:, rows, 0, 0] += (Drr @ sD).T
+    G_D[:, rows, 0, 1] += Grz
+    G_D[:, rows, 1, 0] += Grz
+    G_D[:, rows, 1, 1] += (Dzz @ sD).T
+    G_K[:, rows, 0] += (Krr @ sKr + Drz @ sKz).T
+    G_K[:, rows, 1] += (Kzr @ sKr + Dzz @ sKz).T
+    R = i1 - i0
+    if R == Drr.shape[1]:
+        return
+    # rows below the block: U(x_j, x_i) from the integrals of (x_i, x_j)
+    # — Drr from DrrT, Drz and Kzr exchanged, Dzz and Krr as they are
+    below = slice(i1, None)
+    DrrT, Drz, Dzz, Krr, Kzr = (
+        comp[:, R:] for comp in (DrrT, Drz, Dzz, Krr, Kzr)
     )
-    G_D[:, i0:i1, 0, 0] = (UD[..., 0, 0] @ cTD).T
-    G_D[:, i0:i1, 0, 1] = (UD[..., 0, 1] @ cTD).T
-    G_D[:, i0:i1, 1, 0] = G_D[:, i0:i1, 0, 1]
-    G_D[:, i0:i1, 1, 1] = (UD[..., 1, 1] @ cTD).T
-    G_K[:, i0:i1, 0] = (UK[..., 0, 0] @ cTKr + UK[..., 0, 1] @ cTKz).T
-    G_K[:, i0:i1, 1] = (UK[..., 1, 0] @ cTKr + UK[..., 1, 1] @ cTKz).T
+    sD, sKr, sKz = cTD[rows].T, cTKr[rows].T, cTKz[rows].T
+    Grz = sD @ Kzr
+    G_D[:, below, 0, 0] += sD @ DrrT
+    G_D[:, below, 0, 1] += Grz
+    G_D[:, below, 1, 0] += Grz
+    G_D[:, below, 1, 1] += sD @ Dzz
+    G_K[:, below, 0] += sKr @ Krr + sKz @ Kzr
+    G_K[:, below, 1] += sKr @ Drz + sKz @ Dzz

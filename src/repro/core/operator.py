@@ -29,6 +29,15 @@ tensors on the fly exactly as Algorithm 1 does on a GPU — the two paths
 are verified against each other in the test suite
 (``tests/test_backend_equivalence.py``).
 
+Both the table build and the operator's own on-the-fly launch (tables
+not cached) run one pair-symmetric row-block kernel,
+:func:`repro.core.landau_tensor.pair_block_tensors`, behind the backend
+hooks ``pair_table_rows`` / ``field_rows``: a block of field rows
+evaluates the azimuthal integrals against the sources at or after its
+first row only and serves the pairs below it through the exchange
+symmetry of the tensors, so a launch evaluates about ``N^2 / 2`` pairs.
+Blocks are cut by pair count (:meth:`LandauOperator._row_blocks`).
+
 Assembly behaviour (structure caching, packed tables, thread counts,
 table precision, memory budget) is configured by
 :class:`repro.core.options.AssemblyOptions`; the operator's ``counters``
@@ -48,21 +57,16 @@ from ..fem.assembly import (
     get_scatter_map,
 )
 from ..fem.function_space import FunctionSpace
-from .landau_tensor import landau_tensors_cyl
+from .landau_tensor import landau_tensors_cyl, shared_block_scratch
 from .options import ONTHEFLY_BYTES_PER_PAIR, AssemblyOptions, PairTableMemoryError
 from .species import SpeciesSet
 
-#: default cap on cached pair-table memory (bytes); kept as a module
-#: constant for backwards compatibility — the effective limit is
-#: ``AssemblyOptions.memory_budget``.
-PAIR_TABLE_MEMORY_LIMIT = 400 * 1024 * 1024
-
-#: scratch bytes one row block of the O(N^2) kernels may touch: the ~26
-#: float64 temporaries per pair of ``landau_tensors_cyl`` should stay
-#: cache-resident while the block is evaluated.  A block sized by the
-#: memory budget alone is every row at once (53 MB of scratch at
-#: N = 504), which is both slower and the largest transient allocation
-#: of a plan; 2 MiB is the measured optimum on N = 320 and N = 504.
+#: scratch bytes one row block of the O(N^2) kernels may touch: the
+#: ``ONTHEFLY_BYTES_PER_PAIR`` of scratch per pair should stay cache-
+#: resident while the block is evaluated.  A block sized by the memory
+#: budget alone is every pair at once, which is both slower and the
+#: largest allocation of a plan; 2 MiB (20 164 pairs) is in the flat
+#: optimum measured on N = 504 (10 000 - 20 000 pairs per block).
 ROW_BLOCK_BYTES = 2 * 1024 * 1024
 
 #: packed component order: Drr, Drz, Dzz, Krr, Kzr (Krz/Kzz alias Drz/Dzz)
@@ -170,31 +174,34 @@ class LandauOperator:
             "Kzz": UK[..., 1, 1],
         }
 
-    def _fill_packed_rows(self, out: np.ndarray, i0: int, i1: int) -> None:
-        """Compute packed-table rows ``[i0, i1)`` through the backend's
-        row-block kernel (thread-safe: disjoint output slices; the numpy
-        hook releases the GIL in the contractions, the numba hook in the
-        whole ``nogil`` kernel)."""
-        self.backend.pair_table_rows(out, self.r, self.z, i0, i1)
-
     def _row_blocks(self, N: int) -> list[tuple[int, int]]:
-        """Row blocks for O(N^2) table/field work: sized so a block's
-        scratch tensors fit :data:`ROW_BLOCK_BYTES` (and the memory
-        budget, when that is smaller), split further so a parallel
-        backend's workers all have work."""
+        """Row blocks ``[i0, i1)`` covering ``[0, N)`` for the O(N^2)
+        table/field work.  Block ``[i0, i1)`` evaluates the pairs
+        ``[i0, i1) x [i0, N)`` (the rest of its rows comes from earlier
+        blocks' mirror images), so blocks are cut by *pair* count, later
+        ones taking more rows: as many pairs as keep the kernel's scratch
+        within :data:`ROW_BLOCK_BYTES` (and the memory budget, when that
+        is smaller), fewer when a parallel backend's workers would
+        otherwise not all have work.  Never less than one row."""
+        pairs = min(
+            ROW_BLOCK_BYTES // ONTHEFLY_BYTES_PER_PAIR,
+            self.options.row_chunk(N) * N,
+        )
         workers = self.backend.workers
-        cache_rows = ROW_BLOCK_BYTES // (max(1, N) * ONTHEFLY_BYTES_PER_PAIR)
-        chunk = max(1, min(self.options.row_chunk(N), cache_rows, N))
-        starts = list(range(0, N, chunk))
-        if workers > 1 and len(starts) < workers:
-            chunk = max(1, -(-N // workers))
-            starts = list(range(0, N, chunk))
-        return [(i0, min(i0 + chunk, N)) for i0 in starts]
+        if workers > 1:
+            pairs = min(pairs, -(-N * (N + 1) // (2 * workers)))
+        blocks = []
+        i0 = 0
+        while i0 < N:
+            i1 = min(N, i0 + max(1, pairs // (N - i0)))
+            blocks.append((i0, i1))
+            i0 = i1
+        return blocks
 
     def _build_packed_tables(self) -> np.ndarray:
         """Cache the 5 unique components contiguously; row blocks are
-        dispatched through the backend (disjoint output slices, numpy
-        releases the GIL in the contractions).
+        dispatched through the backend (a block stores its own entries
+        and their mirror images, disjoint from every other block's).
 
         The buffer comes from :meth:`ExecutionBackend.alloc_shared`: a
         private ``np.empty`` on in-process backends, a shared-memory
@@ -205,7 +212,7 @@ class LandauOperator:
         out = self.backend.alloc_shared((5, N, N), dtype=self.options.dtype)
 
         def fill(i0: int, i1: int) -> None:
-            self._fill_packed_rows(out, i0, i1)
+            self.backend.pair_table_rows(out, self.r, self.z, i0, i1)
 
         if self.backend.parallel_for(self._row_blocks(N), fill):
             self.counters["parallel_builds"] += 1
@@ -317,6 +324,13 @@ class LandauOperator:
         whole batch (the :class:`~repro.core.batch.BatchedVertexSolver`
         hot path); without them the tensors are re-evaluated on the fly
         in backend-dispatched, cache-sized row blocks (:meth:`_row_blocks`).
+
+        A block adds into its own rows *and*, through the mirror, into
+        the rows below it, so blocks that run concurrently must not share
+        an output: every worker gets its own zero-initialised fields,
+        is fed its blocks in order, and the per-worker fields are summed
+        in worker order afterwards — deterministic run to run, and free
+        on a serial backend (one worker, whose fields are the result).
         """
         if self.pair_tables_cached:
             return self._fields_from_products(
@@ -328,20 +342,30 @@ class LandauOperator:
             )
         N = self.N
         B = wTD.shape[0]
-        G_D = np.zeros((B, N, 2, 2))
-        G_K = np.zeros((B, N, 2))
         # (N, B) column sources for the per-block contractions
         cTD = np.ascontiguousarray(wTD.T)
         cTKr = np.ascontiguousarray(wTKr.T)
         cTKz = np.ascontiguousarray(wTKz.T)
+        blocks = self._row_blocks(N)
+        workers = min(self.backend.workers, len(blocks))
+        partial = [
+            (np.zeros((B, N, 2, 2)), np.zeros((B, N, 2))) for _ in range(workers)
+        ]
 
-        def eval_rows(i0: int, i1: int) -> None:
-            self.backend.field_rows(
-                G_D, G_K, self.r, self.z, cTD, cTKr, cTKz, i0, i1
-            )
+        def eval_blocks(g: int) -> None:
+            G_D, G_K = partial[g]
+            with shared_block_scratch():
+                for i0, i1 in blocks[g::workers]:  # equal pairs, so equal work
+                    self.backend.field_rows(
+                        G_D, G_K, self.r, self.z, cTD, cTKr, cTKz, i0, i1
+                    )
 
-        if self.backend.parallel_for(self._row_blocks(N), eval_rows):
+        if self.backend.parallel_for([(g,) for g in range(workers)], eval_blocks):
             self.counters["parallel_builds"] += 1
+        G_D, G_K = partial[0]
+        for D, K in partial[1:]:
+            G_D += D
+            G_K += K
         return G_D, G_K
 
     def fields(

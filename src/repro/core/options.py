@@ -17,7 +17,7 @@ pipeline introduced for the Algorithm-1 hot loop:
   BLAS calls — the per-iteration field cost by several times.
 * **parallel builds** — dispatch the O(N^2) table build and the chunked
   on-the-fly field path in row blocks over a thread pool (numpy releases
-  the GIL inside ``landau_tensors_cyl``).
+  the GIL inside the row-block kernel's array operations).
 * **memory budgeting** — a single byte budget replaces the hard-coded
   ``5e7`` chunk constant: it sizes the on-the-fly row chunks and guards
   the cached-table build with a clear error instead of a ``MemoryError``.
@@ -33,16 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .landau_tensor import PAIR_BLOCK_PLANES
+
 __all__ = ["AssemblyOptions", "PairTableMemoryError"]
 
 #: default cap on cached pair-table memory (bytes); above this the field
 #: computation falls back to chunked on-the-fly tensor evaluation.
 DEFAULT_MEMORY_BUDGET = 400 * 1024 * 1024
 
-#: conservative per-pair scratch estimate (bytes) of one on-the-fly
-#: ``landau_tensors_cyl`` row block: the 8 tensor components plus the
-#: elliptic-integral temporaries, all float64.
-ONTHEFLY_BYTES_PER_PAIR = 26 * 8
+#: scratch bytes per evaluated point pair of one row block of the O(N^2)
+#: kernels: the float64 planes :func:`~repro.core.landau_tensor.
+#: pair_block_tensors` holds live (it allocates exactly these; the two
+#: index masks on top are one byte per pair while they exist).
+ONTHEFLY_BYTES_PER_PAIR = PAIR_BLOCK_PLANES * 8
 
 
 class PairTableMemoryError(RuntimeError):

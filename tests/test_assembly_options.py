@@ -134,19 +134,30 @@ class TestRowBlocks:
         return [rng.standard_normal((B, N)) for _ in range(3)]
 
     def test_blocks_are_cache_sized_and_cover_all_rows(self, big_fs):
+        """A block [i0, i1) evaluates the pairs [i0, i1) x [i0, N): the
+        cache bound and the balance are in pairs per block, not rows."""
         fs, spc = big_fs
         op = LandauOperator(fs, spc, options=AssemblyOptions(cache_pair_tables=False))
-        blocks = op._row_blocks(op.N)
+        N = op.N
+
+        def pairs(blocks):
+            return [(i1 - i0) * (N - i0) for i0, i1 in blocks]
+
+        blocks = op._row_blocks(N)
         assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
-        assert blocks[0][0] == 0 and blocks[-1][1] == op.N
-        rows = max(i1 - i0 for i0, i1 in blocks)
-        assert 1 <= rows < op.N  # no longer every row at once
-        assert rows * op.N * ONTHEFLY_BYTES_PER_PAIR <= operator_module.ROW_BLOCK_BYTES
+        assert blocks[0][0] == 0 and blocks[-1][1] == N
+        assert len(blocks) > 1  # no longer every row at once
+        budget = operator_module.ROW_BLOCK_BYTES // ONTHEFLY_BYTES_PER_PAIR
+        assert max(pairs(blocks)) <= budget
+        # equal work: all but the last block fill the budget to within a row
+        assert min(pairs(blocks)[:-1]) > budget - N
+        # a launch evaluates about half of the N^2 ordered pairs
+        assert sum(pairs(blocks)) < 0.6 * N * N
         # a tighter memory budget still wins
         tight = LandauOperator(
             fs, spc, options=AssemblyOptions(memory_budget=50_000)
         )
-        assert max(i1 - i0 for i0, i1 in tight._row_blocks(op.N)) < rows
+        assert max(pairs(tight._row_blocks(N))) < max(pairs(blocks))
 
     def test_packed_tables_bitwise_independent_of_block_size(
         self, fs_q3, electron_species, monkeypatch

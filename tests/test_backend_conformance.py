@@ -375,7 +375,7 @@ class TestKernelMathPython:
         """The scalar kernels hard-code the mask/crossover constants
         (numba constant-folds literals); they must track the reference."""
         assert nk.SINGULAR_REL_TOL == lt.SINGULAR_REL_TOL == 1e-14
-        assert nk.SMALL_M == 2.0e-3
+        assert nk.SMALL_M == lt.SMALL_M == 2.0e-3
 
     def test_warm_all_runs_every_kernel(self):
         # plain-python smoke of the compile-warming entry point
