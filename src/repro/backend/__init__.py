@@ -2,10 +2,10 @@
 
 One kernel spec, many executors: the operator/assembly/band-solve hot
 paths dispatch through :class:`ExecutionBackend`, selected by name
-(``numpy`` | ``threaded`` | ``numba`` | ``process``, or ``auto``) via
-:func:`get_backend` / the ``REPRO_BACKEND`` env knob.  The ``process``
-backend executes blocks on persistent worker processes over a
-shared-memory arena (:mod:`repro.backend.shm`), escaping the GIL.
+(``numpy`` | ``threaded`` | ``numba``, or ``auto``) via
+:func:`get_backend` / the ``REPRO_BACKEND`` env knob.  The shared-memory
+arena (:mod:`repro.backend.shm`) carries the serve tier's process
+executor traffic.
 
 The shared Algorithm-1 kernel specification lives in
 ``repro.backend.kernel_spec`` and is imported directly by the CUDA and
@@ -16,7 +16,6 @@ core/gpu imports).
 from .base import BackendUnavailable, ExecutionBackend
 from .numba_backend import NumbaBackend
 from .numpy_backend import NumpyBackend
-from .process_pool import ProcessPoolBackend
 from .registry import (
     BACKEND_NAMES,
     available_backends,
@@ -32,7 +31,6 @@ __all__ = [
     "ExecutionBackend",
     "NumbaBackend",
     "NumpyBackend",
-    "ProcessPoolBackend",
     "SharedArena",
     "ShmBudgetExceeded",
     "ShmHandle",

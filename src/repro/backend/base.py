@@ -10,10 +10,9 @@ factorization/solve, and block-parallel builds — is expressed once
 against :class:`ExecutionBackend`, and the backends
 (:class:`~repro.backend.numpy_backend.NumpyBackend`,
 :class:`~repro.backend.threaded.ThreadedBackend`,
-:class:`~repro.backend.numba_backend.NumbaBackend`,
-:class:`~repro.backend.process_pool.ProcessPoolBackend`) map those
-operations onto serial numpy, chunked thread pools, JIT-compiled
-kernels, or persistent worker processes over shared memory.
+:class:`~repro.backend.numba_backend.NumbaBackend`) map those
+operations onto serial numpy, chunked thread pools, or JIT-compiled
+kernels.
 
 Guarantees:
 
@@ -115,22 +114,6 @@ class ExecutionBackend:
         w = max(1, self.workers)
         chunk = -(-n // w)
         return [(i0, min(i0 + chunk, n)) for i0 in range(0, n, chunk)]
-
-    # ------------------------------------------------------------------
-    # shared-state hints (no-ops except for process-parallel backends)
-    def alloc_shared(self, shape, dtype=np.float64) -> np.ndarray:
-        """Allocate a long-lived buffer the backend may place in shared
-        memory (pair tables).  The default is a private ``np.empty`` —
-        call sites need no branches; a process-parallel backend returns a
-        shared-segment view so workers map the data zero-copy."""
-        return np.empty(shape, dtype=dtype)
-
-    def register_shared(self, *arrays) -> None:
-        """Hint that ``arrays`` are long-lived, read-only hot-path
-        operands (quadrature geometry, scatter maps).  Process-parallel
-        backends publish them into shared memory once so per-call
-        dispatch ships handles instead of pickled copies; everywhere else
-        this is a no-op."""
 
     # ------------------------------------------------------------------
     # Algorithm-1 row-block kernels (pair-table build / on-the-fly fields)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from .base import BackendUnavailable, ExecutionBackend
 from .numba_backend import NumbaBackend
 from .numpy_backend import NumpyBackend
-from .process_pool import ProcessPoolBackend
 from .threaded import ThreadedBackend
 
 __all__ = [
@@ -28,7 +27,6 @@ _BACKENDS: dict[str, type[ExecutionBackend]] = {
     "numpy": NumpyBackend,
     "threaded": ThreadedBackend,
     "numba": NumbaBackend,
-    "process": ProcessPoolBackend,
 }
 
 BACKEND_NAMES: tuple[str, ...] = tuple(_BACKENDS)
@@ -47,9 +45,9 @@ def resolve_backend_name(name: str | None, num_threads: int = 1) -> str:
     otherwise — exactly the pre-backend behavior.  Raises ``ValueError``
     naming the offender and the valid choices on anything else.
     """
-    if name is None or name == "" or name == "auto":
+    name = str(name or "").strip().lower()
+    if name in ("", "auto"):
         return "threaded" if num_threads and num_threads > 1 else "numpy"
-    name = str(name).strip().lower()
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown execution backend {name!r} (REPRO_BACKEND / "

@@ -1,11 +1,10 @@
-"""Shared-memory arena: zero-copy cross-process hot-path state.
+"""Shared-memory arena: cross-process state without pickling.
 
-The process backend and the serve tier keep warm, long-lived arrays —
-packed pair tables, ``ScatterMap`` CSR arrays, band symbolics, per-batch
-state stacks — in POSIX shared memory (``multiprocessing.shared_memory``)
-so worker processes dispatch over *views* instead of pickled copies.
-:class:`SharedArena` owns the create/unlink side; :func:`attach_array` /
-:func:`attach_copy` are the worker (attach) side.
+The serve tier's process executor ships per-batch state stacks to its
+shard workers through POSIX shared memory
+(``multiprocessing.shared_memory``) instead of pickled copies.
+:class:`SharedArena` owns the create/unlink side; :func:`attach_copy` is
+the worker (attach) side.
 
 Lifecycle rules, enforced here so every caller inherits them:
 
@@ -42,7 +41,6 @@ import re
 import signal
 import threading
 import weakref
-from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -58,7 +56,6 @@ __all__ = [
     "ShmBudgetExceeded",
     "ShmHandle",
     "SharedArena",
-    "attach_array",
     "attach_copy",
     "reclaim_dead_owner_segments",
 ]
@@ -79,8 +76,8 @@ class ShmBudgetExceeded(RuntimeError):
 class ShmHandle:
     """Pickle-light descriptor of an ndarray inside a shared segment.
 
-    ``offset`` supports views into a larger arena-owned buffer (e.g. one
-    component plane of the packed ``(5, N, N)`` pair tables).
+    ``offset`` supports contiguous views into a larger arena-owned
+    buffer.
     """
 
     name: str
@@ -217,7 +214,7 @@ def _shm_budget_from_env() -> int:
 
 
 class SharedArena:
-    """Owner side of the segment lifecycle: alloc / publish / free / close.
+    """Owner side of the segment lifecycle: alloc / free / close.
 
     All methods are thread-safe; the arena is also safe to *inherit*
     across ``fork`` — only the owner pid ever unlinks.
@@ -283,7 +280,7 @@ class SharedArena:
         """Handle for an array living inside an arena segment, or ``None``.
 
         Pointer-range based, so contiguous *views* into arena buffers
-        (component planes, row slices) resolve without any registration.
+        (row slices) resolve without any registration.
         """
         if not isinstance(arr, np.ndarray) or not arr.flags["C_CONTIGUOUS"]:
             return None
@@ -298,22 +295,6 @@ class SharedArena:
                         offset=ptr - base,
                     )
         return None
-
-    def publish(self, arr: np.ndarray) -> ShmHandle:
-        """Copy an array into the arena once and return its handle.
-
-        Arrays already backed by an arena segment are returned in place
-        (no second copy).  Raises :class:`ShmBudgetExceeded` over budget.
-        """
-        arr = np.ascontiguousarray(arr)
-        handle = self.handle_of(arr)
-        if handle is not None:
-            return handle
-        shared = self.alloc(arr.shape, arr.dtype)
-        shared[...] = arr
-        handle = self.handle_of(shared)
-        assert handle is not None
-        return handle
 
     def free(self, name: str) -> None:
         """Close + unlink one segment; idempotent, owner-pid only.
@@ -356,110 +337,6 @@ class SharedArena:
 
 # ----------------------------------------------------------------------
 # attach side (worker processes)
-#
-# Memory-safety invariant: ``SharedMemory.close()`` (which ``__del__``
-# also calls) unmaps IMMEDIATELY, even while numpy views of ``seg.buf``
-# are alive — numpy keeps only a reference, not a buffer export, so a
-# closed attachment turns every outstanding view into a segfault.
-# Attached segments are therefore never closed here and every array
-# returned by :func:`attach_array` *pins* its segment object until the
-# array dies (``weakref.finalize``); cache maintenance only drops cache
-# references, and the mapping unmaps when the last pinned array (and
-# any derived views, through numpy base chains) is gone.
-
-_ATTACH_LOCK = threading.Lock()
-_ATTACH_CACHE: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
-#: soft bound; above it the stale sweep runs and the LRU tail is dropped
-_ATTACH_CACHE_MAX = 64
-
-#: pin token -> segment, keeping attached segments alive while any array
-#: returned for them is alive (dropped by the arrays' finalizers)
-_ATTACH_PINS: dict[int, shared_memory.SharedMemory] = {}
-_PIN_TOKEN = itertools.count()
-
-#: callbacks invoked (name) when an attachment is dropped from the
-#: cache, so derived caches (worker-side CSR operators, band symbolics)
-#: release their views of the same segment and the memory can unmap
-ATTACH_DROP_HOOKS: list = []
-
-
-def _release_fd(seg: shared_memory.SharedMemory) -> None:
-    """Close the attach-side file descriptor, keeping the mapping.
-
-    ``mmap`` duplicated the descriptor at construction, so the segment
-    stays fully usable; afterwards dropping the ``SharedMemory`` object
-    can never leak a descriptor, no matter how many views survive it.
-    """
-    fd = getattr(seg, "_fd", -1)
-    if fd >= 0:
-        with suppress(OSError):
-            os.close(fd)
-        seg._fd = -1
-
-
-def _drop_attachment(name: str) -> None:
-    """Remove one cached attachment + notify derived caches (lock held)."""
-    _ATTACH_CACHE.pop(name, None)
-    for hook in ATTACH_DROP_HOOKS:
-        with suppress(Exception):
-            hook(name)
-
-
-def _segment_file_exists(name: str) -> bool:
-    return os.path.exists(f"/dev/shm/{name}")
-
-
-def _pinned_view(seg: shared_memory.SharedMemory, handle: ShmHandle) -> np.ndarray:
-    """Array over ``seg.buf`` that keeps ``seg`` alive until it dies."""
-    arr = np.ndarray(
-        handle.shape,
-        dtype=np.dtype(handle.dtype),
-        buffer=seg.buf,
-        offset=handle.offset,
-    )
-    token = next(_PIN_TOKEN)
-    _ATTACH_PINS[token] = seg
-    weakref.finalize(arr, _ATTACH_PINS.pop, token, None)
-    return arr
-
-
-def attach_array(handle: ShmHandle, cache: bool = True) -> np.ndarray:
-    """Zero-copy view of a published array in this (worker) process.
-
-    Cached attachments map a published table once across dispatches; pass
-    ``cache=False`` for one-shot segments (scratch outputs) so they unmap
-    as soon as the returned view dies.  When the cache overflows, entries
-    whose backing file the owner already unlinked are dropped first (they
-    can never be shipped again), then the LRU tail — both are safe for
-    live consumers, whose arrays pin the segment object directly.
-    """
-    if not cache:
-        seg = _attach_segment(handle.name)
-        _release_fd(seg)
-        return _pinned_view(seg, handle)
-    with _ATTACH_LOCK:
-        seg = _ATTACH_CACHE.get(handle.name)
-        if seg is not None:
-            _ATTACH_CACHE.move_to_end(handle.name)
-        else:
-            seg = _attach_segment(handle.name)
-            _release_fd(seg)
-            _ATTACH_CACHE[handle.name] = seg
-            if len(_ATTACH_CACHE) > _ATTACH_CACHE_MAX and os.path.isdir(
-                "/dev/shm"
-            ):
-                for name in [
-                    n
-                    for n in _ATTACH_CACHE
-                    if n != handle.name and not _segment_file_exists(n)
-                ]:
-                    _drop_attachment(name)
-            while len(_ATTACH_CACHE) > _ATTACH_CACHE_MAX:
-                oldest = next(iter(_ATTACH_CACHE))
-                if oldest == handle.name:
-                    break
-                _drop_attachment(oldest)
-        return _pinned_view(seg, handle)
 
 
 def attach_copy(handle: ShmHandle) -> np.ndarray:

@@ -48,12 +48,16 @@ class ThreadedBackend(NumpyBackend):
             int(num_threads) if num_threads and num_threads > 1 else _default_workers()
         )
         self._pool: ThreadPoolExecutor | None = None
+        self._pool_pid = os.getpid()
 
     def _get_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
+        # a pool inherited across fork (a serve shard worker) has no
+        # threads in the child: submitting to it would wait forever
+        if self._pool is None or self._pool_pid != os.getpid():
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-backend"
             )
+            self._pool_pid = os.getpid()
         return self._pool
 
     # ------------------------------------------------------------------

@@ -143,11 +143,6 @@ class LandauOperator:
             else:
                 self._tables = self._build_pair_tables()
         self._scatter = get_scatter_map(fs) if self.options.cache_structure else None
-        if self._scatter is not None:
-            # long-lived read-only assembly state: a process-parallel
-            # backend publishes these into shared memory once so the
-            # batched contractions ship handles, not pickled copies
-            self.backend.register_shared(self._scatter.gphys)
         self._mass: sp.csr_matrix | None = None
         self._projector: sp.csr_matrix | None = None
         # per-species source weights of eq. (10) and weak-form scalings
@@ -201,15 +196,9 @@ class LandauOperator:
     def _build_packed_tables(self) -> np.ndarray:
         """Cache the 5 unique components contiguously; row blocks are
         dispatched through the backend (a block stores its own entries
-        and their mirror images, disjoint from every other block's).
-
-        The buffer comes from :meth:`ExecutionBackend.alloc_shared`: a
-        private ``np.empty`` on in-process backends, a shared-memory
-        segment on the process backend — so the O(N^2) tables live
-        exactly once per machine and every worker contracts against the
-        same physical pages."""
+        and their mirror images, disjoint from every other block's)."""
         N = self.N
-        out = self.backend.alloc_shared((5, N, N), dtype=self.options.dtype)
+        out = np.empty((5, N, N), dtype=self.options.dtype)
 
         def fill(i0: int, i1: int) -> None:
             self.backend.pair_table_rows(out, self.r, self.z, i0, i1)
@@ -225,9 +214,7 @@ class LandauOperator:
     @property
     def packed_table_buffer(self) -> np.ndarray | None:
         """The packed ``(5, N, N)`` pair-table buffer in ``_PACKED``
-        component order, or ``None`` (legacy layout / tables not cached).
-        On the process backend this is a shared-memory view — the tables
-        physically live once per machine."""
+        component order, or ``None`` (legacy layout / tables not cached)."""
         return self._packed
 
     # ------------------------------------------------------------------

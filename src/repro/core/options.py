@@ -105,12 +105,9 @@ class AssemblyOptions:
         :class:`PairTableMemoryError`.
     backend:
         execution backend name (``auto`` | ``numpy`` | ``threaded`` |
-        ``numba`` | ``process``) for the operator/assembly/band-solve
-        hot paths; see :mod:`repro.backend`.  ``auto`` picks ``threaded``
-        when ``num_threads > 1`` and the serial reference otherwise;
-        ``process`` dispatches blocks to persistent worker processes
-        over shared memory (worker count from ``num_threads`` or
-        ``REPRO_PROCESS_WORKERS``, arena cap ``REPRO_SHM_BUDGET``).
+        ``numba``) for the operator/assembly/band-solve hot paths; see
+        :mod:`repro.backend`.  ``auto`` picks ``threaded`` when
+        ``num_threads > 1`` and the serial reference otherwise.
     """
 
     cache_structure: bool = True
@@ -144,8 +141,7 @@ class AssemblyOptions:
         ``REPRO_ASSEMBLY_PACKED_TABLES``, ``REPRO_ASSEMBLY_THREADS``,
         ``REPRO_ASSEMBLY_TABLE_DTYPE``, ``REPRO_ASSEMBLY_MEMORY_BUDGET``,
         ``REPRO_ASSEMBLY_CACHE_TABLES`` (``auto``/``1``/``0``) and
-        ``REPRO_BACKEND``
-        (``auto``/``numpy``/``threaded``/``numba``/``process``).
+        ``REPRO_BACKEND`` (``auto``/``numpy``/``threaded``/``numba``).
         Keyword arguments win over the environment.
         """
         values = {

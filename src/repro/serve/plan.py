@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,16 +28,6 @@ from ..core.species import SpeciesSet
 from ..fem.function_space import FunctionSpace
 
 __all__ = ["SolvePlan", "PlanRuntime", "PlanCache"]
-
-#: set by the process-executor worker initializer (``shard._process_init``).
-#: Inside a shard worker the ``process`` backend is clamped to
-#: ``threaded``: a nested ProcessPoolExecutor created in a pool worker
-#: completes its work but deadlocks the worker's interpreter shutdown
-#: (the grandchildren's manager threads never join), and shard-per-process
-#: already *is* the process-level parallelism.  ``threaded`` produces
-#: identical results (both executors run the same disjoint-block kernels).
-IN_PROCESS_WORKER = False
-
 
 def _space_fingerprint(fs: FunctionSpace) -> str:
     """Stable digest of the discretization: quadrature geometry plus the
@@ -131,23 +121,8 @@ class PlanRuntime:
     and the shared band-symbolic factory) plus a lazily built retry
     integrator for jobs that fall out of a batch."""
 
-    def __init__(self, plan: SolvePlan, clamp_process: bool | None = None):
-        # clamp_process=True forces backend "process" -> "threaded" even
-        # outside a shard worker: the service's *degraded* tier runs
-        # batches in the parent while the process tier is suspect, and
-        # must not spin up the very pools it is standing in for.
-        # None defers to the worker-global flag (the PR-6 behavior).
-        if clamp_process is None:
-            clamp_process = IN_PROCESS_WORKER
+    def __init__(self, plan: SolvePlan):
         self.plan = plan
-        options = plan.options
-        if clamp_process or IN_PROCESS_WORKER:
-            # options=None would re-read REPRO_BACKEND from the env in
-            # the operator, so resolve here before clamping
-            if options is None:
-                options = AssemblyOptions.from_env()
-            if options.resolved_backend() == "process":
-                options = replace(options, backend="threaded")
         self.solver = BatchedVertexSolver(
             plan.fs,
             plan.species,
@@ -155,7 +130,7 @@ class PlanRuntime:
             rtol=plan.rtol,
             max_newton=plan.max_newton,
             accel_m=plan.accel_m,
-            options=options,
+            options=plan.options,
         )
         self._retry_solver = None
         #: compile cost hoisted at construction (0.0 for interpreted
@@ -203,13 +178,12 @@ class PlanCache:
     it by consistent hashing.  Counters feed the serve metrics.
     """
 
-    def __init__(self, budget: int | None = None, clamp_process: bool = False):
+    def __init__(self, budget: int | None = None):
         if budget is None:
             budget = AssemblyOptions.from_env().memory_budget
         if budget <= 0:
             raise ValueError(f"budget must be positive, got {budget}")
         self.budget = int(budget)
-        self.clamp_process = bool(clamp_process)
         self._entries: OrderedDict[str, PlanRuntime] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -232,7 +206,7 @@ class PlanCache:
             self._entries.move_to_end(plan.key)
             return rt
         self.misses += 1
-        rt = PlanRuntime(plan, clamp_process=self.clamp_process or None)
+        rt = PlanRuntime(plan)
         self._entries[plan.key] = rt
         # evict least-recently-used plans until back under budget — but
         # never the runtime just built (a single over-budget plan must

@@ -573,17 +573,13 @@ class CollisionSolveService:
         """Serve a batch on the in-parent degraded tier.
 
         The degraded worker is a plain :class:`ShardWorker` living in the
-        service process with its plan options clamped ``process`` →
-        ``threaded`` (it must not spin up the pools it is standing in
-        for).  Numerics are bitwise-identical to the primary tier — both
-        run the same batched kernels on the same batch composition —
-        only throughput degrades.  Availability over speed.
+        service process.  Numerics are bitwise-identical to the primary
+        tier — both run the same batched kernels on the same batch
+        composition — only throughput degrades.  Availability over speed.
         """
         worker = self._degraded_workers.get(shard)
         if worker is None:
-            worker = ShardWorker(
-                shard, plan_budget=self.options.plan_budget, degraded=True
-            )
+            worker = ShardWorker(shard, plan_budget=self.options.plan_budget)
             self._degraded_workers[shard] = worker
         sup = self._supervisors[shard] if self._supervisors else None
         if sup is not None:

@@ -154,15 +154,10 @@ class ShardWorker:
         shard_id: int,
         plan_budget: int | None = None,
         fault_injector=None,
-        degraded: bool = False,
     ):
         self.shard_id = shard_id
         self.metrics = ShardMetrics(shard=shard_id)
-        # a degraded worker is the in-parent fallback tier standing in
-        # for a broken process pool: clamp backend "process" so it never
-        # builds the pools it is replacing
-        self.degraded = bool(degraded)
-        self.plans = PlanCache(budget=plan_budget, clamp_process=degraded)
+        self.plans = PlanCache(budget=plan_budget)
         #: untimed warm calls served (plan build + backend JIT warmup)
         self.warm_calls = 0
         self.warm_seconds = 0.0
@@ -319,12 +314,8 @@ def _process_init(
     batch order, exactly like PR 1's in-process chaos tests.
     """
     global _PROCESS_WORKER, _FAULT_STATE
-    from . import plan as plan_mod
     from ..resilience.faultplan import FaultPlan, FaultPlanState
 
-    # runtimes built in this worker clamp backend "process" -> "threaded"
-    # (nested process pools deadlock worker shutdown; see plan.py)
-    plan_mod.IN_PROCESS_WORKER = True
     injector = None
     _FAULT_STATE = None
     if isinstance(fault_payload, FaultPlan):

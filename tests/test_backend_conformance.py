@@ -63,7 +63,6 @@ needs_cuda_jit = pytest.mark.skipif(
 BACKEND_PARAMS = [
     pytest.param("numpy", id="numpy"),
     pytest.param("threaded", id="threaded"),
-    pytest.param("process", id="process"),
     pytest.param("numba", id="numba", marks=needs_numba),
 ]
 
@@ -457,13 +456,8 @@ class TestUnavailableGuards:
             CudaJitLandauJacobian(ed_fs, ed_species)
 
     def test_matrix_lists_every_backend(self):
-        """The conformance matrix must always contain all four backends —
+        """The conformance matrix must always contain all three backends —
         a skipped numba leg is visible, never silently dropped."""
         ids = {p.id for p in BACKEND_PARAMS}
-        assert ids == {"numpy", "threaded", "numba", "process"}
-        assert set(available_backends()) <= {
-            "numpy",
-            "threaded",
-            "numba",
-            "process",
-        }
+        assert ids == {"numpy", "threaded", "numba"}
+        assert set(available_backends()) <= ids

@@ -42,7 +42,7 @@ EQUIV_BACKENDS = [
             ]
         ),
     )
-    for n in ("numpy", "threaded", "numba", "process")
+    for n in ("numpy", "threaded", "numba")
 ]
 
 
@@ -75,13 +75,59 @@ class TestRegistry:
         assert resolve_backend_name("auto", num_threads=4) == "threaded"
         assert resolve_backend_name(None, num_threads=1) == "numpy"
         assert resolve_backend_name("", num_threads=2) == "threaded"
+        # case and whitespace are normalised before "auto" is recognised
+        assert resolve_backend_name("Auto", num_threads=1) == "numpy"
+        assert resolve_backend_name(" auto ", num_threads=2) == "threaded"
+        assert AssemblyOptions(backend="AUTO").resolved_backend() == "numpy"
 
-    def test_unknown_name_lists_valid_choices(self):
-        with pytest.raises(
-            ValueError, match="auto, numpy, threaded, numba, process"
-        ):
+    def test_unknown_name_lists_valid_choices(self, monkeypatch):
+        with pytest.raises(ValueError, match="auto, numpy, threaded, numba$"):
             resolve_backend_name("cupy")
-        assert set(BACKEND_NAMES) == {"numpy", "threaded", "numba", "process"}
+        assert set(BACKEND_NAMES) == {"numpy", "threaded", "numba"}
+        # the removed process-pool backend: a deployment still naming it
+        # fails fast instead of silently running something else
+        with pytest.raises(ValueError, match="auto, numpy, threaded, numba$"):
+            resolve_backend_name("process")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with pytest.raises(ValueError, match="auto, numpy, threaded, numba$"):
+            AssemblyOptions.from_env()
+
+    @pytest.mark.parametrize(
+        "raw, threads, expected",
+        [
+            pytest.param("Auto", 1, "numpy", id="auto-title"),
+            pytest.param(" auto ", 2, "threaded", id="auto-padded"),
+            pytest.param("AUTO\t", 4, "threaded", id="auto-upper-tab"),
+            pytest.param("Numpy ", 4, "numpy", id="numpy-title-padded"),
+            pytest.param(" THREADED", 1, "threaded", id="threaded-upper-padded"),
+        ],
+    )
+    def test_names_normalised_before_lookup(self, raw, threads, expected):
+        """Case and surrounding whitespace never change the outcome, on
+        the registry and through the options that carry the name."""
+        assert resolve_backend_name(raw, num_threads=threads) == expected
+        opts = AssemblyOptions(backend=raw, num_threads=threads)
+        assert opts.resolved_backend() == expected
+        assert opts.execution_backend().name == expected
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param("process", id="lower"),
+            pytest.param("Process", id="title"),
+            pytest.param(" PROCESS ", id="upper-padded"),
+        ],
+    )
+    def test_removed_process_backend_fails_fast(self, raw):
+        """Every spelling of the deleted process-pool backend is an
+        unknown name at each entry point, never a silent fallback."""
+        match = "'process'.*auto, numpy, threaded, numba$"
+        with pytest.raises(ValueError, match=match):
+            resolve_backend_name(raw, num_threads=2)
+        with pytest.raises(ValueError, match=match):
+            get_backend(raw, num_threads=2)
+        with pytest.raises(ValueError, match=match):
+            AssemblyOptions(backend=raw, num_threads=2)
 
     def test_instances_are_cached(self):
         assert get_backend("numpy") is get_backend("numpy")
@@ -113,28 +159,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="REPRO_BACKEND"):
             AssemblyOptions.from_env()
 
-    def test_process_backend_registered(self, monkeypatch):
-        assert "process" in available_backends()
-        assert resolve_backend_name("process", num_threads=1) == "process"
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert AssemblyOptions.from_env().resolved_backend() == "process"
-
-    def test_process_serial_fallback_is_bitwise_numpy(self, monkeypatch):
-        """workers == 1 never spawns processes and matches numpy bitwise."""
-        from repro.backend.process_pool import ProcessPoolBackend
-
-        monkeypatch.setenv("REPRO_PROCESS_WORKERS", "1")
-        pb = ProcessPoolBackend()
-        try:
-            assert pb.workers == 1 and pb._pools is None
-            rng = np.random.default_rng(5)
-            A = rng.normal(size=(19, 13))
-            Bm = rng.normal(size=(13, 17))
-            assert np.array_equal(pb.matmul(A, Bm), NumpyBackend().matmul(A, Bm))
-            assert pb._pools is None  # still no worker processes
-        finally:
-            pb.close()
-
 
 class TestBackendPrimitives:
     """The small ops every backend must reproduce from the reference."""
@@ -161,6 +185,35 @@ class TestBackendPrimitives:
 
         be.parallel_for(be.batch_blocks(97), fill)
         assert np.all(hits == 1)
+
+    def test_threaded_pool_survives_fork(self):
+        """A forked child (a serve shard worker) inherits the pool object
+        but none of its threads; its first launch must build its own."""
+        import multiprocessing as mp
+        import threading
+
+        be = ThreadedBackend(num_threads=2)
+        A = np.arange(12.0).reshape(3, 4)
+        Bm = np.ones((4, 64))
+        # both pool threads alive in the parent: the child's copy of the
+        # pool is then full and never starts a thread of its own
+        both = threading.Barrier(2, timeout=30)
+        assert be.parallel_for([(), ()], both.wait)
+        assert len(be._get_pool()._threads) == 2
+
+        def child(conn):
+            conn.send(bool(np.array_equal(be.matmul(A, Bm), A @ Bm)))
+
+        recv, send = mp.get_context("fork").Pipe(duplex=False)
+        proc = mp.get_context("fork").Process(target=child, args=(send,))
+        proc.start()
+        got = recv.recv() if recv.poll(30) else None
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert got is True, "threaded launch in a forked child hung"
+        assert proc.exitcode == 0
 
 
 class TestQuenchEquivalence:

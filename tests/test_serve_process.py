@@ -18,8 +18,8 @@ DT = 0.3
 
 
 def _own_segments() -> set[str]:
-    """Compared as before/after deltas: registry-cached backends from
-    other test modules legitimately keep published segments alive."""
+    """Compared as before/after deltas: live services from other test
+    modules may still hold arena segments."""
     return set(glob.glob(f"/dev/shm/rpro-{os.getpid()}-*"))
 
 
@@ -132,43 +132,59 @@ class TestBrokenWorkerRecovery:
             assert snap["jobs"]["worker_restarts"] == 1
 
 
-class TestNestedProcessBackendClamp:
-    """REPRO_BACKEND=process + executor=process must not nest process
-    pools: a ProcessPoolExecutor created inside a pool worker finishes
-    its work but deadlocks the worker's interpreter shutdown, hanging
-    service close.  Shard workers clamp the backend to threaded."""
+class TestRemovedProcessBackend:
+    def test_env_process_backend_fails_fast(
+        self, fs_q2, electron_species, monkeypatch
+    ):
+        """``REPRO_BACKEND=process`` names the deleted process-pool
+        execution backend; a plan built from that environment must fail
+        loudly with the valid choices, not fall back to another backend."""
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with pytest.raises(ValueError, match="auto, numpy, threaded, numba$"):
+            SolvePlan(fs=fs_q2, species=electron_species, dt=DT)
 
-    def test_runtime_clamps_process_to_threaded_in_worker(self, fs_q2, electron_species):
+    def test_threaded_backend_runs_in_process_workers(
+        self, fs_q2, electron_species, plan, states
+    ):
+        """Shard workers run a plan's backend as it is, threads included;
+        the service answers and closes (no pool nesting to clamp)."""
         from repro.core.options import AssemblyOptions
-        from repro.serve import plan as plan_mod
-        from repro.serve.plan import PlanRuntime
 
-        p = SolvePlan(
+        threaded = SolvePlan(
             fs=fs_q2,
             species=electron_species,
             dt=DT,
-            options=AssemblyOptions(backend="process", num_threads=2),
+            options=AssemblyOptions(backend="threaded", num_threads=2),
         )
-        assert plan_mod.IN_PROCESS_WORKER is False
-        plan_mod.IN_PROCESS_WORKER = True
-        try:
-            rt = PlanRuntime(p)
-            assert rt.solver.op.backend.name == "threaded"
-        finally:
-            plan_mod.IN_PROCESS_WORKER = False
-        # outside a worker the same plan keeps the process backend
-        rt = PlanRuntime(p)
-        assert rt.solver.op.backend.name == "process"
+        opts = dict(num_shards=1, max_batch=4)
+        with CollisionSolveService(ServeOptions(executor="thread", **opts)) as svc:
+            ref = svc.solve_many(plan, states[:4])
+        with CollisionSolveService(ServeOptions(executor="process", **opts)) as svc:
+            res = svc.solve_many(threaded, states[:4], timeout=60)
+        for r, rr in zip(res, ref):
+            assert r.status == STATUS_OK
+            scale = np.abs(rr.state).max()
+            assert np.abs(r.state - rr.state).max() <= 1e-12 * scale
 
-    def test_env_process_backend_and_executor_completes(
-        self, plan, states, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        with CollisionSolveService(
-            ServeOptions(executor="process", num_shards=1, max_batch=4)
-        ) as svc:
+
+class TestShmBudgetFallback:
+    def test_over_budget_states_ship_inline(self, plan, states, monkeypatch):
+        """A state stack that does not fit the arena budget travels by
+        value: same answers, no segment created, none left behind."""
+        opts = dict(num_shards=1, max_batch=4)
+        with CollisionSolveService(ServeOptions(executor="thread", **opts)) as svc:
+            ref = svc.solve_many(plan, states[:4])
+        monkeypatch.setenv("REPRO_SHM_BUDGET", "64")  # nothing fits
+        before = _own_segments()
+        with CollisionSolveService(ServeOptions(executor="process", **opts)) as svc:
             res = svc.solve_many(plan, states[:4])
-        assert all(r.status == STATUS_OK for r in res)
+            assert svc._arena.budget == 64
+            assert svc._arena.created_segments == 0
+        assert _own_segments() <= before
+        for r, rr in zip(res, ref):
+            assert r.status == STATUS_OK
+            scale = np.abs(rr.state).max()
+            assert np.abs(r.state - rr.state).max() <= 1e-12 * scale
 
 
 class TestFaultInjectorConflict:
