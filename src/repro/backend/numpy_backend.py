@@ -40,6 +40,10 @@ class NumpyBackend(ExecutionBackend):
 
     name = "numpy"
     workers = 1
+    #: scipy's LAPACK wrappers, bound by :meth:`banded_alloc` so the factor
+    #: and per-system solve loops run no import statement (the import stays
+    #: lazy: the backend layer loads without :mod:`repro.sparse`)
+    _lapack = None
 
     # ------------------------------------------------------------------
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -56,9 +60,10 @@ class NumpyBackend(ExecutionBackend):
     # dense form is the smaller one) when available, pure-python
     # band_factor/band_solve otherwise.
     def banded_alloc(self, st, n: int, count: int) -> tuple[str, object]:
-        from ..sparse.band import _HAVE_GBTRF
+        from ..sparse.band import _HAVE_GBTRF, _lapack
 
         if _HAVE_GBTRF:
+            self._lapack = _lapack
             return "lapack", _LapackFactors(count, n, st.lapack_rows(n))
         return "python", [None] * count  # pragma: no cover - no-LAPACK
 
@@ -71,8 +76,6 @@ class NumpyBackend(ExecutionBackend):
         rows: np.ndarray,
         pivot_tol: float = 0.0,
     ) -> None:
-        from ..sparse.band import BandMatrix, _lapack, band_factor
-
         B = st.B
         if isinstance(factors, _LapackFactors):
             pos = st.lapack_positions(n)
@@ -86,9 +89,11 @@ class NumpyBackend(ExecutionBackend):
                     # a.T is the Fortran-ordered LAPACK array: factored
                     # in place, no copy in or out
                     if a.shape[0] == a.shape[1]:
-                        _, factors.piv[x], info = _lapack.dgetrf(a.T, overwrite_a=1)
+                        _, factors.piv[x], info = self._lapack.dgetrf(
+                            a.T, overwrite_a=1
+                        )
                     else:
-                        _, factors.piv[x], info = _lapack.dgbtrf(
+                        _, factors.piv[x], info = self._lapack.dgbtrf(
                             a.T, B, B, overwrite_ab=1
                         )
                     if info != 0:
@@ -98,6 +103,8 @@ class NumpyBackend(ExecutionBackend):
 
             self.parallel_for(self.batch_blocks(len(rows)), factor_block)
             return
+
+        from ..sparse.band import BandMatrix, band_factor  # pragma: no cover
 
         def factor_block(i0: int, i1: int) -> None:  # pragma: no cover - no-LAPACK
             for k in range(i0, i1):
@@ -127,13 +134,11 @@ class NumpyBackend(ExecutionBackend):
 
     def banded_solve_one(self, engine: str, factor, st, b_p: np.ndarray) -> np.ndarray:
         if engine == "lapack":
-            from ..sparse.band import _lapack
-
             lu, piv = factor
             if lu.shape[0] == lu.shape[1]:
-                y, info = _lapack.dgetrs(lu, piv, b_p)
+                y, info = self._lapack.dgetrs(lu, piv, b_p)
             else:
-                y, info = _lapack.dgbtrs(lu, st.B, st.B, b_p, piv)
+                y, info = self._lapack.dgbtrs(lu, st.B, st.B, b_p, piv)
             if info != 0:  # pragma: no cover - never fails post-factor
                 raise np.linalg.LinAlgError(f"LU solve failed with info={info}")
             return y

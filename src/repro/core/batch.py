@@ -21,7 +21,10 @@ the same.  Sweep 0 assembles and factors ``A0 = M - dt L(f^n)`` per
 (vertex, species) — two batched einsum contractions plus two sparse
 matmuls through the cached scatter structure, then one shared-symbolic
 batched band LU (:class:`~repro.sparse.band.CachedBandSolverFactory`),
-done in vertex blocks straight into preallocated factor slots.  Every
+done in vertex blocks straight into preallocated factor slots.  On Q3
+and higher spaces that LU sees only the cell skeleton: each cell's
+interior dofs, which couple to nothing outside the cell, are statically
+condensed out at factor time and back-substituted in every solve.  Every
 sweep then evaluates the backward-Euler residual
 
     r = M (f^n - f_k) + dt C(f_k)[f_k]
@@ -69,6 +72,12 @@ from .species import SpeciesSet
 #: below the later sweeps' field temporaries, so smaller buys nothing —
 #: while the einsum contractions stay large enough to plan well
 FACTOR_BLOCK = 8
+
+#: interior nodes per cell from which the step factors statically
+#: condensed systems (Q3 and up): at Q3 the 80 interior dofs of the
+#: 193-dof electron mesh leave a 113-dof skeleton; Q2's one interior
+#: node per cell saves less than the per-cell block work costs
+CONDENSE_MIN_INTERIOR = 4
 
 
 @dataclass
@@ -176,7 +185,10 @@ class BatchedVertexSolver:
         (:meth:`LandauOperator.species_data_batch`) and factored in
         vertex blocks straight into the preallocated slots of the
         shared-symbolic batched band LU, so assembly temporaries are
-        O(block) and the factors are the only O(batch) state.  Without
+        O(block) and the factors are the only O(batch) state; with at
+        least :data:`CONDENSE_MIN_INTERIOR` interior nodes per cell the
+        interiors are condensed out and only the skeleton is factored
+        (a refill replaces a slot's interior blocks with it).  Without
         it each (vertex, species) system is assembled per element and
         factored through the same cached band factory — one iteration,
         two granularities.
@@ -196,6 +208,9 @@ class BatchedVertexSolver:
             return resident
         capacity = S * rows.size
         species = np.arange(S)[:, None]
+        interior = op.scatter_map.interior
+        if interior.shape[1] < CONDENSE_MIN_INTERIOR:
+            interior = None
         for k0 in range(0, rows.size, FACTOR_BLOCK):
             blk = slice(k0, k0 + FACTOR_BLOCK)
             data = op.species_data_batch(G_D[blk], G_K[blk])  # (S, xb, nnz)
@@ -208,6 +223,7 @@ class BatchedVertexSolver:
                 into=resident,
                 rows=(rows[blk] * S + species).ravel(),
                 capacity=capacity,
+                interior=interior,
             )
         return resident
 

@@ -43,10 +43,11 @@ class ScatterMap:
     ``A = P^T (scatter Ce) P``, so its CSR ``data`` is ``T @ Ce.ravel()``
     for a fixed sparse ``T`` of shape ``(nnz, ne * nb * nb)`` whose
     entries are products of constraint weights.  ``T``, the reduced CSR
-    ``indptr``/``indices`` and the physical basis gradients are computed
-    once here; :meth:`assemble` then costs one sparse matvec per build
-    and reuses the index arrays across every matrix it returns (species
-    blocks share one sparsity, so they all share one structure).
+    ``indptr``/``indices``, the physical basis gradients and the
+    cell-interior free dofs are computed once here; :meth:`assemble` then
+    costs one sparse matvec per build and reuses the index arrays across
+    every matrix it returns (species blocks share one sparsity, so they
+    all share one structure).
 
     Returned matrices share ``indptr``/``indices`` with the map — they
     must not be mutated in place (standard scipy operations never do).
@@ -95,6 +96,10 @@ class ScatterMap:
             (weights[order], (pos, src[order])),
             shape=(self.nnz, rows.size),
         )
+        #: ``(ne, (k-1)^2)`` free-dof ids of each cell's interior nodes —
+        #: never hanging-node constrained, so each is a free dof of exactly
+        #: one cell (what static condensation eliminates cell by cell)
+        self.interior = dm.full_to_free[nodes[:, fs.element.interior_nodes()]]
         # geometry caches shared by the coefficient-operator fast path
         self.gphys = np.einsum("qbd,ed->eqbd", fs.Dref, fs.inv_jac)
         self.builds = 0

@@ -149,5 +149,14 @@ class LagrangeQuad:
             return np.arange(n) * n
         raise ValueError(f"edge must be 0..3, got {edge}")
 
+    def interior_nodes(self) -> np.ndarray:
+        """Local indices of the ``(k-1)^2`` nodes on no edge, lexicographic.
+
+        Their basis functions vanish on the cell boundary, so they couple
+        only to the nodes of their own cell."""
+        n = self.nnodes_1d
+        inner = np.arange(1, n - 1)
+        return (inner[:, None] * n + inner[None, :]).ravel()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Q{self.order}"

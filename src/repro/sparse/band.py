@@ -230,6 +230,147 @@ class _BandStructure:
         return self.pos_lapack
 
 
+def _same_pattern(symbolic, A: sp.csr_matrix) -> bool:
+    return np.array_equal(symbolic.indptr, A.indptr) and np.array_equal(
+        symbolic.indices, A.indices
+    )
+
+
+def _band_structure(A: sp.csr_matrix) -> _BandStructure:
+    """RCM ordering, half-bandwidth and CSR→band scatter of ``A``'s
+    (canonical) pattern."""
+    n = A.shape[0]
+    perm = rcm_permutation(A)
+    iperm = np.empty_like(perm)
+    iperm[perm] = np.arange(n)
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr))
+    pr = iperm[row]
+    pc = iperm[A.indices]
+    B = int(np.max(np.abs(pr - pc))) if A.nnz else 0
+    return _BandStructure(
+        perm=perm,
+        iperm=iperm,
+        B=B,
+        pos=pr * (2 * B + 1) + (B + pc - pr),
+        indptr=A.indptr.copy(),
+        indices=A.indices.copy(),
+    )
+
+
+@dataclass
+class _Condensation:
+    """Symbolic static condensation of cell-interior dofs for one
+    (sparsity pattern, interior) pair.
+
+    A cell's ``m`` interior dofs couple only to one another and to the
+    skeleton dofs of that cell, so ``A`` splits into ``[[A_ii, A_ib],
+    [A_bi, A_bb]]`` with ``A_ii`` block diagonal over cells, and the
+    skeleton Schur complement ``S = A_bb - sum_c A_bi^c (A_ii^c)^-1
+    A_ib^c`` has ``A_bb``'s pattern: each cell's correction lands on
+    skeleton pairs that cell already couples.  Per-cell skeleton lists
+    are padded to the longest, ``p``; the gather positions index one CSR
+    ``data`` row with a zero appended at position ``nnz``, so the padding
+    reads zeros and its corrections are scattered nowhere.
+    """
+
+    interior: np.ndarray  # (ne, m) interior dof ids
+    pos_ii: np.ndarray  # (ne, m, m) CSR positions of A_ii
+    pos_ib: np.ndarray  # (ne, m, p) ... of A_ib
+    pos_bi: np.ndarray  # (ne, p, m) ... of A_bi
+    pos_bb: np.ndarray  # (nnz_s,) ... of A_bb, in skeleton-CSR order
+    schur: sp.csc_matrix  # (nnz_s, ne*p*p): per-cell corrections -> S data
+    st: _BandStructure  # band symbolic of the skeleton pattern
+    skel: np.ndarray  # (ns,) dof id of each skeleton row, in band order
+    bnd: np.ndarray  # (ne, p) band-order skeleton row of each cell's dofs
+    lift: sp.csc_matrix  # (ns, ne*p): per-cell rhs corrections -> skeleton
+    indptr: np.ndarray  # A's pattern, the cache key's check
+    indices: np.ndarray
+
+    @classmethod
+    def build(cls, A: sp.csr_matrix, interior: np.ndarray) -> "_Condensation":
+        n, nnz = A.shape[0], A.nnz
+        interior = np.asarray(interior, dtype=np.int64)
+        ne, m = interior.shape
+        cell = np.full(n, -1, dtype=np.int64)
+        cell[interior] = np.arange(ne)[:, None]
+        if np.count_nonzero(cell >= 0) != interior.size:
+            raise ValueError("interior dofs must each belong to one cell")
+        loc = np.zeros(n, dtype=np.int64)
+        loc[interior] = np.arange(m)
+        row = np.repeat(np.arange(n), np.diff(A.indptr))
+        col = A.indices
+        cr, cc = cell[row], cell[col]
+        k = np.arange(nnz)
+        ii = (cr >= 0) & (cc >= 0)
+        if np.any(cr[ii] != cc[ii]):
+            raise ValueError("interior dofs of different cells are coupled")
+        pos_ii = np.full((ne, m, m), nnz)
+        pos_ii[cr[ii], loc[row[ii]], loc[col[ii]]] = k[ii]
+
+        # each cell's skeleton dofs: every b its interior couples to
+        # through A_ib or A_bi, ranked by dof id within the cell
+        ib, bi = (cr >= 0) & (cc < 0), (cr < 0) & (cc >= 0)
+        mark = np.zeros((ne, n), dtype=bool)
+        mark[cr[ib], col[ib]] = True
+        mark[cc[bi], row[bi]] = True
+        rank = np.cumsum(mark, axis=1) - 1
+        counts = rank[:, -1] + 1
+        p = int(counts.max())
+        valid = np.arange(p) < counts[:, None]  # (ne, p): not padding
+        pos_ib = np.full((ne, m, p), nnz)
+        pos_ib[cr[ib], loc[row[ib]], rank[cr[ib], col[ib]]] = k[ib]
+        pos_bi = np.full((ne, p, m), nnz)
+        pos_bi[cc[bi], rank[cc[bi], row[bi]], loc[col[bi]]] = k[bi]
+
+        # A_bb keeps A's CSR order: the skeleton renumbering is monotone
+        skel = np.flatnonzero(cell < 0)
+        ns = skel.size
+        sidx = np.full(n, -1, dtype=np.int64)
+        sidx[skel] = np.arange(ns)
+        bb = (cr < 0) & (cc < 0)
+        sr, sc = sidx[row[bb]], sidx[col[bb]]
+        S = sp.csr_matrix(
+            (np.ones(sr.size), sc, np.searchsorted(sr, np.arange(ns + 1))),
+            shape=(ns, ns),
+        )
+        st = _band_structure(S)
+
+        # scatter of the (ne, p, p) corrections onto S's CSR data, and of
+        # the (ne, p) rhs corrections onto the band-ordered skeleton: one
+        # entry per non-padding column
+        bnd = np.zeros((ne, p), dtype=np.int64)
+        bnd[valid] = sidx[np.nonzero(mark)[1]]
+        smap = np.full((ns, ns), -1)
+        smap[sr, sc] = np.arange(sr.size)
+        pair = valid[:, :, None] & valid[:, None, :]
+        spos = smap[bnd[:, :, None], bnd[:, None, :]][pair]
+        if np.any(spos < 0):
+            raise ValueError("Schur complement fills outside A_bb's pattern")
+        schur = sp.csc_matrix(
+            (np.ones(spos.size), spos, np.r_[0, np.cumsum(pair.ravel())]),
+            shape=(sr.size, ne * p * p),
+        )
+        bnd = st.iperm[bnd]
+        lift = sp.csc_matrix(
+            (np.ones(valid.sum()), bnd[valid], np.r_[0, np.cumsum(valid.ravel())]),
+            shape=(ns, ne * p),
+        )
+        return cls(
+            interior=interior,
+            pos_ii=pos_ii,
+            pos_ib=pos_ib,
+            pos_bi=pos_bi,
+            pos_bb=k[bb],
+            schur=schur,
+            st=st,
+            skel=skel[st.perm],
+            bnd=bnd,
+            lift=lift,
+            indptr=A.indptr.copy(),
+            indices=A.indices.copy(),
+        )
+
+
 class _CachedBandSolver:
     """Solve plug returned by :class:`CachedBandSolverFactory`."""
 
@@ -275,13 +416,35 @@ class BatchedBandSolver:
     :class:`~repro.backend.ExecutionBackend`; this wrapper owns the
     shared symbolic state and applies the RCM permutation once per solve
     call.
+
+    With a :class:`_Condensation` the cell-interior dofs are eliminated
+    at factor time: the backend factors only the skeleton Schur
+    complements (``st`` is the skeleton's band symbolic), and each slot
+    keeps its per-cell ``A_ii^-1``, ``A_ii^-1 A_ib`` and ``A_bi`` blocks.
+    :meth:`solve_many` then condenses the right-hand sides, solves the
+    skeleton through the same backend hook and back-substitutes the
+    interiors — an exact reordering of the same elimination.
     """
 
-    def __init__(self, st: _BandStructure, n: int, capacity: int, backend):
+    def __init__(
+        self,
+        st: _BandStructure,
+        n: int,
+        capacity: int,
+        backend,
+        cond: _Condensation | None = None,
+    ):
         self._st = st
+        self._cond = cond
         self.n = n
         self._backend = backend
-        self.engine, self._factors = backend.banded_alloc(st, n, capacity)
+        self._band_n = n if cond is None else cond.skel.size
+        self.engine, self._factors = backend.banded_alloc(st, self._band_n, capacity)
+        if cond is not None:
+            ne, m, p = cond.pos_ib.shape
+            self._ainv = np.empty((capacity, ne, m, m))
+            self._w = np.empty((capacity, ne, m, p))
+            self._abi = np.empty((capacity, ne, p, m))
 
     @property
     def batch_size(self) -> int:
@@ -308,21 +471,72 @@ class BatchedBandSolver:
         if rhs.ndim != 2 or rhs.shape[1] != self.n:
             raise ValueError(f"rhs must be (K, {self.n}), got {rhs.shape}")
         rows = self._slots(rows, rhs.shape[0])
-        st = self._st
-        rhs_p = np.ascontiguousarray(rhs[:, st.perm])
-        out = self._backend.banded_solve_many(
-            self.engine, self._factors, st, rhs_p, rows
+        st, c = self._st, self._cond
+        if c is None:
+            rhs_p = np.ascontiguousarray(rhs[:, st.perm])
+            out = self._backend.banded_solve_many(
+                self.engine, self._factors, st, rhs_p, rows
+            )
+            return out[:, st.iperm]
+        K = rhs.shape[0]
+        # y_i = A_ii^-1 b_i cell by cell; skeleton rhs b_b - sum_c A_bi y_i
+        y = np.einsum("kcij,kcj->kci", self._ainv[rows], rhs[:, c.interior])
+        corr = (self._abi[rows] @ y[..., None]).reshape(K, -1)
+        b = rhs[:, c.skel] - c.lift.dot(corr.T).T
+        xs = self._backend.banded_solve_many(
+            self.engine, self._factors, st, np.ascontiguousarray(b), rows
         )
-        return out[:, st.iperm]
+        out = np.empty_like(rhs)
+        out[:, c.skel] = xs
+        # back-substitution: x_i = y_i - A_ii^-1 A_ib x_b
+        out[:, c.interior] = y - (self._w[rows] @ xs[:, c.bnd, None])[..., 0]
+        return out
 
     def solve(self, index: int, b: np.ndarray) -> np.ndarray:
         """Solve the ``index``-th system for one right-hand side."""
-        st = self._st
-        b = np.asarray(b, dtype=float)
-        y = self._backend.banded_solve_one(
-            self.engine, self._factors[index], st, b[st.perm]
+        return self.solve_many(np.asarray(b, dtype=float)[None], [index])[0]
+
+    def _condense(self, data: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Eliminate the cell interiors of the matrices ``data (X, nnz)``:
+        keep their blocks in ``slots`` and return the CSR data ``(X,
+        nnz_s)`` of their skeleton Schur complements."""
+        c = self._cond
+        X = data.shape[0]
+        d = np.zeros((X, data.shape[1] + 1))  # position nnz reads zero
+        d[:, :-1] = data
+        ainv = _invert_interiors(d[:, c.pos_ii], slots)
+        w = ainv @ d[:, c.pos_ib]
+        abi = d[:, c.pos_bi]
+        self._ainv[slots] = ainv
+        self._w[slots] = w
+        self._abi[slots] = abi
+        corr = (abi @ w).reshape(X, -1)
+        return d[:, c.pos_bb] - c.schur.dot(corr.T).T
+
+
+def _invert_interiors(a: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Inverses of the ``(X, ne, m, m)`` interior blocks of the matrices
+    bound for ``slots``.  A singular block raises
+    :class:`numpy.linalg.LinAlgError` naming its slot and cell; a block
+    that is already non-finite propagates, as a non-finite matrix does
+    through the uncondensed LU."""
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            inv = np.empty_like(a)  # locate the singular blocks one by one
+            for idx in np.ndindex(a.shape[:2]):
+                try:
+                    inv[idx] = np.linalg.inv(a[idx])
+                except np.linalg.LinAlgError:
+                    inv[idx] = np.nan
+    bad = ~np.isfinite(inv).all(axis=(2, 3)) & np.isfinite(a).all(axis=(2, 3))
+    if bad.any():
+        k, cell = np.argwhere(bad)[0]
+        raise np.linalg.LinAlgError(
+            f"singular interior block in cell {cell} of slot {slots[k]}"
         )
-        return y[st.iperm]
+    return inv
 
 
 class CachedBandSolverFactory:
@@ -350,37 +564,41 @@ class CachedBandSolverFactory:
         self.symbolic_setups = 0
         self.symbolic_reuses = 0
 
-    def _structure(self, A: sp.csr_matrix) -> _BandStructure:
-        key = (A.shape[0], A.nnz, hash(A.indptr.tobytes()) ^ hash(A.indices.tobytes()))
-        st = self._cache.get(key)
-        if st is not None and np.array_equal(st.indptr, A.indptr) and np.array_equal(
-            st.indices, A.indices
-        ):
+    def _lookup(self, key, matches, build):
+        """LRU get-or-build of one symbolic setup, counted as a reuse or
+        a setup."""
+        entry = self._cache.get(key)
+        if entry is not None and matches(entry):
             self.symbolic_reuses += 1
-            return st
-        n = A.shape[0]
-        perm = rcm_permutation(A)
-        iperm = np.empty_like(perm)
-        iperm[perm] = np.arange(n)
-        row = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr))
-        pr = iperm[row]
-        pc = iperm[A.indices]
-        B = int(np.max(np.abs(pr - pc))) if A.nnz else 0
-        pos = pr * (2 * B + 1) + (B + pc - pr)
-        st = _BandStructure(
-            perm=perm,
-            iperm=iperm,
-            B=B,
-            pos=pos,
-            indptr=A.indptr.copy(),
-            indices=A.indices.copy(),
-        )
-        self._cache[key] = st
+            return entry
+        entry = build()
+        self._cache[key] = entry
         self._order.append(key)
         if len(self._order) > self.max_patterns:
             self._cache.pop(self._order.pop(0), None)
         self.symbolic_setups += 1
-        return st
+        return entry
+
+    @staticmethod
+    def _pattern_key(A: sp.csr_matrix) -> tuple:
+        return (A.shape[0], A.nnz, hash(A.indptr.tobytes()) ^ hash(A.indices.tobytes()))
+
+    def _structure(self, A: sp.csr_matrix) -> _BandStructure:
+        return self._lookup(
+            self._pattern_key(A),
+            lambda st: _same_pattern(st, A),
+            lambda: _band_structure(A),
+        )
+
+    def _condensation(self, A: sp.csr_matrix, interior: np.ndarray) -> _Condensation:
+        """The condensation symbolic of ``(A's pattern, interior)``, cached
+        beside the band structures; the skeleton's band structure lives
+        inside it."""
+        return self._lookup(
+            (self._pattern_key(A), hash(interior.tobytes())),
+            lambda c: _same_pattern(c, A) and np.array_equal(c.interior, interior),
+            lambda: _Condensation.build(A, interior),
+        )
 
     def __call__(self, A: sp.spmatrix) -> _CachedBandSolver:
         A = sp.csr_matrix(A)
@@ -403,6 +621,7 @@ class CachedBandSolverFactory:
         into: BatchedBandSolver | None = None,
         rows=None,
         capacity: int | None = None,
+        interior: np.ndarray | None = None,
     ) -> BatchedBandSolver:
         """Factor ``X`` matrices sharing ``template``'s sparsity pattern.
 
@@ -423,6 +642,12 @@ class CachedBandSolverFactory:
         names one from an earlier call, whose slots ``rows`` are then
         (re)filled in place, on its backend — how a step is factored
         block by block, and how single systems are refreshed later.
+
+        ``interior`` (``(ne, m)`` dof ids, each cell's interior dofs, e.g.
+        :attr:`ScatterMap.interior`) statically condenses them: each
+        slot's interior blocks are kept beside its factored skeleton
+        Schur complement (see :class:`BatchedBandSolver`), and a refill
+        replaces both.
         """
         template = sp.csr_matrix(template)
         data = np.ascontiguousarray(data, dtype=float)
@@ -430,7 +655,11 @@ class CachedBandSolverFactory:
             raise ValueError(
                 f"data must be (X, {template.nnz}), got {data.shape}"
             )
-        st = self._structure(template)
+        if interior is None:
+            cond, st = None, self._structure(template)
+        else:
+            cond = self._condensation(template, np.asarray(interior))
+            st = cond.st
         X = data.shape[0]
         self.symbolic_reuses += max(0, X - 1)
         if into is None:
@@ -439,16 +668,25 @@ class CachedBandSolverFactory:
 
                 backend = get_backend("numpy")
             into = BatchedBandSolver(
-                st, template.shape[0], X if capacity is None else capacity, backend
+                st,
+                template.shape[0],
+                X if capacity is None else capacity,
+                backend,
+                cond,
             )
         elif into._st is not st:
-            raise ValueError("into was factored for a different sparsity pattern")
+            raise ValueError(
+                "into was factored for a different sparsity pattern or interior"
+            )
+        slots = into._slots(rows, X)
+        if cond is not None:
+            data = into._condense(data, slots)
         into._backend.banded_factor_many(
             st,
-            into.n,
+            into._band_n,
             data,
             into._factors,
-            into._slots(rows, X),
+            slots,
             pivot_tol=self.pivot_tol,
         )
         return into

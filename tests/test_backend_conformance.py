@@ -4,8 +4,9 @@ Every registered backend is exercised against the numpy reference on a
 two-species quench vertex, stage by stage: packed pair-table build,
 on-the-fly row-block field tensors, the two batched element-contraction
 specs, the CSR scatter-apply, the banded factor/solve and the resident
-factor stack with subset solves — each to <= 1e-12 (relative to the
-stage's max magnitude).  The numba legs are
+factor stack with subset solves, plain and with the Q3 cell interiors
+statically condensed — each to <= 1e-12 (relative to the stage's max
+magnitude).  The numba legs are
 *explicit skip-marked parameters* when numba is absent, so a container
 without numba reports visible skips instead of silently shrinking the
 matrix.
@@ -243,6 +244,46 @@ class TestStageConformance:
             solver.solve_many(rhs[:1], rows=[8])
         with pytest.raises(ValueError):
             solver.solve_many(rhs[:2], rows=[0])
+
+    @pytest.mark.parametrize("name", BACKEND_PARAMS)
+    def test_condensed_resident_factors_subset_solve(
+        self, ed_fs, quench_op, quench_fields, name
+    ):
+        """The same slot choreography with the Q3 cell interiors
+        condensed out: only the skeleton Schur complements go through the
+        backend's factor/solve hooks."""
+        interior = get_scatter_map(ed_fs).interior
+        M = quench_op.mass_matrix.tocsr()
+        L = quench_op.jacobian(quench_fields)[0].tocsr()
+        template = (M - 0.05 * L).tocsr()
+        data = np.stack([template.data * (1.0 + 0.01 * x) for x in range(6)])
+        rng = np.random.default_rng(5)
+        rhs = rng.standard_normal((6, template.shape[0]))
+        ref = CachedBandSolverFactory().factor_batch(
+            template, data, backend=NumpyBackend(), interior=interior
+        ).solve_many(rhs)
+
+        factory = CachedBandSolverFactory()
+        slots = np.array([5, 0, 3, 7, 1])
+        solver = factory.factor_batch(
+            template,
+            data[:3],
+            backend=_backend(name),
+            rows=slots[:3],
+            capacity=8,
+            interior=interior,
+        )
+        factory.factor_batch(
+            template, data[3:5], into=solver, rows=slots[3:], interior=interior
+        )
+        factory.factor_batch(
+            template, data[5:], into=solver, rows=[3], interior=interior
+        )  # refill
+        pick_slots = np.array([3, 7, 5, 1])
+        pick_mats = np.array([5, 3, 0, 4])
+        got = solver.solve_many(rhs[pick_mats], rows=pick_slots)
+        _assert_close(got, ref[pick_mats], f"{name} condensed solve_many")
+        _assert_close(solver.solve(7, rhs[3]), ref[3], f"{name} condensed solve")
 
     @pytest.mark.parametrize("name", BACKEND_PARAMS)
     def test_full_jacobian(self, ed_fs, ed_species, quench_fields, name):
