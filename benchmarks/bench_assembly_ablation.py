@@ -4,30 +4,15 @@ Three contention-resolution strategies for GPU finite element assembly —
 atomics, graph coloring, domain decomposition — plus PETSc's two-phase
 MatSetValues and the preallocated COO path.  This bench measures our
 implementations of the first two and both insertion interfaces, and checks
-they all produce the same matrix.
-
-Run as a script for the old-vs-new operator-assembly ablation
-(structure caching + packed pair tables against the seed's per-build
-COO scatter + strided table views)::
-
-    PYTHONPATH=src python benchmarks/bench_assembly_ablation.py \
-        [--tiny] [--repeats N] [--out BENCH_assembly.json]
-
-The full run asserts the >= 2x repeated-``jacobian()`` speedup and the
-1e-12 agreement between the two paths; ``--tiny`` (the CI smoke mode)
-only checks agreement and JSON well-formedness.
+they all produce the same matrix; ``test_jacobian_structure_cached`` times
+the operator's repeated ``jacobian()`` build through the cached scatter
+structure.
 """
-
-import argparse
-import json
-import time
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core import AssemblyOptions, LandauOperator, SpeciesSet, deuterium, electron
-from repro.core.maxwellian import species_maxwellian
-from repro.fem import FunctionSpace, Mesh
+from repro.core import LandauOperator
 from repro.fem.assembly import assemble_mass, element_mass_blocks
 from repro.sparse import CooAssembler, PetscLikeMat, colored_assembly_plan
 
@@ -107,117 +92,9 @@ def test_colored_assembly(benchmark, ed_system):
     print(f"\ncolors used: {len(plan)} for {fs.nelem} elements")
 
 
-# ----------------------------------------------------------------------
-# old-vs-new operator assembly ablation (structure caching + packed tables)
-
-
-def _ablation_system(tiny: bool):
-    spc = SpeciesSet([electron(), deuterium()])
-    if tiny:
-        vmax = 3.0 * max(s.thermal_velocity for s in spc)
-        mesh = Mesh.structured(2, 2, r_max=vmax, z_min=-vmax, z_max=vmax)
-        fs = FunctionSpace(mesh, order=2)
-    else:
-        from repro.amr import landau_mesh
-
-        mesh = landau_mesh([s.thermal_velocity for s in spc])
-        fs = FunctionSpace(mesh, order=3)
-    fields = [fs.interpolate(species_maxwellian(s)) for s in spc]
-    return fs, spc, fields
-
-
-def _time_jacobian(op, fields, repeats: int) -> float:
-    """Mean seconds per repeated ``jacobian()`` build (post-warmup)."""
-    op.jacobian(fields)  # warmup: builds tables / structures once
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        op.jacobian(fields)
-    return (time.perf_counter() - t0) / repeats
-
-
-def _max_rel_diff(J_a, J_b) -> float:
-    worst = 0.0
-    for a, b in zip(J_a, J_b):
-        scale = max(abs(b).max(), 1e-300)
-        worst = max(worst, abs(a - b).max() / scale)
-    return float(worst)
-
-
-def run_ablation(tiny: bool = False, repeats: int = 10) -> dict:
-    """Old (seed-equivalent) vs new (cached/packed) repeated jacobian builds."""
-    fs, spc, fields = _ablation_system(tiny)
-    op_old = LandauOperator(fs, spc, options=AssemblyOptions.legacy())
-    op_new = LandauOperator(fs, spc)  # defaults: structure cache + packed tables
-
-    max_rel_diff = _max_rel_diff(op_new.jacobian(fields), op_old.jacobian(fields))
-    t_old = _time_jacobian(op_old, fields, repeats)
-    t_new = _time_jacobian(op_new, fields, repeats)
-
-    return {
-        "benchmark": "assembly_ablation",
-        "tiny": bool(tiny),
-        "mesh": {
-            "cells": int(fs.nelem),
-            "integration_points": int(fs.n_integration_points),
-            "ndofs": int(fs.ndofs),
-            "species": len(spc),
-        },
-        "repeats": int(repeats),
-        "old": {
-            "label": "legacy: per-build COO scatter + strided table views",
-            "jacobian_seconds": t_old,
-        },
-        "new": {
-            "label": "cached structure + packed pair tables",
-            "jacobian_seconds": t_new,
-            "structure_reuses": op_new.counters["structure_reuses"],
-        },
-        "speedup": t_old / t_new if t_new > 0 else float("inf"),
-        "max_rel_diff": max_rel_diff,
-        "options": {
-            "old": "AssemblyOptions.legacy()",
-            "new": "AssemblyOptions.from_env()",
-        },
-    }
-
-
-def test_jacobian_legacy(benchmark, ed_system):
-    """Seed-equivalent repeated jacobian: COO scatter + strided views."""
-    fs, spc, op, fields = ed_system
-    op_old = LandauOperator(fs, spc, options=AssemblyOptions.legacy())
-    op_old.jacobian(fields)
-    benchmark(op_old.jacobian, fields)
-
-
 def test_jacobian_structure_cached(benchmark, ed_system):
-    """Cached-structure/packed-table repeated jacobian (the new default)."""
+    """Repeated jacobian through the cached structure and packed tables."""
     fs, spc, op, fields = ed_system
-    op_new = LandauOperator(fs, spc)
-    op_new.jacobian(fields)
-    benchmark(op_new.jacobian, fields)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tiny", action="store_true", help="CI smoke mode: tiny mesh, no speedup assertion")
-    ap.add_argument("--repeats", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_assembly.json")
-    args = ap.parse_args(argv)
-
-    result = run_ablation(tiny=args.tiny, repeats=args.repeats)
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2)
-    print(json.dumps(result, indent=2))
-
-    if result["max_rel_diff"] > 1e-12:
-        print(f"FAIL: paths disagree (max rel diff {result['max_rel_diff']:.3e})")
-        return 1
-    if not args.tiny and result["speedup"] < 2.0:
-        print(f"FAIL: speedup {result['speedup']:.2f}x below the 2x acceptance bar")
-        return 1
-    print(f"OK: speedup {result['speedup']:.2f}x, max rel diff {result['max_rel_diff']:.3e}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    op = LandauOperator(fs, spc)
+    op.jacobian(fields)
+    benchmark(op.jacobian, fields)

@@ -13,14 +13,15 @@ the numbers a user of this library actually experiences:
 
 import numpy as np
 
-from repro.core import ImplicitLandauSolver, LandauOperator
+from repro.core import AssemblyOptions, ImplicitLandauSolver, LandauOperator
 from repro.core.kernel_cuda import CudaLandauJacobian
 from repro.gpu import CudaMachine
 
 
 def test_pair_table_build(benchmark, ed_system):
     fs, spc, op, fields = ed_system
-    result = benchmark(lambda: LandauOperator(fs, spc, cache_pair_tables=True))
+    options = AssemblyOptions(cache_pair_tables=True)
+    result = benchmark(lambda: LandauOperator(fs, spc, options=options))
     assert result.pair_tables_cached
 
 

@@ -137,10 +137,8 @@ class BatchedVertexSolver:
         default ``2`` roughly halves the sweep count at identical fixed
         points — each vertex mixes its own flattened ``(S, ndofs)`` state).
     options:
-        assembly configuration; the default (structure caching on) enables
-        the batched assembly + shared-symbolic band factorization fast
-        path.  With ``cache_structure=False`` the same factor-once sweep
-        runs on per-vertex element assembly and per-system band factors.
+        assembly configuration of the shared operator (thread count,
+        table caching, memory budget, backend).
 
     After each :meth:`step`, ``last_converged`` holds the per-vertex
     convergence mask and ``last_sweeps`` the sweep count at which each
@@ -181,31 +179,19 @@ class BatchedVertexSolver:
         ``resident=None`` allocates it, with ``rows`` naming every vertex
         of the batch.
 
-        With structure caching the systems are assembled
+        The systems are assembled
         (:meth:`LandauOperator.species_data_batch`) and factored in
         vertex blocks straight into the preallocated slots of the
         shared-symbolic batched band LU, so assembly temporaries are
         O(block) and the factors are the only O(batch) state; with at
         least :data:`CONDENSE_MIN_INTERIOR` interior nodes per cell the
         interiors are condensed out and only the skeleton is factored
-        (a refill replaces a slot's interior blocks with it).  Without
-        it each (vertex, species) system is assembled per element and
-        factored through the same cached band factory — one iteration,
-        two granularities.
+        (a refill replaces a slot's interior blocks with it).
         """
         op = self.op
         M = op.mass_matrix
         S = len(self.species)
         self.stats.factorizations += S * rows.size
-        if op.scatter_map is None:
-            if resident is None:
-                resident = [None] * rows.size
-            for k, x in enumerate(rows):
-                resident[x] = [
-                    self._factory(M - dt * L)
-                    for L in op.species_matrices(G_D[k], G_K[k])
-                ]
-            return resident
         capacity = S * rows.size
         species = np.arange(S)[:, None]
         interior = op.scatter_map.interior
@@ -232,12 +218,6 @@ class BatchedVertexSolver:
         against their resident factors; ``rhs`` and the result are
         ``(len(rows), S, n)``."""
         S = len(self.species)
-        if self.op.scatter_map is None:
-            out = np.empty_like(rhs)
-            for k, x in enumerate(rows):
-                for s_idx in range(S):
-                    out[k, s_idx] = resident[x][s_idx](rhs[k, s_idx])
-            return out
         slots = (rows[:, None] * S + np.arange(S)).ravel()
         return resident.solve_many(
             rhs.reshape(slots.size, -1), rows=slots

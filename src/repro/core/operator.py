@@ -20,12 +20,11 @@ O(N^2 S^2).
 The pair tables U^D/U^K depend only on quadrature geometry, so on the CPU
 they are computed once per mesh and cached.  Two exact symmetries of the
 axisymmetric tensors — ``U^K_rz == U^D_rz`` and ``U^K_zz == U^D_zz`` —
-mean only *five* distinct ``N x N`` components exist; the default packed
-layout stores exactly those five, contiguously, so the field computation
-is a handful of contiguous BLAS contractions (the legacy layout kept
-seven strided views into the full ``(N, N, 2, 2)`` tensors).  The CUDA-
-model kernel (:mod:`repro.core.kernel_cuda`) instead recomputes the
-tensors on the fly exactly as Algorithm 1 does on a GPU — the two paths
+mean only *five* distinct ``N x N`` components exist; the cache stores
+exactly those five, contiguously, so the field computation is a handful
+of contiguous BLAS contractions.  The CUDA-model kernel
+(:mod:`repro.core.kernel_cuda`) instead recomputes the tensors on the
+fly exactly as Algorithm 1 does on a GPU — the two paths
 are verified against each other in the test suite
 (``tests/test_backend_equivalence.py``).
 
@@ -38,8 +37,9 @@ first row only and serves the pairs below it through the exchange
 symmetry of the tensors, so a launch evaluates about ``N^2 / 2`` pairs.
 Blocks are cut by pair count (:meth:`LandauOperator._row_blocks`).
 
-Assembly behaviour (structure caching, packed tables, thread counts,
-table precision, memory budget) is configured by
+Every matrix build is a ``data`` update through the mesh's cached
+element→CSR scatter structure (:func:`repro.fem.assembly.get_scatter_map`).
+Thread counts, table caching and the memory budget are configured by
 :class:`repro.core.options.AssemblyOptions`; the operator's ``counters``
 dict records structure reuses and parallel builds for
 :class:`repro.core.solver.NewtonStats`.
@@ -50,14 +50,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..fem.assembly import (
-    assemble_coefficient_operator,
-    assemble_mass,
-    element_mass_blocks,
-    get_scatter_map,
-)
+from ..fem.assembly import element_mass_blocks, get_scatter_map
 from ..fem.function_space import FunctionSpace
-from .landau_tensor import landau_tensors_cyl, shared_block_scratch
+from .landau_tensor import shared_block_scratch
 from .options import ONTHEFLY_BYTES_PER_PAIR, AssemblyOptions, PairTableMemoryError
 from .species import SpeciesSet
 
@@ -84,11 +79,9 @@ class LandauOperator:
         the species set; charges/masses set the per-species scalings.
     nu0:
         collision prefactor; 1.0 in code units (``nu_ee = 1``).
-    cache_pair_tables:
-        force (True/False) or auto-decide (None) caching of the O(N^2)
-        tensor tables; overrides ``options.cache_pair_tables``.
     options:
-        assembly configuration; defaults to
+        assembly configuration (thread count, caching of the O(N^2)
+        tensor tables, memory budget, backend); defaults to
         :meth:`AssemblyOptions.from_env`.
     """
 
@@ -97,7 +90,6 @@ class LandauOperator:
         fs: FunctionSpace,
         species: SpeciesSet,
         nu0: float = 1.0,
-        cache_pair_tables: bool | None = None,
         options: AssemblyOptions | None = None,
     ):
         self.fs = fs
@@ -120,8 +112,7 @@ class LandauOperator:
         self.z = fs.qpoints[:, :, 1].reshape(N)
         self.w = fs.qweights.reshape(N)
 
-        if cache_pair_tables is None:
-            cache_pair_tables = self.options.cache_pair_tables
+        cache_pair_tables = self.options.cache_pair_tables
         table_bytes = self.options.table_bytes(N)
         if cache_pair_tables is None:
             cache_pair_tables = table_bytes <= self.options.memory_budget
@@ -130,19 +121,13 @@ class LandauOperator:
                 f"cached pair tables need {table_bytes / 1e6:.2f} MB for "
                 f"N={N} integration points, above the assembly memory budget "
                 f"of {self.options.memory_budget / 1e6:.2f} MB; raise "
-                "AssemblyOptions.memory_budget (REPRO_ASSEMBLY_MEMORY_BUDGET), "
-                "use table_dtype='float32', or leave cache_pair_tables=None "
-                "to fall back to chunked on-the-fly evaluation"
+                "AssemblyOptions.memory_budget (REPRO_ASSEMBLY_MEMORY_BUDGET) "
+                "or leave cache_pair_tables=None to fall back to chunked "
+                "on-the-fly evaluation"
             )
 
-        self._tables: dict[str, np.ndarray] | None = None  # legacy layout
-        self._packed: np.ndarray | None = None  # (5, N, N) packed layout
-        if cache_pair_tables:
-            if self.options.packed_tables:
-                self._packed = self._build_packed_tables()
-            else:
-                self._tables = self._build_pair_tables()
-        self._scatter = get_scatter_map(fs) if self.options.cache_structure else None
+        self._packed = self._build_tables() if cache_pair_tables else None
+        self._scatter = get_scatter_map(fs)
         self._mass: sp.csr_matrix | None = None
         self._projector: sp.csr_matrix | None = None
         # per-species source weights of eq. (10) and weak-form scalings
@@ -154,21 +139,6 @@ class LandauOperator:
         self._fac_d = -self.nu0 * z2 / species.masses**2
 
     # ------------------------------------------------------------------
-    def _build_pair_tables(self) -> dict[str, np.ndarray]:
-        """Legacy cache: 7 component views of U^D/U^K over all point pairs."""
-        UD, UK = landau_tensors_cyl(
-            self.r[:, None], self.z[:, None], self.r[None, :], self.z[None, :]
-        )
-        return {
-            "Drr": UD[..., 0, 0],
-            "Drz": UD[..., 0, 1],
-            "Dzz": UD[..., 1, 1],
-            "Krr": UK[..., 0, 0],
-            "Krz": UK[..., 0, 1],
-            "Kzr": UK[..., 1, 0],
-            "Kzz": UK[..., 1, 1],
-        }
-
     def _row_blocks(self, N: int) -> list[tuple[int, int]]:
         """Row blocks ``[i0, i1)`` covering ``[0, N)`` for the O(N^2)
         table/field work.  Block ``[i0, i1)`` evaluates the pairs
@@ -193,12 +163,12 @@ class LandauOperator:
             i0 = i1
         return blocks
 
-    def _build_packed_tables(self) -> np.ndarray:
+    def _build_tables(self) -> np.ndarray:
         """Cache the 5 unique components contiguously; row blocks are
         dispatched through the backend (a block stores its own entries
         and their mirror images, disjoint from every other block's)."""
         N = self.N
-        out = np.empty((5, N, N), dtype=self.options.dtype)
+        out = np.empty((5, N, N))
 
         def fill(i0: int, i1: int) -> None:
             self.backend.pair_table_rows(out, self.r, self.z, i0, i1)
@@ -209,12 +179,12 @@ class LandauOperator:
 
     @property
     def pair_tables_cached(self) -> bool:
-        return self._tables is not None or self._packed is not None
+        return self._packed is not None
 
     @property
     def packed_table_buffer(self) -> np.ndarray | None:
         """The packed ``(5, N, N)`` pair-table buffer in ``_PACKED``
-        component order, or ``None`` (legacy layout / tables not cached)."""
+        component order, or ``None`` (tables not cached)."""
         return self._packed
 
     # ------------------------------------------------------------------
@@ -246,41 +216,24 @@ class LandauOperator:
 
         Inputs have shape ``(N, K)`` (``K`` = 1 for a single state, B for
         a batch).  Returns ``(Drr_TD, Drz_TD, Dzz_TD, Krr_Kr, Kzr_Kr,
-        Krz_Kz, Kzz_Kz)``, each ``(N, K)`` float64.  Requires cached
-        tables.
+        Krz_Kz, Kzz_Kz)``, each ``(N, K)``.  Requires cached tables.
         """
         mm = self.backend.matmul
-        if self._packed is not None:
-            P = self._packed
-            dt = P.dtype
-            K = wTD.shape[1]
-            # Krz == Drz and Kzz == Dzz: evaluate both sources against the
-            # shared table in one contraction so each table streams once
-            rhs_dk = np.concatenate([wTD, wTKz], axis=1).astype(dt, copy=False)
-            rhs_d = rhs_dk[:, :K]
-            rhs_k = wTKr.astype(dt, copy=False)
-            Y_rz = mm(P[1], rhs_dk)  # (N, 2K): Drz@wTD | Krz@wTKz
-            Y_zz = mm(P[2], rhs_dk)  # (N, 2K): Dzz@wTD | Kzz@wTKz
-            return (
-                mm(P[0], rhs_d).astype(np.float64, copy=False),
-                Y_rz[:, :K].astype(np.float64, copy=False),
-                Y_zz[:, :K].astype(np.float64, copy=False),
-                mm(P[3], rhs_k).astype(np.float64, copy=False),
-                mm(P[4], rhs_k).astype(np.float64, copy=False),
-                Y_rz[:, K:].astype(np.float64, copy=False),
-                Y_zz[:, K:].astype(np.float64, copy=False),
-            )
-        t = self._tables
-        if t is None:
-            raise RuntimeError("table products require cached pair tables")
+        P = self._packed
+        K = wTD.shape[1]
+        # Krz == Drz and Kzz == Dzz: evaluate both sources against the
+        # shared table in one contraction so each table streams once
+        rhs_dk = np.concatenate([wTD, wTKz], axis=1)
+        Y_rz = mm(P[1], rhs_dk)  # (N, 2K): Drz@wTD | Krz@wTKz
+        Y_zz = mm(P[2], rhs_dk)  # (N, 2K): Dzz@wTD | Kzz@wTKz
         return (
-            mm(t["Drr"], wTD),
-            mm(t["Drz"], wTD),
-            mm(t["Dzz"], wTD),
-            mm(t["Krr"], wTKr),
-            mm(t["Kzr"], wTKr),
-            mm(t["Krz"], wTKz),
-            mm(t["Kzz"], wTKz),
+            mm(P[0], rhs_dk[:, :K]),
+            Y_rz[:, :K],
+            Y_zz[:, :K],
+            mm(P[3], wTKr),
+            mm(P[4], wTKr),
+            Y_rz[:, K:],
+            Y_zz[:, K:],
         )
 
     @staticmethod
@@ -412,12 +365,8 @@ class LandauOperator:
         on first use."""
         if self._projector is None:
             fs = self.fs
-            gphys = (
-                self._scatter.gphys
-                if self._scatter is not None
-                else np.einsum("qbd,ed->eqbd", fs.Dref, fs.inv_jac)
-            )
-            wg = fs.qweights[:, :, None, None] * gphys  # (e, q, a, d)
+            # (e, q, a, d)
+            wg = fs.qweights[:, :, None, None] * self._scatter.gphys
             N = self.N
             rows = np.broadcast_to(
                 fs.dofmap.cell_nodes[:, None, :, None], wg.shape
@@ -480,25 +429,6 @@ class LandauOperator:
         K_q = (self._fac_k[s_index] * G_K).reshape(ne, nq, 2)
         return D_q, K_q
 
-    def species_matrix(
-        self, s_index: int, G_D: np.ndarray, G_K: np.ndarray
-    ) -> sp.csr_matrix:
-        """The frozen-coefficient collision matrix ``L_a`` for one species,
-        such that ``M df_a/dt = L_a f_a`` (plus field/source terms)."""
-        D_q, K_q = self.species_coefficients(s_index, G_D, G_K)
-        return assemble_coefficient_operator(
-            self.fs,
-            D_q,
-            K_q,
-            structure=self._scatter_for_build(),
-            backend=self.backend,
-        )
-
-    def _scatter_for_build(self):
-        if self._scatter is not None:
-            self.counters["structure_reuses"] += 1
-        return self._scatter
-
     def species_data_batch(
         self, G_D: np.ndarray, G_K: np.ndarray
     ) -> np.ndarray:
@@ -515,13 +445,9 @@ class LandauOperator:
         element blocks are contracted once for the whole batch (through
         :meth:`ExecutionBackend.contract`), scattered once each through
         the cached structure, and the S·X data rows are axpy combinations
-        sharing one sparsity.  Requires structure caching.
+        sharing one sparsity.
         """
         sm = self._scatter
-        if sm is None:
-            raise RuntimeError(
-                "batched assembly requires AssemblyOptions.cache_structure"
-            )
         fs = self.fs
         ne, nq = fs.qweights.shape
         X = G_D.shape[0]
@@ -558,22 +484,16 @@ class LandauOperator:
     def species_matrices(
         self, G_D: np.ndarray, G_K: np.ndarray
     ) -> list[sp.csr_matrix]:
-        """All species' collision matrices for given fields — the
-        ``X = 1`` slice of :meth:`species_data_batch` wrapped in the
-        cached CSR structure (per-element assembly when structure caching
-        is off)."""
-        if self._scatter is None:
-            return [
-                self.species_matrix(a, G_D, G_K)
-                for a in range(len(self.species))
-            ]
+        """All species' frozen-coefficient collision matrices ``L_a``
+        (``M df_a/dt = L_a f_a`` plus field/source terms) for given
+        fields — the ``X = 1`` slice of :meth:`species_data_batch`
+        wrapped in the cached CSR structure."""
         data = self.species_data_batch(G_D[None], G_K[None])
         return [self._scatter.matrix(data[a, 0]) for a in range(len(self.species))]
 
     @property
     def scatter_map(self):
-        """The cached element→CSR scatter structure (``None`` when
-        structure caching is off)."""
+        """The mesh's cached element→CSR scatter structure."""
         return self._scatter
 
     def jacobian(self, fields: list[np.ndarray]) -> list[sp.csr_matrix]:
@@ -596,12 +516,8 @@ class LandauOperator:
     def mass_matrix(self) -> sp.csr_matrix:
         """The (r-weighted) mass matrix, cached."""
         if self._mass is None:
-            if self._scatter is not None:
-                self._mass = self._scatter_for_build().assemble(
-                    element_mass_blocks(self.fs)
-                )
-            else:
-                self._mass = assemble_mass(self.fs)
+            self.counters["structure_reuses"] += 1
+            self._mass = self._scatter.assemble(element_mass_blocks(self.fs))
         return self._mass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,37 +1,31 @@
-"""Configuration of the operator-assembly fast path.
+"""Configuration of the operator-assembly pipeline.
 
-:class:`AssemblyOptions` bundles the knobs of the cached/parallel assembly
-pipeline introduced for the Algorithm-1 hot loop:
+The assembly has one shape: the element→CSR scatter map is built once per
+mesh (:class:`repro.fem.assembly.ScatterMap`) so every Jacobian/mass build
+is a pure ``data`` update, and the cached pair tables hold the five
+distinct ``N x N`` float64 components of ``U^D``/``U^K`` contiguously
+(the rz-symmetries ``U^K_rz == U^D_rz`` and ``U^K_zz == U^D_zz`` leave no
+more).  :class:`AssemblyOptions` bundles what is selectable:
 
-* **structure caching** — precompute the element→CSR scatter map once per
-  mesh (:class:`repro.fem.assembly.ScatterMap`) so every subsequent
-  Jacobian/mass build is a pure ``data`` update with no sparse-structure
-  work, shared across species and Newton iterations; the band solver
-  likewise reuses its RCM ordering and band symbolic setup between
-  refactorizations (:class:`repro.sparse.band.CachedBandSolverFactory`).
-* **packed pair tables** — store the unique components of ``U^D``/``U^K``
-  contiguously.  The rz-symmetries ``U^K_rz == U^D_rz`` and
-  ``U^K_zz == U^D_zz`` leave only five distinct ``N x N`` tables (instead
-  of seven strided views into the ``(N, N, 2, 2)`` tensors), cutting both
-  the memory footprint and — because the contractions become contiguous
-  BLAS calls — the per-iteration field cost by several times.
 * **parallel builds** — dispatch the O(N^2) table build and the chunked
   on-the-fly field path in row blocks over a thread pool (numpy releases
   the GIL inside the row-block kernel's array operations).
 * **memory budgeting** — a single byte budget replaces the hard-coded
   ``5e7`` chunk constant: it sizes the on-the-fly row chunks and guards
   the cached-table build with a clear error instead of a ``MemoryError``.
+* **table caching** — cache the O(N^2) tables or recompute the tensors
+  on the fly every launch (the paper's regime).
+* **execution backend** — see :mod:`repro.backend`.
 
-Every knob has an environment override (prefix ``REPRO_ASSEMBLY_``) so
-runs can be reconfigured without touching driver code.
+Every knob has an environment override (prefix ``REPRO_ASSEMBLY_``, and
+``REPRO_BACKEND``) so runs can be reconfigured without touching driver
+code.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from .landau_tensor import PAIR_BLOCK_PLANES
 
@@ -56,18 +50,6 @@ class PairTableMemoryError(RuntimeError):
     """
 
 
-def _env_bool(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    val = raw.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{name} must be a boolean flag, got {raw!r}")
-
-
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
@@ -80,23 +62,13 @@ def _env_int(name: str, default: int) -> int:
 
 @dataclass(frozen=True)
 class AssemblyOptions:
-    """Knobs for the cached/parallel operator-assembly fast path.
+    """Knobs of the operator-assembly pipeline.
 
     Parameters
     ----------
-    cache_structure:
-        precompute and reuse the element→CSR scatter map (and the band
-        solver's RCM/symbolic setup) across species and Newton iterations.
-    packed_tables:
-        store the five unique pair-table components contiguously instead
-        of the legacy seven strided tensor views.
     num_threads:
         row-block thread count for the table build and the chunked
         on-the-fly field path; ``0`` or ``1`` runs serially.
-    table_dtype:
-        ``"float64"`` (default) or ``"float32"`` for the cached tables —
-        the low-precision mode halves memory traffic for runs that can
-        tolerate single-precision field sums.
     memory_budget:
         byte budget for cached tables and on-the-fly chunk sizing.
     cache_pair_tables:
@@ -110,19 +82,12 @@ class AssemblyOptions:
         ``num_threads > 1`` and the serial reference otherwise.
     """
 
-    cache_structure: bool = True
-    packed_tables: bool = True
     num_threads: int = 0
-    table_dtype: str = "float64"
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     cache_pair_tables: bool | None = None
     backend: str = "auto"
 
     def __post_init__(self):
-        if self.table_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"table_dtype must be 'float64' or 'float32', got {self.table_dtype!r}"
-            )
         if self.num_threads < 0:
             raise ValueError(f"num_threads must be >= 0, got {self.num_threads}")
         if self.memory_budget <= 0:
@@ -137,22 +102,15 @@ class AssemblyOptions:
     def from_env(cls, **overrides) -> "AssemblyOptions":
         """Defaults with ``REPRO_ASSEMBLY_*`` environment overrides applied.
 
-        Recognized variables: ``REPRO_ASSEMBLY_CACHE_STRUCTURE``,
-        ``REPRO_ASSEMBLY_PACKED_TABLES``, ``REPRO_ASSEMBLY_THREADS``,
-        ``REPRO_ASSEMBLY_TABLE_DTYPE``, ``REPRO_ASSEMBLY_MEMORY_BUDGET``,
-        ``REPRO_ASSEMBLY_CACHE_TABLES`` (``auto``/``1``/``0``) and
-        ``REPRO_BACKEND`` (``auto``/``numpy``/``threaded``/``numba``).
+        Recognized variables: ``REPRO_ASSEMBLY_THREADS``,
+        ``REPRO_ASSEMBLY_MEMORY_BUDGET``, ``REPRO_ASSEMBLY_CACHE_TABLES``
+        (``auto``/``1``/``0``) and ``REPRO_BACKEND`` (``auto``/``numpy``/``threaded``/``numba``).
         Keyword arguments win over the environment.
         """
         values = {
             "backend": os.environ.get("REPRO_BACKEND", "auto").strip().lower()
             or "auto",
-            "cache_structure": _env_bool("REPRO_ASSEMBLY_CACHE_STRUCTURE", True),
-            "packed_tables": _env_bool("REPRO_ASSEMBLY_PACKED_TABLES", True),
             "num_threads": _env_int("REPRO_ASSEMBLY_THREADS", 0),
-            "table_dtype": os.environ.get(
-                "REPRO_ASSEMBLY_TABLE_DTYPE", "float64"
-            ).strip(),
             "memory_budget": _env_int(
                 "REPRO_ASSEMBLY_MEMORY_BUDGET", DEFAULT_MEMORY_BUDGET
             ),
@@ -171,22 +129,7 @@ class AssemblyOptions:
         values.update(overrides)
         return cls(**values)
 
-    @classmethod
-    def legacy(cls) -> "AssemblyOptions":
-        """The seed code path: per-build COO→CSR scatter, seven strided
-        table views, serial builds.  Used as the ablation baseline."""
-        return cls(
-            cache_structure=False,
-            packed_tables=False,
-            num_threads=0,
-            table_dtype="float64",
-        )
-
     # ------------------------------------------------------------------
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(self.table_dtype)
-
     def resolved_threads(self) -> int:
         """Effective worker count (>= 1)."""
         return max(1, int(self.num_threads))
@@ -206,14 +149,9 @@ class AssemblyOptions:
         return get_backend(self.backend, self.resolved_threads())
 
     def table_bytes(self, n_ip: int) -> int:
-        """Bytes a cached table set would occupy for ``n_ip`` points."""
-        ncomp = 5 if self.packed_tables else 7
-        itemsize = self.dtype.itemsize
-        # the legacy layout keeps views into the full (N, N, 2, 2) UD/UK
-        # tensors, so it actually pins 8 components in memory
-        if not self.packed_tables:
-            ncomp = 8
-        return ncomp * n_ip * n_ip * itemsize
+        """Bytes the cached ``(5, N, N)`` float64 tables occupy for
+        ``n_ip`` points."""
+        return 5 * n_ip * n_ip * 8
 
     def row_chunk(self, n_ip: int) -> int:
         """On-the-fly evaluation row-chunk size within the memory budget."""

@@ -155,18 +155,11 @@ class ImplicitLandauSolver:
         elif linear_solver == "splu":
             self._factor = _splu_factory
         elif linear_solver == "band":
-            if getattr(operator, "options", None) is not None and (
-                operator.options.cache_structure
-            ):
-                # reuse the RCM ordering and band symbolic setup between
-                # refactorizations — the Jacobian sparsity is fixed
-                from ..sparse.band import CachedBandSolverFactory
+            # reuse the RCM ordering and band symbolic setup between
+            # refactorizations — the Jacobian sparsity is fixed
+            from ..sparse.band import CachedBandSolverFactory
 
-                self._factor = CachedBandSolverFactory()
-            else:
-                from ..sparse.band import band_solver_factory
-
-                self._factor = band_solver_factory
+            self._factor = CachedBandSolverFactory()
         elif linear_solver == "fallback":
             from ..resilience.fallback import FallbackSolverChain
 

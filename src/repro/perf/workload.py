@@ -192,7 +192,7 @@ def build_paper_workload(
     # real Jacobian -> band factor/solve flop counts (all S blocks share
     # the single-species pattern: the I_S (x) A_1 structure)
     op = LandauOperator(fs, species)
-    L = op.species_matrix(0, *op.fields(fields))
+    L = op.species_matrices(*op.fields(fields))[0]
     A = (op.mass_matrix - 0.1 * L).tocsr()
     counter: dict = {}
     solver = BandSolver(A, work_counter=counter)

@@ -87,9 +87,10 @@ class SolvePlan:
             # the *resolved* backend name is part of the plan identity:
             # shards must never batch jobs expecting different backends,
             # and "auto" must coalesce with its concrete resolution
+            # (the literals are retired fields' only values: keys stay put)
             h.update(
-                f"{opt.cache_structure}:{opt.packed_tables}:{opt.num_threads}"
-                f":{opt.table_dtype}:{opt.memory_budget}"
+                f"True:True:{opt.num_threads}"
+                f":float64:{opt.memory_budget}"
                 f":{opt.cache_pair_tables}:{opt.resolved_backend()}".encode()
             )
             cached = h.hexdigest()
@@ -164,10 +165,8 @@ class PlanRuntime:
         symbolics and scatter structure add a CSR-sized tail."""
         op = self.op
         size = op.options.table_bytes(op.N) if op.pair_tables_cached else 0
-        sm = op.scatter_map
-        if sm is not None:
-            size += int(sm.T.data.nbytes + sm.T.indices.nbytes + sm.T.indptr.nbytes)
-        return size
+        T = op.scatter_map.T
+        return size + int(T.data.nbytes + T.indices.nbytes + T.indptr.nbytes)
 
 
 class PlanCache:

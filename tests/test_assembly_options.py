@@ -27,28 +27,22 @@ from repro.fem.assembly import (
     get_scatter_map,
 )
 from repro.sparse import BandSolver, CachedBandSolverFactory
+from repro.sparse.band import band_solver_factory
 
 
 class TestOptionsParsing:
     def test_defaults(self):
         o = AssemblyOptions()
-        assert o.cache_structure and o.packed_tables
         assert o.num_threads == 0 and o.resolved_threads() == 1
-        assert o.table_dtype == "float64"
         assert o.memory_budget == DEFAULT_MEMORY_BUDGET
         assert o.cache_pair_tables is None
 
     def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_STRUCTURE", "0")
-        monkeypatch.setenv("REPRO_ASSEMBLY_PACKED_TABLES", "off")
         monkeypatch.setenv("REPRO_ASSEMBLY_THREADS", "4")
-        monkeypatch.setenv("REPRO_ASSEMBLY_TABLE_DTYPE", "float32")
         monkeypatch.setenv("REPRO_ASSEMBLY_MEMORY_BUDGET", "1e6")
         monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_TABLES", "1")
         o = AssemblyOptions.from_env()
-        assert not o.cache_structure and not o.packed_tables
         assert o.num_threads == 4 and o.resolved_threads() == 4
-        assert o.table_dtype == "float32" and o.dtype == np.float32
         assert o.memory_budget == 1_000_000
         assert o.cache_pair_tables is True
 
@@ -58,30 +52,19 @@ class TestOptionsParsing:
 
     def test_invalid_values_raise(self, monkeypatch):
         with pytest.raises(ValueError):
-            AssemblyOptions(table_dtype="float16")
-        with pytest.raises(ValueError):
             AssemblyOptions(num_threads=-1)
         with pytest.raises(ValueError):
             AssemblyOptions(memory_budget=0)
         monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_TABLES", "maybe")
         with pytest.raises(ValueError):
             AssemblyOptions.from_env()
-        monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_TABLES", "auto")
-        monkeypatch.setenv("REPRO_ASSEMBLY_PACKED_TABLES", "maybe")
-        with pytest.raises(ValueError):
-            AssemblyOptions.from_env()
-
-    def test_legacy_is_seed_configuration(self):
-        o = AssemblyOptions.legacy()
-        assert not o.cache_structure and not o.packed_tables
-        assert o.resolved_threads() == 1
 
 
 class TestMemoryBudget:
     def test_forced_cache_over_budget_raises(self, fs_q3, electron_species):
-        opts = AssemblyOptions(memory_budget=1024)
+        opts = AssemblyOptions(memory_budget=1024, cache_pair_tables=True)
         with pytest.raises(PairTableMemoryError) as err:
-            LandauOperator(fs_q3, electron_species, cache_pair_tables=True, options=opts)
+            LandauOperator(fs_q3, electron_species, options=opts)
         # the guard must be actionable, not a bare MemoryError
         assert "REPRO_ASSEMBLY_MEMORY_BUDGET" in str(err.value)
 
@@ -106,11 +89,7 @@ class TestMemoryBudget:
 
     def test_table_bytes_accounts_for_layout(self):
         n = 100
-        packed = AssemblyOptions().table_bytes(n)
-        legacy = AssemblyOptions(packed_tables=False).table_bytes(n)
-        assert packed == 5 * n * n * 8
-        assert legacy == 8 * n * n * 8  # strided views pin the full tensors
-        assert AssemblyOptions(table_dtype="float32").table_bytes(n) == packed // 2
+        assert AssemblyOptions().table_bytes(n) == 5 * n * n * 8
 
 
 class TestRowBlocks:
@@ -159,7 +138,7 @@ class TestRowBlocks:
         )
         assert max(pairs(tight._row_blocks(N))) < max(pairs(blocks))
 
-    def test_packed_tables_bitwise_independent_of_block_size(
+    def test_pair_tables_bitwise_independent_of_block_size(
         self, fs_q3, electron_species, monkeypatch
     ):
         ref = LandauOperator(fs_q3, electron_species).packed_table_buffer
@@ -267,10 +246,8 @@ class TestCachedBandFactory:
         f = solver.step([electron_maxwellian.copy()], 0.05)
         assert solver._factor.symbolic_setups == 1
         assert solver._factor.symbolic_reuses >= 1  # Newton refactorizations
-        # same step with the uncached legacy factory gives the same answer
-        op2 = LandauOperator(fs_q3, electron_species, options=AssemblyOptions.legacy())
-        solver2 = ImplicitLandauSolver(op2, linear_solver="band", rtol=1e-8)
-        assert not isinstance(solver2._factor, CachedBandSolverFactory)
+        # same step through the uncached band factory gives the same answer
+        solver2 = ImplicitLandauSolver(op, linear_solver=band_solver_factory, rtol=1e-8)
         f2 = solver2.step([electron_maxwellian.copy()], 0.05)
         assert np.allclose(f[0], f2[0], atol=1e-10 * max(np.abs(f2[0]).max(), 1))
 

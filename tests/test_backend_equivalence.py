@@ -7,9 +7,12 @@ The CPU reference (``LandauOperator.jacobian``), the CUDA-sim kernel
 (:class:`BatchedVertexSolver`) are four implementations of the same
 discrete operator; any drift between them is a bug.  The grid covers a
 conforming structured mesh and the AMR mesh (hanging-node constraints),
-with single- and two-species sets, plus every :class:`AssemblyOptions`
-variant of the CPU path (structure caching, packed tables, thread counts
-1 and 4).
+with single- and two-species sets, plus the :class:`AssemblyOptions`
+thread counts 1 and 4 of the CPU path, with cached and on-the-fly pair
+tables.  The operator's Jacobian, action and mass matrix are also checked
+against an independent build that shares none of its fast path: dense
+tensor tables contracted in plain numpy, matrices from the element-level
+COO scatter.
 """
 
 import numpy as np
@@ -27,8 +30,10 @@ from repro.core import (
 )
 from repro.core.kernel_cuda import CudaLandauJacobian
 from repro.core.kernel_kokkos import KokkosLandauJacobian
+from repro.core.landau_tensor import landau_tensors_cyl
 from repro.core.maxwellian import maxwellian_rz, species_maxwellian
 from repro.fem import FunctionSpace, Mesh
+from repro.fem.assembly import assemble_coefficient_operator, assemble_mass
 from repro.kokkos import KOKKOS_OPENMP
 from repro.kokkos.backends import fresh_backend
 
@@ -46,6 +51,18 @@ def _make_species(kind: str) -> SpeciesSet:
     return SpeciesSet([electron(), deuterium()])
 
 
+def _perturbed_fields(fs: FunctionSpace, spc: SpeciesSet) -> list[np.ndarray]:
+    """Slightly shifted Maxwellians, so cross-species terms are nonzero."""
+    return [
+        fs.interpolate(
+            lambda r, z, s=s, a=0.05 * (i + 1): maxwellian_rz(
+                r, z - a, s.density, s.thermal_velocity
+            )
+        )
+        for i, s in enumerate(spc)
+    ]
+
+
 @pytest.fixture(scope="module", params=["structured", "amr"])
 def mesh_fs(request):
     return _make_fs(request.param)
@@ -55,16 +72,7 @@ def mesh_fs(request):
 def system(mesh_fs, request):
     spc = _make_species(request.param)
     op = LandauOperator(mesh_fs, spc)
-    # slightly perturbed states so cross-species terms are nonzero
-    fields = [
-        mesh_fs.interpolate(
-            lambda r, z, s=s, a=0.05 * (i + 1): maxwellian_rz(
-                r, z - a, s.density, s.thermal_velocity
-            )
-        )
-        for i, s in enumerate(spc)
-    ]
-    return mesh_fs, spc, op, fields
+    return mesh_fs, spc, op, _perturbed_fields(mesh_fs, spc)
 
 
 def _assert_matches(dense_backend, ref_sparse, label):
@@ -116,7 +124,10 @@ class TestBatchedVertexPath:
     def test_batched_matrices_match_reference(self, system):
         fs, spc, op, fields = system
         G_D, G_K = op.fields(fields)
-        ref = [op.species_matrix(s, G_D, G_K) for s in range(len(spc))]
+        ref = [
+            assemble_coefficient_operator(fs, *op.species_coefficients(s, G_D, G_K))
+            for s in range(len(spc))
+        ]
         bvs = BatchedVertexSolver(fs, spc)
         mats = bvs.op.species_matrices(G_D, G_K)
         for a, b in zip(mats, ref):
@@ -137,14 +148,16 @@ class TestBatchedVertexPath:
             assert np.allclose(out[0, s], ref[s], atol=1e-8 * scale)
 
 
-# every AssemblyOptions variant must reproduce the seed (legacy) matrices
+# every AssemblyOptions variant must reproduce the default matrices
 OPTION_VARIANTS = [
-    pytest.param(AssemblyOptions.legacy(), id="legacy"),
-    pytest.param(AssemblyOptions(cache_structure=True, packed_tables=False), id="cache-only"),
-    pytest.param(AssemblyOptions(cache_structure=False, packed_tables=True), id="packed-only"),
     pytest.param(AssemblyOptions(num_threads=1), id="threads-1"),
     pytest.param(AssemblyOptions(num_threads=4), id="threads-4"),
     pytest.param(AssemblyOptions(), id="all-on"),
+    pytest.param(AssemblyOptions(cache_pair_tables=False), id="tables-off"),
+    pytest.param(
+        AssemblyOptions(cache_pair_tables=False, num_threads=4),
+        id="tables-off-threads-4",
+    ),
 ]
 
 
@@ -174,3 +187,56 @@ class TestOptionsEquivalence:
         assert np.allclose(G_K2, G_K, atol=1e-12 * max(np.abs(G_K).max(), 1))
         if threads > 1:
             assert op.counters["parallel_builds"] >= 1
+
+
+@pytest.fixture(scope="module")
+def oracle(system):
+    """Per-species collision matrices built without the operator's fast
+    path: fields from :func:`landau_tensors_cyl` over all ordered point
+    pairs, contracted in plain numpy, and matrices from the element-level
+    COO scatter (``structure=None``) — neither the packed tables, the
+    row-block kernel, nor the cached scatter structure."""
+    fs, spc, op, fields = system
+    N = fs.n_integration_points
+    r = fs.qpoints[:, :, 0].reshape(N)
+    z = fs.qpoints[:, :, 1].reshape(N)
+    w = fs.qweights.reshape(N)
+    T_D = sum(s.charge**2 * fs.eval(x).reshape(N) for s, x in zip(spc, fields))
+    T_K = sum(
+        s.charge**2 / s.mass * fs.eval_grad(x).reshape(N, 2)
+        for s, x in zip(spc, fields)
+    )
+    UD, UK = landau_tensors_cyl(r[:, None], z[:, None], r[None, :], z[None, :])
+    G_D = np.einsum("ijab,j->iab", UD, w * T_D)
+    G_K = np.einsum("ijab,jb->ia", UK, w[:, None] * T_K)
+    return [
+        assemble_coefficient_operator(fs, *op.species_coefficients(a, G_D, G_K))
+        for a in range(len(spc))
+    ]
+
+
+class TestIndependentOracle:
+    def test_grid_has_hanging_nodes(self):
+        fs = _make_fs("amr")
+        assert fs.dofmap.n_full > fs.dofmap.n_free
+
+    def test_jacobian_matches_dense_tensor_coo_build(self, system, oracle):
+        fs, spc, op, fields = system
+        for a, (L, ref) in enumerate(zip(op.jacobian(fields), oracle)):
+            assert abs(L - ref).max() <= 1e-12 * abs(ref).max(), a
+
+    def test_apply_matches_dense_tensor_coo_build(self, system, oracle):
+        """The matrix-free action ``(psi, C_a(f))`` against the oracle
+        matrices applied to the state.  The action nearly cancels (it
+        conserves density), so the bound is scaled by ``|L| |f|``, the
+        rounding scale of the product, not by ``|L f|``."""
+        fs, spc, op, fields = system
+        for a, (got, L) in enumerate(zip(op.apply(fields), oracle)):
+            ref = L @ fields[a]
+            scale = (abs(L) @ np.abs(fields[a])).max()
+            assert np.abs(got - ref).max() <= 1e-13 * scale, a
+
+    def test_mass_matrix_matches_coo_build(self, mesh_fs):
+        op = LandauOperator(mesh_fs, _make_species("e"))
+        ref = assemble_mass(mesh_fs)
+        assert abs(op.mass_matrix - ref).max() <= 1e-14 * abs(ref).max()

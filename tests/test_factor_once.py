@@ -21,7 +21,6 @@ from repro.core import (
 )
 from repro.core.batch import BatchedVertexSolver
 from repro.core.maxwellian import shifted_maxwellian_rz
-from repro.core.options import AssemblyOptions
 from repro.fem import FunctionSpace
 
 RTOL = 1e-11
@@ -108,14 +107,6 @@ class TestMatrixFreeAction:
                 np.abs(t).sum() for t in terms
             )
 
-    def test_structure_free_operator_agrees(self, systems):
-        fs, species, states = systems[1]
-        ref = LandauOperator(fs, species).apply_batch(states[:2])
-        got = LandauOperator(
-            fs, species, options=AssemblyOptions(cache_structure=False)
-        ).apply_batch(states[:2])
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
 
 # ----------------------------------------------------------------------
 #: total sweeps of the per-sweep-refactoring Picard iteration this solver
@@ -189,29 +180,10 @@ class TestChordIterationAgainstPicard:
             err = np.abs(out[x] - ref[x]).max() / np.abs(ref[x]).max()
             assert err <= AGREEMENT[dt], (x, err)
 
-    def test_structure_free_granularity_runs_the_same_sweep(self, systems):
-        """``cache_structure=False`` assembles per element and factors per
-        system, but it is the same factor-once iteration."""
-        fs, species, states = systems[1]
-        states = states[:3]
-        kw = dict(rtol=1e-10, max_newton=50, accel_m=2)
-        ref = BatchedVertexSolver(fs, species, **kw)
-        out_ref = ref.step(states, 0.2)
-        bs = BatchedVertexSolver(
-            fs, species, options=AssemblyOptions(cache_structure=False), **kw
-        )
-        out = bs.step(states, 0.2)
-        assert np.all(bs.last_converged)
-        assert abs(bs.stats.newton_sweeps - ref.stats.newton_sweeps) <= 1
-        assert bs.stats.factorizations == len(states)
-        assert bs.stats.refactorizations == 0
-        assert np.abs(out - out_ref).max() <= 1e-9 * np.abs(out_ref).max()
-
 
 # ----------------------------------------------------------------------
 class TestDivergenceGuard:
-    @pytest.mark.parametrize("cache_structure", [True, False])
-    def test_wrong_factor_is_refreshed(self, systems, cache_structure):
+    def test_wrong_factor_is_refreshed(self, systems):
         """One vertex's resident factors are built with dt/10: they
         understate the stiff modes tenfold, so its chord update
         overshoots them by ~9x per sweep and its update norm grows past
@@ -222,8 +194,7 @@ class TestDivergenceGuard:
         guard rightly stays silent.)"""
         fs, species, states = systems[1]
         states = states[:3]
-        options = AssemblyOptions(cache_structure=cache_structure)
-        kw = dict(rtol=1e-10, max_newton=50, accel_m=0, options=options)
+        kw = dict(rtol=1e-10, max_newton=50, accel_m=0)
         good = BatchedVertexSolver(fs, species, **kw)
         ref = good.step(states, 0.5)
         assert good.stats.refactorizations == 0

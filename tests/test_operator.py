@@ -9,7 +9,7 @@ points; anisotropic distributions relax.
 import numpy as np
 import pytest
 
-from repro.core import LandauOperator, Moments, SpeciesSet, electron
+from repro.core import AssemblyOptions, LandauOperator, Moments, SpeciesSet, electron
 from repro.core.maxwellian import maxwellian_rz, species_maxwellian
 
 
@@ -18,8 +18,10 @@ class TestStructure:
         assert electron_operator.pair_tables_cached
 
     def test_uncached_path_matches(self, fs_q3, electron_species, electron_maxwellian):
-        op1 = LandauOperator(fs_q3, electron_species, cache_pair_tables=True)
-        op2 = LandauOperator(fs_q3, electron_species, cache_pair_tables=False)
+        cached = AssemblyOptions(cache_pair_tables=True)
+        op1 = LandauOperator(fs_q3, electron_species, options=cached)
+        uncached = AssemblyOptions(cache_pair_tables=False)
+        op2 = LandauOperator(fs_q3, electron_species, options=uncached)
         G1 = op1.fields([electron_maxwellian])
         G2 = op2.fields([electron_maxwellian])
         assert np.allclose(G1[0], G2[0], atol=1e-12)

@@ -61,9 +61,50 @@ class TestSolvePlan:
                 fs=fs_q2,
                 species=electron_species,
                 dt=DT,
-                options=AssemblyOptions.legacy(),
+                options=AssemblyOptions(cache_pair_tables=False),
             ).key
         )
+
+    def test_default_key_is_pinned(self, fs_q2, electron_species):
+        """Plan keys route jobs to shards and are recorded in service
+        checkpoints, so a default plan's digest must not move."""
+        plan = SolvePlan(
+            fs=fs_q2, species=electron_species, dt=DT, options=AssemblyOptions()
+        )
+        assert plan.key == (
+            "f8771f662723662149554ac237a74b70b004f21e3712a465c211bbde60965496"
+        )
+
+    @pytest.mark.parametrize(
+        "options, digest",
+        [
+            pytest.param(
+                AssemblyOptions(cache_pair_tables=True),
+                "e2b7f2e0e8ead9524eb772e4e50ff0f42b2d2b1c0d9dd4ce3621523f2ba3d1a5",
+                id="tables-on",
+            ),
+            pytest.param(
+                AssemblyOptions(cache_pair_tables=False),
+                "9fe22f4490bb7f6248d11bfe72cf64c8153f580a9f793e0a58aeb48c22dfe44a",
+                id="tables-off",
+            ),
+            pytest.param(
+                AssemblyOptions(num_threads=4),
+                "b415ffe6a11b7fc7eed45be59da904ced6d26bfccc4c32ac2760e3ff103d5aaa",
+                id="threads-4",
+            ),
+            pytest.param(
+                AssemblyOptions(memory_budget=1_000_000),
+                "dc82be884c7e83de193ff9f75176302f757d80763fe9d4845dba2fd501fca66d",
+                id="budget-1e6",
+            ),
+        ],
+    )
+    def test_configured_key_is_pinned(self, fs_q2, electron_species, options, digest):
+        """Each ``AssemblyOptions`` field that enters the key moves it to
+        a recorded digest of its own, stable like the default one."""
+        plan = SolvePlan(fs=fs_q2, species=electron_species, dt=DT, options=options)
+        assert plan.key == digest
 
     def test_validation(self, fs_q2, electron_species):
         with pytest.raises(ValueError):
