@@ -46,17 +46,11 @@ def _system(smoke: bool):
     return fs, spc, fields
 
 
-def _batch_sources(op, fields, batch: int):
-    """Weighted beta-term sources for ``batch`` perturbed vertex states."""
+def _batch_states(fields, batch: int):
+    """``batch`` perturbed copies of the vertex state, ``(batch, S, n)``."""
     rng = np.random.default_rng(42)
-    T_D, T_K = op.beta_sums(fields)
-    scale = 1.0 + 0.05 * rng.standard_normal((batch, 1))
-    w = op.w[None]
-    return (
-        scale * (w * T_D[None]),
-        scale * (w * T_K[0][None]),
-        scale * (w * T_K[1][None]),
-    )
+    scale = 1.0 + 0.05 * rng.standard_normal((batch, 1, 1))
+    return scale * np.stack(fields)[None]
 
 
 def _time(fn, repeats: int) -> float:
@@ -84,11 +78,11 @@ def run_bench(smoke: bool = False, batch: int = 64, repeats: int = 3) -> dict:
         )
         op = LandauOperator(fs, spc, options=opts)
         backend = op.backend
-        wTD, wTKr, wTKz = _batch_sources(op, fields, batch)
+        states = _batch_states(fields, batch)
 
         # phase 1: batched field construction
-        t_fields = _time(lambda: op.fields_batch(wTD, wTKr, wTKz), repeats)
-        G_D, G_K = op.fields_batch(wTD, wTKr, wTKz)
+        t_fields = _time(lambda: op.fields_batch(states), repeats)
+        G_D, G_K = op.fields_batch(states)
 
         # phase 2: batched operator assembly
         t_asm = _time(lambda: op.species_data_batch(G_D, G_K), repeats)

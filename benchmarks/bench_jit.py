@@ -48,16 +48,11 @@ def _system(smoke: bool):
     return fs, spc, fields
 
 
-def _batch_sources(op, fields, batch: int):
+def _batch_states(fields, batch: int):
+    """``batch`` perturbed copies of the vertex state, ``(batch, S, n)``."""
     rng = np.random.default_rng(42)
-    T_D, T_K = op.beta_sums(fields)
-    scale = 1.0 + 0.05 * rng.standard_normal((batch, 1))
-    w = op.w[None]
-    return (
-        scale * (w * T_D[None]),
-        scale * (w * T_K[0][None]),
-        scale * (w * T_K[1][None]),
-    )
+    scale = 1.0 + 0.05 * rng.standard_normal((batch, 1, 1))
+    return scale * np.stack(fields)[None]
 
 
 def _time(fn, repeats: int) -> float:
@@ -82,7 +77,7 @@ def _bench_backend(name, fs, spc, fields, batch, repeats, threads):
     backend.warmup()
     N = op.N
     r, z = op.r, op.z
-    wTD, wTKr, wTKz = _batch_sources(op, fields, batch)
+    states = _batch_states(fields, batch)
 
     # phase 1: packed pair-table build over all N rows
     table = np.empty((5, N, N))
@@ -101,9 +96,10 @@ def _bench_backend(name, fs, spc, fields, batch, repeats, threads):
     otf = LandauOperator(
         fs, spc, options=dataclasses.replace(opts, cache_pair_tables=False)
     )
+    values = otf.point_values_batch(states)
 
     def field_rows():
-        return otf.fields_batch(wTD, wTKr, wTKz)
+        return otf.fields_batch(states, values)
 
     t_field = _time(field_rows, repeats)
     G_D, G_K = field_rows()

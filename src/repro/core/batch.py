@@ -8,10 +8,10 @@ dispatches them asynchronously from MPI ranks; the conclusion proposes
 *batching* them instead, "to reduce the number of kernel launches".
 
 :class:`BatchedVertexSolver` implements that: one quasi-Newton sweep
-advances all B vertex states together.  The O(N^2) pair tables are shared
-(they depend only on the mesh) and the G-field computation becomes a single
-dense matrix-matrix product over the batch instead of B matrix-vector
-products.
+advances all B vertex states together.  The field-response tables are
+shared (they depend only on the mesh) and the G-field computation becomes
+two dense matrix-matrix products over the batch instead of B
+matrix-vector products.
 
 **Factor once per step.**  The paper wrote its own band LU (§III-G)
 because the factorization dominated once the kernel was fast; the
@@ -269,8 +269,8 @@ class BatchedVertexSolver:
             # frozen vertices are sliced out *before* the field launch —
             # the early-exit mask saves their G_D/G_K recomputation too
             f_act = fk[idx]
-            vals, gr, gz = op.point_values_batch(f_act)
-            G_D, G_K = op.fields_from_values(vals, gr, gz)
+            values = op.point_values_batch(f_act)
+            G_D, G_K = op.fields_batch(f_act, values)
             self.stats.field_launches += 1
             self.stats.equivalent_unbatched_launches += int(idx.size)
             if sweeps == 1:
@@ -279,7 +279,7 @@ class BatchedVertexSolver:
             # matrix-free, corrected through the resident (lagged) factors
             res = (M @ (states[idx] - f_act).reshape(-1, n).T).T.reshape(
                 f_act.shape
-            ) + dt * op.action_batch(G_D, G_K, vals, gr, gz)
+            ) + dt * op.action_batch(G_D, G_K, *values)
             g = f_act + self._solve(resident, idx, res)
             delta = _update_norm(g, f_act, norms[idx])
             done = delta < self.rtol

@@ -17,12 +17,20 @@ and a standard finite element assembly produces the (block-diagonal over
 species) Jacobian.  The complexity is O(N^2 S) instead of the naive
 O(N^2 S^2).
 
-The pair tables U^D/U^K depend only on quadrature geometry, so on the CPU
-they are computed once per mesh and cached.  Two exact symmetries of the
-axisymmetric tensors — ``U^K_rz == U^D_rz`` and ``U^K_zz == U^D_zz`` —
-mean only *five* distinct ``N x N`` components exist; the cache stores
-exactly those five, contiguously, so the field computation is a handful
-of contiguous BLAS contractions.  The CUDA-model kernel
+The pair tables U^D/U^K depend only on quadrature geometry.  Two exact
+symmetries of the axisymmetric tensors — ``U^K_rz == U^D_rz`` and
+``U^K_zz == U^D_zz`` — mean only *five* distinct ``N x N`` components
+exist.  The same linearity that moves the species sum inside the
+integral reaches further: ``T_D`` and ``T_K`` are fixed linear maps of
+two species-summed *dof* vectors, ``u_D = sum_b z_b^2 f_b`` and ``u_K =
+sum_b z_b^2 (m0/m_b) f_b`` (weights, basis tabulation and hanging-node
+constraints).  So a cached operator builds the five tables once,
+contracts them against those maps into **field-response tables** —
+``R_D`` (``Drr``, ``Drz``, ``Dzz`` against values) and ``R_K`` (``Krr
+d/dr + Krz d/dz`` and ``Kzr d/dr + Kzz d/dz``, the pairs pre-summed since
+``G_K`` only uses their sums), five ``(n, N)`` components — and drops
+them.  A batch's fields are then two GEMMs on dof vectors, ``5 * 2Nn``
+flops per vertex instead of ``7 * 2N^2``.  The CUDA-model kernel
 (:mod:`repro.core.kernel_cuda`) instead recomputes the tensors on the
 fly exactly as Algorithm 1 does on a GPU — the two paths
 are verified against each other in the test suite
@@ -63,10 +71,6 @@ from .species import SpeciesSet
 #: largest allocation of a plan; 2 MiB (20 164 pairs) is in the flat
 #: optimum measured on N = 504 (10 000 - 20 000 pairs per block).
 ROW_BLOCK_BYTES = 2 * 1024 * 1024
-
-#: packed component order: Drr, Drz, Dzz, Krr, Kzr (Krz/Kzz alias Drz/Dzz)
-_PACKED_COMPONENTS = ("Drr", "Drz", "Dzz", "Krr", "Kzr")
-
 
 class LandauOperator:
     """Landau collision operator on a single shared velocity grid.
@@ -113,21 +117,22 @@ class LandauOperator:
         self.w = fs.qweights.reshape(N)
 
         cache_pair_tables = self.options.cache_pair_tables
-        table_bytes = self.options.table_bytes(N)
+        build_bytes = self.options.cached_build_bytes(N, fs.ndofs)
         if cache_pair_tables is None:
-            cache_pair_tables = table_bytes <= self.options.memory_budget
-        elif cache_pair_tables and table_bytes > self.options.memory_budget:
+            cache_pair_tables = build_bytes <= self.options.memory_budget
+        elif cache_pair_tables and build_bytes > self.options.memory_budget:
             raise PairTableMemoryError(
-                f"cached pair tables need {table_bytes / 1e6:.2f} MB for "
-                f"N={N} integration points, above the assembly memory budget "
+                f"cached pair tables and their field-response tables need "
+                f"{build_bytes / 1e6:.2f} MB for N={N} integration points and "
+                f"n={fs.ndofs} dofs, above the assembly memory budget "
                 f"of {self.options.memory_budget / 1e6:.2f} MB; raise "
                 "AssemblyOptions.memory_budget (REPRO_ASSEMBLY_MEMORY_BUDGET) "
                 "or leave cache_pair_tables=None to fall back to chunked "
                 "on-the-fly evaluation"
             )
 
-        self._packed = self._build_tables() if cache_pair_tables else None
         self._scatter = get_scatter_map(fs)
+        self._response = self._build_response() if cache_pair_tables else None
         self._mass: sp.csr_matrix | None = None
         self._projector: sp.csr_matrix | None = None
         # per-species source weights of eq. (10) and weak-form scalings
@@ -164,9 +169,10 @@ class LandauOperator:
         return blocks
 
     def _build_tables(self) -> np.ndarray:
-        """Cache the 5 unique components contiguously; row blocks are
-        dispatched through the backend (a block stores its own entries
-        and their mirror images, disjoint from every other block's)."""
+        """The 5 unique components ``(Drr, Drz, Dzz, Krr, Kzr)`` as one
+        ``(5, N, N)`` array; row blocks are dispatched through the
+        backend (a block stores its own entries and their mirror images,
+        disjoint from every other block's)."""
         N = self.N
         out = np.empty((5, N, N))
 
@@ -177,93 +183,107 @@ class LandauOperator:
             self.counters["parallel_builds"] += 1
         return out
 
+    def _build_response(self) -> tuple[np.ndarray, np.ndarray]:
+        """The field-response tables ``R_D (n, 3N)`` (laid out ``(n, 3,
+        N)``: ``Drr``, ``Drz``, ``Dzz``) and ``R_K (n, 2N)`` (laid out
+        ``(n, N, 2)``, so a GEMM's output is ``G_K`` as it stands).
+
+        Each table is contracted cell by cell against the weighted
+        tabulations ``w B``, ``w dB/dr`` and ``w dB/dz`` (contiguous
+        per-cell GEMMs), then gathered onto the free dofs through the
+        cached ``P[cell_nodes]`` map (one sparse product; the two terms
+        of a ``G_K`` component are gathered as one stacked operand, so
+        their sum costs nothing).  Table rows go in chunks whose
+        per-cell products stay within an ``(n, N)`` temporary, so the
+        build peaks at the tables plus the response plus about that."""
+        fs = self.fs
+        sm = self._scatter
+        N, n = self.N, fs.ndofs
+        ne, nq, nb = fs.nelem, fs.nq, fs.nb
+        tables = self._build_tables()
+        w = fs.qweights[:, None, :]
+        wB = w * fs.B.T  # (ne, nb, nq)
+        wEr = w * fs.Dref[:, :, 0].T * fs.inv_jac[:, 0, None, None]
+        wEz = w * fs.Dref[:, :, 1].T * fs.inv_jac[:, 1, None, None]
+        R_D = np.empty((n, 3, N))
+        R_K = np.empty((n, N, 2))
+        rows = max(1, n * N // (2 * ne * nb))
+        buf = np.empty(2 * ne * nb * min(rows, N))
+        for i0 in range(0, N, rows):
+            i1 = min(N, i0 + rows)
+            Y = buf[: 2 * ne * nb * (i1 - i0)].reshape(2, ne, nb, i1 - i0)
+
+            def cells(k: int) -> np.ndarray:
+                # rows [i0, i1) of table k against each cell's points
+                return tables[k, i0:i1].reshape(-1, ne, nq).transpose(1, 2, 0)
+
+            for c in range(3):
+                np.matmul(wB, cells(c), out=Y[0])
+                R_D[:, c, i0:i1] = sm.gather @ Y[0].reshape(ne * nb, -1)
+            # Krz == Drz and Kzz == Dzz
+            for d, (k_r, k_z) in enumerate(((3, 1), (4, 2))):
+                np.matmul(wEr, cells(k_r), out=Y[0])
+                np.matmul(wEz, cells(k_z), out=Y[1])
+                R_K[:, i0:i1, d] = sm.gather_pair @ Y.reshape(2 * ne * nb, -1)
+        return R_D.reshape(n, 3 * N), R_K.reshape(n, 2 * N)
+
     @property
     def pair_tables_cached(self) -> bool:
-        return self._packed is not None
+        """Whether the pair tables were built (and contracted into the
+        resident field-response tables) rather than evaluated on the
+        fly every launch."""
+        return self._response is not None
 
     @property
-    def packed_table_buffer(self) -> np.ndarray | None:
-        """The packed ``(5, N, N)`` pair-table buffer in ``_PACKED``
-        component order, or ``None`` (tables not cached)."""
-        return self._packed
+    def response_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The resident ``(R_D (n, 3N), R_K (n, 2N))``, or ``None``
+        (tables not cached)."""
+        return self._response
 
     # ------------------------------------------------------------------
-    def beta_sums(self, fields: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """The species-summed sources ``T_D (N,)`` and ``T_K (2, N)``.
+    def fields_batch(
+        self,
+        states: np.ndarray,
+        values: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``G_D (X, N, 2, 2)`` / ``G_K (X, N, 2)`` of ``X`` states
+        ``(X, S, n)``.
 
-        ``fields`` holds one free-space coefficient vector per species.
+        This is *the* field implementation: the per-state :meth:`fields`
+        is its ``X = 1`` slice.  With cached tables the species-summed
+        dof vectors ``u_D``/``u_K`` go through the response tables, one
+        GEMM each for the whole batch (the
+        :class:`~repro.core.batch.BatchedVertexSolver` hot path), and
+        ``values`` is not used.  Without them the sources of eq. (10) are
+        formed from ``values``, the states' :meth:`point_values_batch`
+        (evaluated here when not given), and the tensors are re-evaluated
+        on the fly (:meth:`_launch`).
         """
-        if len(fields) != len(self.species):
-            raise ValueError(
-                f"expected {len(self.species)} species fields, got {len(fields)}"
-            )
-        N = self.N
-        T_D = np.zeros(N)
-        T_K = np.zeros((2, N))
-        for s, x in zip(self.species, fields):
-            z2 = s.charge**2
-            T_D += z2 * self.fs.eval(x).reshape(N)
-            g = self.fs.eval_grad(x)
-            T_K[0] += (z2 / s.mass) * g[:, :, 0].reshape(N)
-            T_K[1] += (z2 / s.mass) * g[:, :, 1].reshape(N)
-        return T_D, T_K
-
-    # ------------------------------------------------------------------
-    def _table_products(
-        self, wTD: np.ndarray, wTKr: np.ndarray, wTKz: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        """The seven table contractions for column-stacked sources.
-
-        Inputs have shape ``(N, K)`` (``K`` = 1 for a single state, B for
-        a batch).  Returns ``(Drr_TD, Drz_TD, Dzz_TD, Krr_Kr, Kzr_Kr,
-        Krz_Kz, Kzz_Kz)``, each ``(N, K)``.  Requires cached tables.
-        """
-        mm = self.backend.matmul
-        P = self._packed
-        K = wTD.shape[1]
-        # Krz == Drz and Kzz == Dzz: evaluate both sources against the
-        # shared table in one contraction so each table streams once
-        rhs_dk = np.concatenate([wTD, wTKz], axis=1)
-        Y_rz = mm(P[1], rhs_dk)  # (N, 2K): Drz@wTD | Krz@wTKz
-        Y_zz = mm(P[2], rhs_dk)  # (N, 2K): Dzz@wTD | Kzz@wTKz
-        return (
-            mm(P[0], rhs_dk[:, :K]),
-            Y_rz[:, :K],
-            Y_zz[:, :K],
-            mm(P[3], wTKr),
-            mm(P[4], wTKr),
-            Y_rz[:, K:],
-            Y_zz[:, K:],
+        if self._response is not None:
+            R_D, R_K = self._response
+            mm = self.backend.matmul
+            X, N = states.shape[0], self.N
+            D = mm(self._z2 @ states, R_D).reshape(X, 3, N)
+            G_D = np.empty((X, N, 2, 2))
+            G_D[..., 0, 0] = D[:, 0]
+            G_D[..., 0, 1] = D[:, 1]
+            G_D[..., 1, 0] = D[:, 1]
+            G_D[..., 1, 1] = D[:, 2]
+            return G_D, mm(self._z2om @ states, R_K).reshape(X, N, 2)
+        vals, gr, gz = self.point_values_batch(states) if values is None else values
+        w = self.w
+        return self._launch(
+            w * np.einsum("s,xsn->xn", self._z2, vals),
+            w * np.einsum("s,xsn->xn", self._z2om, gr),
+            w * np.einsum("s,xsn->xn", self._z2om, gz),
         )
 
-    @staticmethod
-    def _fields_from_products(products) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble ``G_D (..., N, 2, 2)`` / ``G_K (..., N, 2)`` from the
-        seven contractions, each shaped ``(N, K)`` (K batch columns)."""
-        Drr, Drz, Dzz, Krr, Kzr, Krz, Kzz = products
-        N, K = Drr.shape
-        G_D = np.zeros((K, N, 2, 2))
-        G_K = np.zeros((K, N, 2))
-        G_D[:, :, 0, 0] = Drr.T
-        G_D[:, :, 0, 1] = Drz.T
-        G_D[:, :, 1, 0] = G_D[:, :, 0, 1]
-        G_D[:, :, 1, 1] = Dzz.T
-        G_K[:, :, 0] = (Krr + Krz).T
-        G_K[:, :, 1] = (Kzr + Kzz).T
-        return G_D, G_K
-
-    def fields_batch(
+    def _launch(
         self, wTD: np.ndarray, wTKr: np.ndarray, wTKz: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``G_D (B, N, 2, 2)`` / ``G_K (B, N, 2)`` for a batch of
-        weighted source vectors of shape ``(B, N)``.
-
-        This is *the* field implementation: the per-state
-        :meth:`fields` is the ``B = 1`` slice of the same code.  With
-        cached tables each tensor component is one contraction over the
-        whole batch (the :class:`~repro.core.batch.BatchedVertexSolver`
-        hot path); without them the tensors are re-evaluated on the fly
-        in backend-dispatched, cache-sized row blocks (:meth:`_row_blocks`).
+        """The on-the-fly field launch for weighted point sources of shape
+        ``(B, N)``: the tensors are re-evaluated in backend-dispatched,
+        cache-sized row blocks (:meth:`_row_blocks`).
 
         A block adds into its own rows *and*, through the mirror, into
         the rows below it, so blocks that run concurrently must not share
@@ -272,14 +292,6 @@ class LandauOperator:
         in worker order afterwards — deterministic run to run, and free
         on a serial backend (one worker, whose fields are the result).
         """
-        if self.pair_tables_cached:
-            return self._fields_from_products(
-                self._table_products(
-                    np.ascontiguousarray(wTD.T),
-                    np.ascontiguousarray(wTKr.T),
-                    np.ascontiguousarray(wTKz.T),
-                )
-            )
         N = self.N
         B = wTD.shape[0]
         # (N, B) column sources for the per-block contractions
@@ -311,13 +323,14 @@ class LandauOperator:
     def fields(
         self, fields: list[np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Compute ``G_D (N, 2, 2)`` and ``G_K (N, 2)`` at all IPs."""
-        T_D, T_K = self.beta_sums(fields)
-        G_D, G_K = self.fields_batch(
-            (self.w * T_D)[None],
-            (self.w * T_K[0])[None],
-            (self.w * T_K[1])[None],
-        )
+        """``G_D (N, 2, 2)`` and ``G_K (N, 2)`` of one state (one
+        free-space coefficient vector per species): the ``X = 1`` slice
+        of :meth:`fields_batch`."""
+        if len(fields) != len(self.species):
+            raise ValueError(
+                f"expected {len(self.species)} species fields, got {len(fields)}"
+            )
+        G_D, G_K = self.fields_batch(np.stack(fields)[None])
         return G_D[0], G_K[0]
 
     # ------------------------------------------------------------------
@@ -342,19 +355,6 @@ class LandauOperator:
             q[..., :nq].reshape(X, S, -1),
             (q[..., nq : 2 * nq] * inv_jac[:, 0, None]).reshape(X, S, -1),
             (q[..., 2 * nq :] * inv_jac[:, 1, None]).reshape(X, S, -1),
-        )
-
-    def fields_from_values(
-        self, vals: np.ndarray, gr: np.ndarray, gz: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``G_D (X, N, 2, 2)`` / ``G_K (X, N, 2)`` of ``X`` states given
-        their :meth:`point_values_batch`: the species-summed sources of
-        eq. (10) through one :meth:`fields_batch` launch."""
-        w = self.w
-        return self.fields_batch(
-            w * np.einsum("s,xsn->xn", self._z2, vals),
-            w * np.einsum("s,xsn->xn", self._z2om, gr),
-            w * np.einsum("s,xsn->xn", self._z2om, gz),
         )
 
     @property
@@ -415,9 +415,9 @@ class LandauOperator:
         """The weak-form collision operator ``(psi, C_a(f))`` of ``X``
         states, ``(X, S, n)`` in and out — the nonlinear evaluation, with
         no matrix assembled."""
-        vals, gr, gz = self.point_values_batch(states)
-        G_D, G_K = self.fields_from_values(vals, gr, gz)
-        return self.action_batch(G_D, G_K, vals, gr, gz)
+        values = self.point_values_batch(states)
+        G_D, G_K = self.fields_batch(states, values)
+        return self.action_batch(G_D, G_K, *values)
 
     # ------------------------------------------------------------------
     def species_coefficients(

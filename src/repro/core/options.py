@@ -2,19 +2,21 @@
 
 The assembly has one shape: the element→CSR scatter map is built once per
 mesh (:class:`repro.fem.assembly.ScatterMap`) so every Jacobian/mass build
-is a pure ``data`` update, and the cached pair tables hold the five
-distinct ``N x N`` float64 components of ``U^D``/``U^K`` contiguously
-(the rz-symmetries ``U^K_rz == U^D_rz`` and ``U^K_zz == U^D_zz`` leave no
-more).  :class:`AssemblyOptions` bundles what is selectable:
+is a pure ``data`` update, and a cached operator builds the five distinct
+``N x N`` float64 components of ``U^D``/``U^K`` (the rz-symmetries
+``U^K_rz == U^D_rz`` and ``U^K_zz == U^D_zz`` leave no more) once,
+contracts them with the basis into ``(n, N)`` field-response tables and
+drops them.  :class:`AssemblyOptions` bundles what is selectable:
 
 * **parallel builds** — dispatch the O(N^2) table build and the chunked
   on-the-fly field path in row blocks over a thread pool (numpy releases
   the GIL inside the row-block kernel's array operations).
 * **memory budgeting** — a single byte budget replaces the hard-coded
   ``5e7`` chunk constant: it sizes the on-the-fly row chunks and guards
-  the cached-table build with a clear error instead of a ``MemoryError``.
-* **table caching** — cache the O(N^2) tables or recompute the tensors
-  on the fly every launch (the paper's regime).
+  the cached build's peak (pair tables plus response tables) with a
+  clear error instead of a ``MemoryError``.
+* **table caching** — build the response tables once or recompute the
+  tensors on the fly every launch (the paper's regime).
 * **execution backend** — see :mod:`repro.backend`.
 
 Every knob has an environment override (prefix ``REPRO_ASSEMBLY_``, and
@@ -31,8 +33,8 @@ from .landau_tensor import PAIR_BLOCK_PLANES
 
 __all__ = ["AssemblyOptions", "PairTableMemoryError"]
 
-#: default cap on cached pair-table memory (bytes); above this the field
-#: computation falls back to chunked on-the-fly tensor evaluation.
+#: default cap on a cached build's peak memory (bytes); above this the
+#: field computation falls back to chunked on-the-fly tensor evaluation.
 DEFAULT_MEMORY_BUDGET = 400 * 1024 * 1024
 
 #: scratch bytes per evaluated point pair of one row block of the O(N^2)
@@ -70,10 +72,13 @@ class AssemblyOptions:
         row-block thread count for the table build and the chunked
         on-the-fly field path; ``0`` or ``1`` runs serially.
     memory_budget:
-        byte budget for cached tables and on-the-fly chunk sizing.
+        byte budget for the cached build's peak
+        (:meth:`cached_build_bytes`) and on-the-fly chunk sizing.
     cache_pair_tables:
-        force (True/False) or auto-decide (None) caching of the O(N^2)
-        tables; a forced True that exceeds ``memory_budget`` raises
+        force (True/False) or auto-decide (None, cache when
+        :meth:`cached_build_bytes` fits ``memory_budget``) the build of
+        the field-response tables from the O(N^2) pair tables; a forced
+        True whose build exceeds ``memory_budget`` raises
         :class:`PairTableMemoryError`.
     backend:
         execution backend name (``auto`` | ``numpy`` | ``threaded`` |
@@ -149,9 +154,16 @@ class AssemblyOptions:
         return get_backend(self.backend, self.resolved_threads())
 
     def table_bytes(self, n_ip: int) -> int:
-        """Bytes the cached ``(5, N, N)`` float64 tables occupy for
-        ``n_ip`` points."""
+        """Bytes of the ``(5, N, N)`` float64 pair tables for ``n_ip``
+        points: built transiently, contracted into the response tables
+        and dropped."""
         return 5 * n_ip * n_ip * 8
+
+    def cached_build_bytes(self, n_ip: int, n_dofs: int) -> int:
+        """Peak bytes of a cached build, what ``memory_budget`` guards:
+        the transient pair tables plus the five ``(n_dofs, N)`` float64
+        response tables they are contracted into."""
+        return self.table_bytes(n_ip) + 5 * n_ip * n_dofs * 8
 
     def row_chunk(self, n_ip: int) -> int:
         """On-the-fly evaluation row-chunk size within the memory budget."""

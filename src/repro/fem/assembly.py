@@ -18,6 +18,8 @@ only" reassembly the paper's GPU path relies on.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -44,8 +46,9 @@ class ScatterMap:
     for a fixed sparse ``T`` of shape ``(nnz, ne * nb * nb)`` whose
     entries are products of constraint weights.  ``T``, the reduced CSR
     ``indptr``/``indices``, the physical basis gradients and the
-    cell-interior free dofs are computed once here; :meth:`assemble` then
-    costs one sparse matvec per build and reuses the index arrays across
+    cell-interior free dofs are computed once here (the :attr:`gather` of
+    per-cell-node data onto the free dofs on first use); :meth:`assemble`
+    then costs one sparse matvec per build and reuses the index arrays across
     every matrix it returns (species blocks share one sparsity, so they
     all share one structure).
 
@@ -102,7 +105,36 @@ class ScatterMap:
         self.interior = dm.full_to_free[nodes[:, fs.element.interior_nodes()]]
         # geometry caches shared by the coefficient-operator fast path
         self.gphys = np.einsum("qbd,ed->eqbd", fs.Dref, fs.inv_jac)
+        self._P = P
+        self._nodes = nodes
         self.builds = 0
+
+    @cached_property
+    def gather(self) -> sp.csc_matrix:
+        """``(n_free, ne * nb)`` transpose of the gather∘constraint map
+        ``P[cell_nodes]``: row ``i`` sums the per-cell-node rows of a
+        dense ``(ne * nb, ·)`` operand into free dof ``i``, hanging-node
+        weights folded in.  Column ``a`` is ``P``'s row of cell node
+        ``a``, so the CSC arrays are gathered straight from ``P``'s."""
+        P, rows = self._P, self._nodes.ravel()
+        start = P.indptr[rows]
+        counts = P.indptr[rows + 1] - start
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        pos = np.repeat(start - indptr[:-1], counts) + np.arange(indptr[-1])
+        return sp.csc_matrix(
+            (P.data[pos], P.indices[pos], indptr), shape=(self.n_free, rows.size)
+        )
+
+    @cached_property
+    def gather_pair(self) -> sp.csc_matrix:
+        """``[gather | gather]``: gathers the sum of two stacked
+        ``(ne * nb, ·)`` operands in one sparse product."""
+        g = self.gather
+        indptr = np.concatenate([g.indptr, g.indptr[1:] + g.nnz])
+        return sp.csc_matrix(
+            (np.tile(g.data, 2), np.tile(g.indices, 2), indptr),
+            shape=(g.shape[0], 2 * g.shape[1]),
+        )
 
     # ------------------------------------------------------------------
     def scatter_data(self, Ce: np.ndarray) -> np.ndarray:

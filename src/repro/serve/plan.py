@@ -5,11 +5,11 @@ jobs: the velocity mesh / function space, the species set, the time step
 and the solver/assembly configuration.  Jobs carrying the same plan can be
 micro-batched into one :class:`~repro.core.batch.BatchedVertexSolver`
 sweep and served by the same warm :class:`~repro.core.operator.LandauOperator`
-(pair tables, scatter structure) and
+(field-response tables, scatter structure) and
 :class:`~repro.sparse.band.CachedBandSolverFactory` (RCM ordering, band
 symbolics) — building those is the expensive part of a solve, so the
 service caches one *runtime* per plan per shard, with LRU eviction under a
-byte budget (the pair tables dominate, so the budget is expressed through
+byte budget (the response tables dominate, so the budget is expressed through
 the existing :class:`~repro.core.options.AssemblyOptions` memory-budget
 machinery).
 """
@@ -118,7 +118,7 @@ class SolvePlan:
 
 class PlanRuntime:
     """Warm per-plan solver state: the batched vertex solver (which owns
-    the :class:`LandauOperator` with its pair tables / scatter structure
+    the :class:`LandauOperator` with its response tables / scatter structure
     and the shared band-symbolic factory) plus a lazily built retry
     integrator for jobs that fall out of a batch."""
 
@@ -161,10 +161,11 @@ class PlanRuntime:
 
     @property
     def bytes(self) -> int:
-        """Resident-size estimate: the pair tables dominate; the band
-        symbolics and scatter structure add a CSR-sized tail."""
+        """Resident-size estimate: the field-response tables dominate;
+        the band symbolics and scatter structure add a CSR-sized tail."""
         op = self.op
-        size = op.options.table_bytes(op.N) if op.pair_tables_cached else 0
+        tables = op.response_tables or ()
+        size = sum(R.nbytes for R in tables)
         T = op.scatter_map.T
         return size + int(T.data.nbytes + T.indices.nbytes + T.indptr.nbytes)
 
@@ -173,7 +174,7 @@ class PlanCache:
     """LRU cache of :class:`PlanRuntime` under a byte budget.
 
     One instance lives in every shard worker, so each shard keeps its own
-    warm operators (pair tables, band symbolics) for the plans routed to
+    warm operators (response tables, band symbolics) for the plans routed to
     it by consistent hashing.  Counters feed the serve metrics.
     """
 

@@ -89,7 +89,33 @@ class TestMemoryBudget:
 
     def test_table_bytes_accounts_for_layout(self):
         n = 100
-        assert AssemblyOptions().table_bytes(n) == 5 * n * n * 8
+        o = AssemblyOptions()
+        assert o.table_bytes(n) == 5 * n * n * 8
+        assert o.cached_build_bytes(n, 40) == 5 * n * (n + 40) * 8
+
+    def test_budget_covers_tables_plus_response(self, fs_q3, electron_species):
+        """The budget guards the build's peak, not the tables alone: a
+        budget that fits the tables but not tables + response leaves the
+        operator on the fly (auto) or raises (forced)."""
+        N, n = fs_q3.n_integration_points, fs_q3.ndofs
+        peak = AssemblyOptions().cached_build_bytes(N, n)
+        tables_only = AssemblyOptions().table_bytes(N)
+        op = LandauOperator(
+            fs_q3, electron_species, options=AssemblyOptions(memory_budget=peak)
+        )
+        assert op.pair_tables_cached
+        R_D, R_K = op.response_tables
+        assert R_D.nbytes + R_K.nbytes == peak - tables_only == 5 * N * n * 8
+        # the pair tables were dropped: no (5, N, N) array stays resident
+        assert not any(
+            getattr(v, "shape", None) == (5, N, N) for v in vars(op).values()
+        )
+        over = AssemblyOptions(memory_budget=tables_only)
+        op = LandauOperator(fs_q3, electron_species, options=over)
+        assert not op.pair_tables_cached
+        forced = AssemblyOptions(memory_budget=peak - 1, cache_pair_tables=True)
+        with pytest.raises(PairTableMemoryError, match="field-response"):
+            LandauOperator(fs_q3, electron_species, options=forced)
 
 
 class TestRowBlocks:
@@ -108,9 +134,8 @@ class TestRowBlocks:
         return fs, spc
 
     @staticmethod
-    def _sources(N, B=16):
-        rng = np.random.default_rng(7)
-        return [rng.standard_normal((B, N)) for _ in range(3)]
+    def _states(fs, spc, B=16):
+        return np.random.default_rng(7).standard_normal((B, len(spc), fs.ndofs))
 
     def test_blocks_are_cache_sized_and_cover_all_rows(self, big_fs):
         """A block [i0, i1) evaluates the pairs [i0, i1) x [i0, N): the
@@ -141,11 +166,13 @@ class TestRowBlocks:
     def test_pair_tables_bitwise_independent_of_block_size(
         self, fs_q3, electron_species, monkeypatch
     ):
-        ref = LandauOperator(fs_q3, electron_species).packed_table_buffer
+        options = AssemblyOptions(cache_pair_tables=False)
+        op = LandauOperator(fs_q3, electron_species, options=options)
+        ref = op._build_tables()
+        assert ref.shape == (5, op.N, op.N) and np.isfinite(ref).all()
         for block_bytes in (64 * 1024, 1 << 40):  # 1-row blocks, one block
             monkeypatch.setattr(operator_module, "ROW_BLOCK_BYTES", block_bytes)
-            op = LandauOperator(fs_q3, electron_species)
-            assert np.array_equal(op.packed_table_buffer, ref)
+            assert np.array_equal(op._build_tables(), ref)
 
     def test_on_the_fly_fields_independent_of_block_size(
         self, big_fs, monkeypatch
@@ -153,11 +180,11 @@ class TestRowBlocks:
         fs, spc = big_fs
         options = AssemblyOptions(cache_pair_tables=False)
         op = LandauOperator(fs, spc, options=options)
-        sources = self._sources(op.N)
-        G_D, G_K = op.fields_batch(*sources)
+        states = self._states(fs, spc)
+        G_D, G_K = op.fields_batch(states)
         monkeypatch.setattr(operator_module, "ROW_BLOCK_BYTES", 1 << 40)
         assert len(op._row_blocks(op.N)) == 1
-        G_D1, G_K1 = op.fields_batch(*sources)
+        G_D1, G_K1 = op.fields_batch(states)
         assert np.abs(G_D - G_D1).max() <= 1e-13 * np.abs(G_D1).max()
         assert np.abs(G_K - G_K1).max() <= 1e-13 * np.abs(G_K1).max()
 
@@ -169,11 +196,12 @@ class TestRowBlocks:
 
         fs, spc = big_fs
         op = LandauOperator(fs, spc, options=AssemblyOptions(cache_pair_tables=False))
-        sources = self._sources(op.N)
-        op.fields_batch(*sources)  # warm lazily built state
+        states = self._states(fs, spc)
+        values = op.point_values_batch(states)
+        op.fields_batch(states, values)  # warm lazily built state
         tracemalloc.start()
         try:
-            op.fields_batch(*sources)
+            op.fields_batch(states, values)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -197,6 +225,14 @@ class TestScatterMap:
         assert np.shares_memory(B.indices, sm.indices)
         assert abs(B - 2.0 * A).max() < 1e-14
         assert sm.builds == 2
+
+    def test_gather_is_the_constrained_cell_node_map(self, fs_q3):
+        dm = fs_q3.dofmap
+        assert dm.n_full > dm.n_free  # hanging-node weights are exercised
+        sm = ScatterMap(fs_q3)
+        ref = dm.P.tocsr()[dm.cell_nodes.ravel()].T.toarray()
+        assert np.array_equal(sm.gather.toarray(), ref)
+        assert np.array_equal(sm.gather_pair.toarray(), np.hstack([ref, ref]))
 
     def test_get_scatter_map_is_cached_per_space(self, fs_q3):
         assert get_scatter_map(fs_q3) is get_scatter_map(fs_q3)

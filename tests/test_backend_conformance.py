@@ -2,7 +2,8 @@
 
 Every registered backend is exercised against the numpy reference on a
 two-species quench vertex, stage by stage: packed pair-table build,
-on-the-fly row-block field tensors, the two batched element-contraction
+on-the-fly row-block field tensors, the cached field-response tables and
+their batched GEMMs, the two batched element-contraction
 specs, the CSR scatter-apply, the banded factor/solve and the resident
 factor stack with subset solves, plain and with the Q3 cell interiors
 statically condensed — each to <= 1e-12 (relative to the stage's max
@@ -89,7 +90,7 @@ def quench_fields(ed_fs, ed_species):
 @pytest.fixture(scope="module")
 def quench_op(ed_fs, ed_species):
     """A numpy-reference operator on the quench discretization, used only
-    as a source of geometry (r, z, beta sums, scatter structure)."""
+    as a source of geometry (r, z, weights, scatter structure)."""
     return LandauOperator(
         ed_fs, ed_species, options=AssemblyOptions.from_env(backend="numpy")
     )
@@ -118,11 +119,15 @@ class TestStageConformance:
     @pytest.mark.parametrize("name", BACKEND_PARAMS)
     def test_field_row_blocks(self, quench_op, quench_fields, name):
         op = quench_op
-        T_D, T_K = op.beta_sums(quench_fields)
-        cTD = (op.w * T_D)[:, None]
-        cTKr = (op.w * T_K[0])[:, None]
-        cTKz = (op.w * T_K[1])[:, None]
         N = op.N
+        pairs = list(zip(op.species, quench_fields))
+        T_D = sum(s.charge**2 * op.fs.eval(x).reshape(N) for s, x in pairs)
+        T_K = sum(
+            s.charge**2 / s.mass * op.fs.eval_grad(x).reshape(N, 2) for s, x in pairs
+        )
+        cTD = (op.w * T_D)[:, None]
+        cTKr = (op.w * T_K[:, 0])[:, None]
+        cTKz = (op.w * T_K[:, 1])[:, None]
         ref_D = np.zeros((1, N, 2, 2))
         ref_K = np.zeros((1, N, 2))
         NumpyBackend().field_rows(
@@ -135,6 +140,28 @@ class TestStageConformance:
             be.field_rows(out_D, out_K, op.r, op.z, cTD, cTKr, cTKz, i0, i1)
         _assert_close(out_D, ref_D, f"{name} field G_D rows")
         _assert_close(out_K, ref_K, f"{name} field G_K rows")
+
+    @pytest.mark.parametrize("name", BACKEND_PARAMS)
+    def test_field_response(self, ed_fs, ed_species, quench_fields, name):
+        """The cached operator's fields: pair tables built through the
+        backend, contracted into the response tables, and the two
+        batched GEMMs on dof vectors through ``backend.matmul``."""
+        states = np.stack(
+            [np.stack(quench_fields) * (1.0 + 0.1 * x) for x in range(3)]
+        )
+        states[1, 0] = quench_fields[1]  # the electrons swapped for a cold bulk
+        fields = {}
+        for be in ("numpy", name):
+            op = LandauOperator(
+                ed_fs,
+                ed_species,
+                options=AssemblyOptions.from_env(
+                    backend=be, num_threads=2, cache_pair_tables=True
+                ),
+            )
+            fields[be] = op.fields_batch(states)
+        _assert_close(fields[name][0], fields["numpy"][0], f"{name} response G_D")
+        _assert_close(fields[name][1], fields["numpy"][1], f"{name} response G_K")
 
     @pytest.mark.parametrize("name", BACKEND_PARAMS)
     def test_element_contraction_specs(self, ed_fs, name):

@@ -9,10 +9,10 @@ discrete operator; any drift between them is a bug.  The grid covers a
 conforming structured mesh and the AMR mesh (hanging-node constraints),
 with single- and two-species sets, plus the :class:`AssemblyOptions`
 thread counts 1 and 4 of the CPU path, with cached and on-the-fly pair
-tables.  The operator's Jacobian, action and mass matrix are also checked
-against an independent build that shares none of its fast path: dense
-tensor tables contracted in plain numpy, matrices from the element-level
-COO scatter.
+tables.  The operator's fields, Jacobian, action and mass matrix are also
+checked against an independent build that shares none of its fast path:
+dense tensor tables contracted in plain numpy, matrices from the
+element-level COO scatter.
 """
 
 import numpy as np
@@ -114,9 +114,7 @@ class TestBatchedVertexPath:
         G_D, G_K = op.fields(fields)
         bvs = BatchedVertexSolver(fs, spc)
         states = np.stack([np.stack(fields)] * 3)  # three identical vertices
-        bG_D, bG_K = bvs.op.fields_from_values(
-            *bvs.op.point_values_batch(states)
-        )
+        bG_D, bG_K = bvs.op.fields_batch(states)
         for b in range(3):
             assert np.allclose(bG_D[b], G_D, atol=1e-12 * max(np.abs(G_D).max(), 1))
             assert np.allclose(bG_K[b], G_K, atol=1e-12 * max(np.abs(G_K).max(), 1))
@@ -190,12 +188,11 @@ class TestOptionsEquivalence:
 
 
 @pytest.fixture(scope="module")
-def oracle(system):
-    """Per-species collision matrices built without the operator's fast
-    path: fields from :func:`landau_tensors_cyl` over all ordered point
-    pairs, contracted in plain numpy, and matrices from the element-level
-    COO scatter (``structure=None``) — neither the packed tables, the
-    row-block kernel, nor the cached scatter structure."""
+def oracle_fields(system):
+    """``G_D (N, 2, 2)`` / ``G_K (N, 2)`` without the operator's fast
+    path: :func:`landau_tensors_cyl` over all ordered point pairs,
+    contracted in plain numpy against the sources at the integration
+    points — neither the row-block kernel nor the response tables."""
     fs, spc, op, fields = system
     N = fs.n_integration_points
     r = fs.qpoints[:, :, 0].reshape(N)
@@ -209,16 +206,55 @@ def oracle(system):
     UD, UK = landau_tensors_cyl(r[:, None], z[:, None], r[None, :], z[None, :])
     G_D = np.einsum("ijab,j->iab", UD, w * T_D)
     G_K = np.einsum("ijab,jb->ia", UK, w[:, None] * T_K)
+    return G_D, G_K
+
+
+@pytest.fixture(scope="module")
+def oracle(system, oracle_fields):
+    """Per-species collision matrices built without the operator's fast
+    path: :func:`oracle_fields` and matrices from the element-level COO
+    scatter (``structure=None``) — not the cached scatter structure."""
+    fs, spc, op, fields = system
     return [
-        assemble_coefficient_operator(fs, *op.species_coefficients(a, G_D, G_K))
+        assemble_coefficient_operator(fs, *op.species_coefficients(a, *oracle_fields))
         for a in range(len(spc))
     ]
+
+
+def _field_error(got, ref):
+    return max(
+        np.abs(g - r).max() / np.abs(r).max() for g, r in zip(got, ref)
+    )
 
 
 class TestIndependentOracle:
     def test_grid_has_hanging_nodes(self):
         fs = _make_fs("amr")
         assert fs.dofmap.n_full > fs.dofmap.n_free
+
+    def test_response_fields_match_dense_tensors(self, system, oracle_fields):
+        """The cached operator's fields come from the response tables
+        alone (the pair tables are contracted with the basis and dropped
+        at build); checked against the plain tensor contraction at the
+        integration points."""
+        fs, spc, op, fields = system
+        assert op.pair_tables_cached
+        G_D, G_K = op.fields_batch(np.stack(fields)[None])
+        assert _field_error((G_D[0], G_K[0]), oracle_fields) <= 1e-13
+
+    def test_perturbed_response_fails_the_oracle(self, system, oracle_fields):
+        """The bound above is tight enough to see a 1e-12 relative error
+        in either response table."""
+        fs, spc, op, fields = system
+        R_D, R_K = op.response_tables
+        states = np.stack(fields)[None]
+        for bad in ((R_D * (1 + 1e-12), R_K), (R_D, R_K * (1 + 1e-12))):
+            op._response = bad
+            try:
+                G_D, G_K = op.fields_batch(states)
+            finally:
+                op._response = (R_D, R_K)
+            assert _field_error((G_D[0], G_K[0]), oracle_fields) > 1e-13
 
     def test_jacobian_matches_dense_tensor_coo_build(self, system, oracle):
         fs, spc, op, fields = system

@@ -70,7 +70,7 @@ class TestBatchedSolve:
     def test_batched_fields_match_single(self, fs_q3, electron_species, batch_states):
         bs = BatchedVertexSolver(fs_q3, electron_species)
         op = bs.op
-        G_D, G_K = op.fields_from_values(*op.point_values_batch(batch_states))
+        G_D, G_K = op.fields_batch(batch_states)
         for b in range(batch_states.shape[0]):
             gd, gk = op.fields([batch_states[b, 0]])
             assert np.allclose(G_D[b], gd, atol=1e-12)

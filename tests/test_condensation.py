@@ -129,7 +129,7 @@ class TestCondensedSolve:
         assert get_scatter_map(fs_q2).interior.shape[1] < CONDENSE_MIN_INTERIOR
         bs = BatchedVertexSolver(fs_q2, electron_species)
         states = _states(fs_q2, electron_species, 2)
-        G_D, G_K = bs.op.fields_from_values(*bs.op.point_values_batch(states))
+        G_D, G_K = bs.op.fields_batch(states)
         resident = bs._factor(None, np.arange(2), G_D, G_K, 0.2)
         assert resident._cond is None
         assert resident._band_n == fs_q2.ndofs

@@ -29,7 +29,7 @@ class TestStructure:
 
     def test_species_count_checked(self, electron_operator):
         with pytest.raises(ValueError):
-            electron_operator.beta_sums([])
+            electron_operator.fields([])
 
     def test_jacobian_block_diagonal_structure(self, ed_operator, ed_maxwellians):
         """S species -> S independent blocks with a common pattern

@@ -70,11 +70,10 @@ class TestTableBuild:
         """Both benchmark meshes, through the operator's own blocks."""
         assert fs_q3.n_integration_points == 320
         for fs, spc in (ed_q2, (fs_q3, electron_species)):
-            op = LandauOperator(fs, spc)
+            options = AssemblyOptions(cache_pair_tables=False)
+            op = LandauOperator(fs, spc, options=options)
             assert len(op._row_blocks(op.N)) > 1
-            assert np.array_equal(
-                op.packed_table_buffer, reference_tables(op.r, op.z)
-            )
+            assert np.array_equal(op._build_tables(), reference_tables(op.r, op.z))
 
     @pytest.mark.parametrize("cuts", [(), (1,), (37, 38, 110), (75,)])
     def test_point_cloud_equals_reference_on_any_partition(self, cuts):
@@ -127,30 +126,26 @@ class TestOnTheFlyFields:
     def cached(self, ed_q2):
         return LandauOperator(*ed_q2)
 
-    @staticmethod
-    def _sources(N, B):
-        rng = np.random.default_rng(B)
-        return [rng.standard_normal((B, N)) for _ in range(3)]
-
     @pytest.mark.parametrize("threads", [0, 4])
     @pytest.mark.parametrize("B", [1, 16])
     def test_matches_cached_tables(self, ed_q2, cached, B, threads):
-        """Serial, and with more workers than this suite's hosts have
-        cores: per-worker fields summed in worker order, so a threaded
-        launch is as repeatable as a serial one."""
+        """The on-the-fly launch against the cached response tables, on
+        the same FE states.  Serial, and with more workers than this
+        suite's hosts have cores: per-worker fields summed in worker
+        order, so a threaded launch is as repeatable as a serial one."""
         op = LandauOperator(
             *ed_q2,
             options=AssemblyOptions.from_env(
                 cache_pair_tables=False, num_threads=threads
             ),
         )
-        sources = self._sources(op.N, B)
-        G_D, G_K = op.fields_batch(*sources)
-        ref_D, ref_K = cached.fields_batch(*sources)
+        states = _states(*ed_q2, B, seed=B)
+        G_D, G_K = op.fields_batch(states)
+        ref_D, ref_K = cached.fields_batch(states)
         assert np.abs(G_D - ref_D).max() <= 1e-13 * np.abs(ref_D).max()
         assert np.abs(G_K - ref_K).max() <= 1e-13 * np.abs(ref_K).max()
         assert np.array_equal(G_D[..., 1, 0], G_D[..., 0, 1])
-        again_D, again_K = op.fields_batch(*sources)
+        again_D, again_K = op.fields_batch(states)
         assert np.array_equal(again_D, G_D) and np.array_equal(again_K, G_K)
         if op.backend.workers > 1:
             assert op.counters["parallel_builds"] == 2
@@ -164,7 +159,7 @@ class TestOnTheFlyFields:
         alone = lt.pair_block_tensors(r, z, 0, 20)[0]
         assert alone.base is not lt.pair_block_tensors(r, z, 20, 30)[0].base
         op = LandauOperator(*ed_q2, options=AssemblyOptions(cache_pair_tables=False))
-        op.fields_batch(*self._sources(op.N, 2))
+        op.fields_batch(_states(*ed_q2, 2))
         assert not hasattr(lt._scratch, "buf")
 
     def test_step_on_an_on_the_fly_plan_conserves(self, ed_q2):

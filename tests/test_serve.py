@@ -172,6 +172,19 @@ class TestPlanCache:
         assert (c["hits"], c["misses"], c["evictions"]) == (1, 3, 2)
         assert 0 < c["bytes"] <= cache.budget
 
+    def test_runtime_bytes_are_the_resident_response(self, fs_q2, electron_species):
+        """A cached plan is charged its response tables (the pair tables
+        are gone after the build) plus the scatter structure's tail."""
+        rt = PlanCache(budget=1 << 40).get(
+            SolvePlan(fs=fs_q2, species=electron_species, dt=DT)
+        )
+        op = rt.op
+        R_D, R_K = op.response_tables
+        T = op.scatter_map.T
+        tail = T.data.nbytes + T.indices.nbytes + T.indptr.nbytes
+        assert rt.bytes == R_D.nbytes + R_K.nbytes + tail
+        assert rt.bytes < op.options.table_bytes(op.N)
+
     def test_single_over_budget_plan_still_served(self, fs_q2, electron_species):
         cache = PlanCache(budget=1)  # nothing fits
         rt = cache.get(SolvePlan(fs=fs_q2, species=electron_species, dt=DT))
