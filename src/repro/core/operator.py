@@ -45,8 +45,13 @@ first row only and serves the pairs below it through the exchange
 symmetry of the tensors, so a launch evaluates about ``N^2 / 2`` pairs.
 Blocks are cut by pair count (:meth:`LandauOperator._row_blocks`).
 
-Every matrix build is a ``data`` update through the mesh's cached
-element→CSR scatter structure (:func:`repro.fem.assembly.get_scatter_map`).
+The response tables depend on the space's quadrature geometry alone, so
+they are built once per ``(space, resolved backend)`` and shared, read-
+only, by every cached operator on that space
+(:func:`get_field_response`): plans that differ in species or time step
+share one build.  Every matrix build is a ``data`` update through the
+mesh's cached element→CSR scatter structure
+(:func:`repro.fem.assembly.get_scatter_map`).
 Thread counts, table caching and the memory budget are configured by
 :class:`repro.core.options.AssemblyOptions`; the operator's ``counters``
 dict records structure reuses and parallel builds for
@@ -54,6 +59,11 @@ dict records structure reuses and parallel builds for
 """
 
 from __future__ import annotations
+
+import os
+import threading
+import weakref
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,6 +81,50 @@ from .species import SpeciesSet
 #: largest allocation of a plan; 2 MiB (20 164 pairs) is in the flat
 #: optimum measured on N = 504 (10 000 - 20 000 pairs per block).
 ROW_BLOCK_BYTES = 2 * 1024 * 1024
+
+#: space -> (pid, build lock, {resolved backend name: weak refs to the
+#: response tables}); the operators hold the tables, this only finds them
+_RESPONSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_RESPONSES_LOCK = threading.Lock()
+_RESPONSES_PID = os.getpid()
+
+
+def _space_entry(fs: FunctionSpace) -> tuple:
+    """``fs``'s registry entry, its build lock made in this process: a
+    lock inherited across fork may be held by a parent thread that does
+    not exist in the child (the tables it finds are inherited as-is)."""
+    global _RESPONSES_LOCK, _RESPONSES_PID
+    pid = os.getpid()
+    if _RESPONSES_PID != pid:
+        _RESPONSES_LOCK, _RESPONSES_PID = threading.Lock(), pid
+    with _RESPONSES_LOCK:
+        entry = _RESPONSES.get(fs)
+        if entry is None or entry[0] != pid:
+            entry = (pid, threading.Lock(), entry[2] if entry else {})
+            _RESPONSES[fs] = entry
+    return entry
+
+
+def get_field_response(
+    fs: FunctionSpace,
+    backend,
+    build: Callable[[], tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The field-response tables ``(R_D, R_K)`` of ``fs`` under
+    ``backend``: the live build when one exists, else ``build()``'s,
+    made read-only.  The first build on a space runs under the space's
+    lock, so concurrent first callers build once.  The registry holds
+    the tables weakly: they are freed with the last operator using them."""
+    _, lock, built = _space_entry(fs)
+    with lock:
+        tables = tuple(ref() for ref in built.get(backend.name, ()))
+        if not tables or any(R is None for R in tables):
+            tables = build()
+            for R in tables:
+                R.flags.writeable = False
+            built[backend.name] = tuple(weakref.ref(R) for R in tables)
+    return tables
+
 
 class LandauOperator:
     """Landau collision operator on a single shared velocity grid.
@@ -132,7 +186,11 @@ class LandauOperator:
             )
 
         self._scatter = get_scatter_map(fs)
-        self._response = self._build_response() if cache_pair_tables else None
+        self._response = (
+            get_field_response(fs, self.backend, self._build_response)
+            if cache_pair_tables
+            else None
+        )
         self._mass: sp.csr_matrix | None = None
         self._projector: sp.csr_matrix | None = None
         # per-species source weights of eq. (10) and weak-form scalings
@@ -237,7 +295,8 @@ class LandauOperator:
     @property
     def response_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The resident ``(R_D (n, 3N), R_K (n, 2N))``, or ``None``
-        (tables not cached)."""
+        (tables not cached); read-only, shared by every cached operator
+        on the space under the same backend."""
         return self._response
 
     # ------------------------------------------------------------------

@@ -73,13 +73,18 @@ class AssemblyOptions:
         on-the-fly field path; ``0`` or ``1`` runs serially.
     memory_budget:
         byte budget for the cached build's peak
-        (:meth:`cached_build_bytes`) and on-the-fly chunk sizing.
+        (:meth:`cached_build_bytes`) and on-the-fly chunk sizing.  It
+        guards a *new* build and is checked as if the operator were
+        making one: within budget it reuses the space's existing build
+        when there is one; over budget it stays on the fly (or raises)
+        even when another operator has built the tables.
     cache_pair_tables:
         force (True/False) or auto-decide (None, cache when
-        :meth:`cached_build_bytes` fits ``memory_budget``) the build of
-        the field-response tables from the O(N^2) pair tables; a forced
-        True whose build exceeds ``memory_budget`` raises
-        :class:`PairTableMemoryError`.
+        :meth:`cached_build_bytes` fits ``memory_budget``) the use of
+        the field-response tables built from the O(N^2) pair tables
+        (once per space and backend, shared by every cached operator on
+        the space); a forced True whose build exceeds ``memory_budget``
+        raises :class:`PairTableMemoryError`.
     backend:
         execution backend name (``auto`` | ``numpy`` | ``threaded`` |
         ``numba``) for the operator/assembly/band-solve hot paths; see

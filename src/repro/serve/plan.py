@@ -11,7 +11,9 @@ symbolics) — building those is the expensive part of a solve, so the
 service caches one *runtime* per plan per shard, with LRU eviction under a
 byte budget (the response tables dominate, so the budget is expressed through
 the existing :class:`~repro.core.options.AssemblyOptions` memory-budget
-machinery).
+machinery).  The response tables and scatter structure belong to the
+space, not the plan: every plan on one space shares them and the byte
+accounting charges them once (:func:`resident_bytes`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from ..core.options import AssemblyOptions
 from ..core.species import SpeciesSet
 from ..fem.function_space import FunctionSpace
 
-__all__ = ["SolvePlan", "PlanRuntime", "PlanCache"]
+__all__ = ["SolvePlan", "PlanRuntime", "PlanCache", "resident_bytes"]
 
 def _space_fingerprint(fs: FunctionSpace) -> str:
     """Stable digest of the discretization: quadrature geometry plus the
@@ -159,15 +161,25 @@ class PlanRuntime:
             )
         return self._retry_solver
 
+    def resident_arrays(self) -> list[np.ndarray]:
+        """The arrays that size the runtime: the field-response tables
+        dominate; the scatter structure adds a CSR-sized tail.  Both are
+        per-space, so plans on one space hold the same arrays."""
+        op = self.op
+        T = op.scatter_map.T
+        return [*(op.response_tables or ()), T.data, T.indices, T.indptr]
+
     @property
     def bytes(self) -> int:
-        """Resident-size estimate: the field-response tables dominate;
-        the band symbolics and scatter structure add a CSR-sized tail."""
-        op = self.op
-        tables = op.response_tables or ()
-        size = sum(R.nbytes for R in tables)
-        T = op.scatter_map.T
-        return size + int(T.data.nbytes + T.indices.nbytes + T.indptr.nbytes)
+        """Resident-size estimate (:meth:`resident_arrays`)."""
+        return resident_bytes([self])
+
+
+def resident_bytes(runtimes) -> int:
+    """Bytes resident for ``runtimes``, each array charged once however
+    many of them share it (in one process, plans on one space do)."""
+    arrays = {id(a): a.nbytes for rt in runtimes for a in rt.resident_arrays()}
+    return int(sum(arrays.values()))
 
 
 class PlanCache:
@@ -194,7 +206,10 @@ class PlanCache:
 
     @property
     def bytes(self) -> int:
-        return sum(rt.bytes for rt in self._entries.values())
+        """Resident bytes of the cached runtimes, per-space arrays charged
+        once: evicting a plan whose space another plan still uses frees
+        nothing."""
+        return resident_bytes(self._entries.values())
 
     def runtimes(self):
         return list(self._entries.values())

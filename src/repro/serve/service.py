@@ -65,7 +65,7 @@ from .checkpoint import (
 )
 from .jobs import STATUS_FAILED, JobHandle, JobResult, SolveJob
 from .metrics import merge_histograms
-from .plan import SolvePlan
+from .plan import SolvePlan, resident_bytes
 from .shard import (
     PlanNotPublished,
     ShardWorker,
@@ -956,6 +956,12 @@ class CollisionSolveService:
         caches = [s["plan_cache"] for s in shards]
         hits = sum(c["hits"] for c in caches)
         misses = sum(c["misses"] for c in caches)
+        if self._workers is None:  # a process per shard, a copy per process
+            plan_bytes = sum(c["bytes"] for c in caches)
+        else:  # thread shards share one process: each space charged once
+            plan_bytes = resident_bytes(
+                rt for w in self._workers for rt in w.plans.runtimes()
+            )
         solver_keys = shards[0]["solver"].keys() if shards else ()
         solver_tot = {
             k: sum(s["solver"][k] for s in shards)
@@ -1018,7 +1024,7 @@ class CollisionSolveService:
             ),
             "plan_cache": {
                 "plans": sum(c["plans"] for c in caches),
-                "bytes": sum(c["bytes"] for c in caches),
+                "bytes": plan_bytes,
                 "hits": hits,
                 "misses": misses,
                 "evictions": sum(c["evictions"] for c in caches),

@@ -117,6 +117,16 @@ class TestMemoryBudget:
         with pytest.raises(PairTableMemoryError, match="field-response"):
             LandauOperator(fs_q3, electron_species, options=forced)
 
+    def test_tables_off_ignores_an_existing_build(
+        self, electron_operator, fs_q3, electron_species
+    ):
+        """Each operator decides from its own options: the space's shared
+        build does not put a ``cache_pair_tables=False`` operator on it."""
+        assert electron_operator.pair_tables_cached
+        off = AssemblyOptions(cache_pair_tables=False)
+        op = LandauOperator(fs_q3, electron_species, options=off)
+        assert not op.pair_tables_cached and op.response_tables is None
+
 
 class TestRowBlocks:
     """The O(N^2) kernels run in cache-sized row blocks: the block size

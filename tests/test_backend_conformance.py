@@ -42,6 +42,7 @@ from repro.core import LandauOperator
 from repro.core import landau_tensor as lt
 from repro.core.maxwellian import maxwellian_rz, species_maxwellian
 from repro.core.options import AssemblyOptions
+from repro.fem import FunctionSpace
 from repro.fem.assembly import assemble_coefficient_operator, get_scatter_map
 from repro.sparse.band import CachedBandSolverFactory
 
@@ -145,23 +146,28 @@ class TestStageConformance:
     def test_field_response(self, ed_fs, ed_species, quench_fields, name):
         """The cached operator's fields: pair tables built through the
         backend, contracted into the response tables, and the two
-        batched GEMMs on dof vectors through ``backend.matmul``."""
+        batched GEMMs on dof vectors through ``backend.matmul``.  The
+        reference is built on a new space of the same mesh, so the two
+        sides never share one build (not even on the numpy leg)."""
         states = np.stack(
             [np.stack(quench_fields) * (1.0 + 0.1 * x) for x in range(3)]
         )
         states[1, 0] = quench_fields[1]  # the electrons swapped for a cold bulk
-        fields = {}
-        for be in ("numpy", name):
-            op = LandauOperator(
-                ed_fs,
+        ops = [
+            LandauOperator(
+                fs,
                 ed_species,
                 options=AssemblyOptions.from_env(
                     backend=be, num_threads=2, cache_pair_tables=True
                 ),
             )
-            fields[be] = op.fields_batch(states)
-        _assert_close(fields[name][0], fields["numpy"][0], f"{name} response G_D")
-        _assert_close(fields[name][1], fields["numpy"][1], f"{name} response G_K")
+            for be, fs in (("numpy", FunctionSpace(ed_fs.mesh, order=3)), (name, ed_fs))
+        ]
+        for ref, got in zip(*(op.response_tables for op in ops)):
+            assert not np.shares_memory(ref, got)
+        ref, got = (op.fields_batch(states) for op in ops)
+        _assert_close(got[0], ref[0], f"{name} response G_D")
+        _assert_close(got[1], ref[1], f"{name} response G_K")
 
     @pytest.mark.parametrize("name", BACKEND_PARAMS)
     def test_element_contraction_specs(self, ed_fs, name):
@@ -314,9 +320,11 @@ class TestStageConformance:
 
     @pytest.mark.parametrize("name", BACKEND_PARAMS)
     def test_full_jacobian(self, ed_fs, ed_species, quench_fields, name):
-        """End-to-end: the whole Jacobian build on each backend."""
+        """End-to-end: the whole Jacobian build on each backend.  The
+        reference runs on a new space of the same mesh, so no leg
+        compares a field-response build with itself."""
         ref_op = LandauOperator(
-            ed_fs,
+            FunctionSpace(ed_fs.mesh, order=3),
             ed_species,
             options=AssemblyOptions.from_env(backend="numpy"),
         )
@@ -325,6 +333,7 @@ class TestStageConformance:
             ed_species,
             options=AssemblyOptions.from_env(backend=name, num_threads=2),
         )
+        assert not np.shares_memory(op.response_tables[0], ref_op.response_tables[0])
         J_ref = ref_op.jacobian(quench_fields)
         J = op.jacobian(quench_fields)
         for a in range(len(ed_species)):

@@ -155,9 +155,10 @@ class TestJobHandle:
 
 
 class TestPlanCache:
-    def test_lru_eviction_under_budget(self, fs_q2, electron_species):
+    def test_lru_eviction_under_budget(self, fs_q2, fs_q3, electron_species):
+        # the plans are on two spaces: plans on one space share its arrays
         p1 = SolvePlan(fs=fs_q2, species=electron_species, dt=DT)
-        p2 = SolvePlan(fs=fs_q2, species=electron_species, dt=2 * DT)
+        p2 = SolvePlan(fs=fs_q3, species=electron_species, dt=2 * DT)
         probe = PlanCache(budget=1 << 40)
         per_plan = probe.get(p1).bytes
         cache = PlanCache(budget=int(1.5 * per_plan))
@@ -174,16 +175,42 @@ class TestPlanCache:
 
     def test_runtime_bytes_are_the_resident_response(self, fs_q2, electron_species):
         """A cached plan is charged its response tables (the pair tables
-        are gone after the build) plus the scatter structure's tail."""
-        rt = PlanCache(budget=1 << 40).get(
-            SolvePlan(fs=fs_q2, species=electron_species, dt=DT)
-        )
+        are gone after the build) plus the scatter structure's tail —
+        the space's arrays, the same ones every plan on it holds."""
+        cache = PlanCache(budget=1 << 40)
+        rt = cache.get(SolvePlan(fs=fs_q2, species=electron_species, dt=DT))
         op = rt.op
         R_D, R_K = op.response_tables
         T = op.scatter_map.T
         tail = T.data.nbytes + T.indices.nbytes + T.indptr.nbytes
         assert rt.bytes == R_D.nbytes + R_K.nbytes + tail
         assert rt.bytes < op.options.table_bytes(op.N)
+        other = cache.get(SolvePlan(fs=fs_q2, species=electron_species, dt=2 * DT))
+        assert other.op.response_tables[0] is R_D
+        assert other.bytes == rt.bytes == cache.bytes
+
+    def test_plans_on_one_space_are_charged_one_response(
+        self, fs_q2, electron_species
+    ):
+        """A budget of one plan's bytes holds every plan on its space,
+        and evicting one of them frees nothing: its arrays stay resident
+        with the others."""
+        plans = [
+            SolvePlan(fs=fs_q2, species=electron_species, dt=k * DT)
+            for k in (1, 2, 3)
+        ]
+        per_plan = PlanCache(budget=1 << 40).get(plans[0]).bytes
+        cache = PlanCache(budget=per_plan)
+        for plan in plans:
+            cache.get(plan)
+        assert len(cache) == 3 and cache.counters()["evictions"] == 0
+        assert cache.bytes == per_plan
+        cache.budget = per_plan - 1  # one byte short, checked on a miss
+        cache.get(SolvePlan(fs=fs_q2, species=electron_species, dt=4 * DT))
+        # no eviction brought the bytes down, so LRU eviction ran on to
+        # the single-plan floor, and the survivor holds what all four did
+        assert len(cache) == 1 and cache.counters()["evictions"] == 3
+        assert cache.bytes == per_plan
 
     def test_single_over_budget_plan_still_served(self, fs_q2, electron_species):
         cache = PlanCache(budget=1)  # nothing fits
@@ -248,6 +275,24 @@ class TestService:
         for s, r in zip(serve_states[:6], results):
             ref = seq.step([s[0].copy()], DT)[0]
             assert np.abs(r.state[0] - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_rollup_charges_a_space_once_across_shards(
+        self, fs_q2, electron_species, serve_states
+    ):
+        """Thread shards share one process: two plans on one space, each
+        on its own shard, hold one response between them."""
+        svc = CollisionSolveService(ServeOptions(num_shards=2, max_batch=8))
+        plans = {}
+        for k in range(64):
+            plan = SolvePlan(fs=fs_q2, species=electron_species, dt=DT * (1 + k / 100))
+            plans.setdefault(svc.ring.route(plan.key), plan)
+        assert len(plans) == 2
+        for plan in plans.values():
+            assert svc.solve_many(plan, serve_states[:1])[0].ok
+        snap = svc.snapshot()
+        per_shard = [s["plan_cache"]["bytes"] for s in svc.shard_snapshots()]
+        assert per_shard[0] == per_shard[1] > 0
+        assert snap["plan_cache"]["bytes"] == per_shard[0]
 
     def test_microbatch_coalesces_and_caches(
         self, fs_q2, electron_species, serve_states
