@@ -15,7 +15,6 @@ from .options import AssemblyOptions, PairTableMemoryError
 from .moments import Moments
 from .solver import ImplicitLandauSolver, NewtonStats
 from .grids import GridSet, MultiGridImplicitSolver, plan_grids, grid_cost_table
-from .adaptive import AdaptiveLandauIntegrator
 from .batch import BatchedVertexSolver
 from .projection import conservative_projection, moment_functionals
 
@@ -40,7 +39,6 @@ __all__ = [
     "MultiGridImplicitSolver",
     "plan_grids",
     "grid_cost_table",
-    "AdaptiveLandauIntegrator",
     "BatchedVertexSolver",
     "conservative_projection",
     "moment_functionals",

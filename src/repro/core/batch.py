@@ -129,7 +129,8 @@ class BatchedVertexSolver:
     nu0:
         collision prefactor.
     rtol, max_newton:
-        per-vertex quasi-Newton controls; vertices that converge early are
+        per-vertex quasi-Newton controls (``rtol > 0``,
+        ``max_newton >= 1``); vertices that converge early are
         frozen (masked out of subsequent sweeps), mirroring warp-level
         early exit.
     accel_m:
@@ -156,13 +157,17 @@ class BatchedVertexSolver:
         accel_m: int = 2,
         options: AssemblyOptions | None = None,
     ):
+        if rtol <= 0:
+            raise ValueError(f"rtol must be positive, got {rtol}")
+        if max_newton < 1:
+            raise ValueError(f"max_newton must be >= 1, got {max_newton}")
+        if accel_m < 0:
+            raise ValueError(f"accel_m must be >= 0, got {accel_m}")
         self.fs = fs
         self.species = species
         self.op = LandauOperator(fs, species, nu0=nu0, options=options)
         self.rtol = float(rtol)
         self.max_newton = int(max_newton)
-        if accel_m < 0:
-            raise ValueError(f"accel_m must be >= 0, got {accel_m}")
         self.accel_m = int(accel_m)
         # one symbolic band setup serves every (species, vertex)
         # factorization — the pattern never changes

@@ -4,8 +4,7 @@ The full linearization of the Landau operator is dense; as in the paper the
 practical approximate Jacobian freezes ``D`` and ``K`` at the current state,
 making the operator *linear in each species* per iteration (section III):
 
-    (M + dt a_s A - theta dt L_s(f^k)) f_s^{k+1} =
-        M f_s^n + (1-theta) dt (L_s(f^k) f_s^n - a_s A f_s^n) + dt b_s
+    (M - dt L_s(f^k) + dt a_s A) f_s^{k+1} = M f_s^n + dt b_s
 
 with the z-advection operator ``A`` (E-field acceleration,
 ``a_s = z_s E~ / m_s``) and source projection ``b_s``.  The iteration is a
@@ -35,12 +34,9 @@ class NewtonStats:
     path's activity (``structure_reuses`` counts matrix builds served by
     the cached scatter structure, ``parallel_builds`` counts thread-pool
     dispatched table/field builds) and the resilience layer's:
-    ``step_rejections``/``dt_backoffs`` count retried steps,
-    ``backend_solves`` maps each linear-solver backend name to the number
-    of right-hand sides it served (populated by
-    :class:`repro.resilience.fallback.FallbackSolverChain`), and
+    ``step_rejections``/``dt_backoffs`` count retried steps and
     ``events`` is a log of structured ``{"kind": ..., ...}`` dicts
-    (fallbacks, rejections, checkpoints).
+    (rejections, checkpoints).
 
     ``events`` and ``residual_history`` are *bounded rings*: long quench
     runs merge thousands of substep stats, so only the most recent
@@ -57,7 +53,6 @@ class NewtonStats:
     residual_history: list = field(default_factory=list)
     step_rejections: int = 0
     dt_backoffs: int = 0
-    backend_solves: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
     structure_reuses: int = 0
     parallel_builds: int = 0
@@ -96,8 +91,6 @@ class NewtonStats:
         self.dt_backoffs += other.dt_backoffs
         self.structure_reuses += other.structure_reuses
         self.parallel_builds += other.parallel_builds
-        for name, count in other.backend_solves.items():
-            self.backend_solves[name] = self.backend_solves.get(name, 0) + count
         self.events.extend(other.events)
         self.events_dropped += other.events_dropped
         self.residuals_dropped += other.residuals_dropped
@@ -110,36 +103,34 @@ def _splu_factory(A: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
 
 
 class ImplicitLandauSolver:
-    """Backward-Euler / theta-method integrator for eq. (1) on one grid.
+    """Backward-Euler integrator for eq. (1) on one grid.
 
     Parameters
     ----------
     operator:
         the Landau collision operator (holds the species and the space).
-    theta:
-        1.0 = backward Euler (default), 0.5 = Crank-Nicolson.
     linear_solver:
         ``"splu"`` (scipy sparse LU) or ``"band"`` (the custom RCM band
-        solver of section III-G), or a callable ``A -> solve``.
+        solver of section III-G), or a ``factory(A) -> solve(b)`` callable.
     rtol, atol, max_newton:
-        quasi-Newton stopping controls.
+        quasi-Newton stopping controls (``rtol > 0``, ``max_newton >= 1``).
     """
 
     def __init__(
         self,
         operator: LandauOperator,
-        theta: float = 1.0,
         linear_solver: str | Callable = "splu",
         rtol: float = 1e-9,
         atol: float = 1e-14,
         max_newton: int = 50,
     ):
-        if not (0.0 < theta <= 1.0):
-            raise ValueError(f"theta must be in (0, 1], got {theta}")
+        if rtol <= 0:
+            raise ValueError(f"rtol must be positive, got {rtol}")
+        if max_newton < 1:
+            raise ValueError(f"max_newton must be >= 1, got {max_newton}")
         self.op = operator
         self.fs = operator.fs
         self.species = operator.species
-        self.theta = float(theta)
         self.rtol = float(rtol)
         self.atol = float(atol)
         self.max_newton = int(max_newton)
@@ -148,10 +139,6 @@ class ImplicitLandauSolver:
 
         if callable(linear_solver):
             self._factor = linear_solver
-            # a FallbackSolverChain built without a stats sink reports
-            # backend usage into this solver's stats
-            if hasattr(linear_solver, "bind") and getattr(linear_solver, "stats", 0) is None:
-                linear_solver.bind(self.stats)
         elif linear_solver == "splu":
             self._factor = _splu_factory
         elif linear_solver == "band":
@@ -160,12 +147,11 @@ class ImplicitLandauSolver:
             from ..sparse.band import CachedBandSolverFactory
 
             self._factor = CachedBandSolverFactory()
-        elif linear_solver == "fallback":
-            from ..resilience.fallback import FallbackSolverChain
-
-            self._factor = FallbackSolverChain(stats=self.stats)
         else:
-            raise ValueError(f"unknown linear solver {linear_solver!r}")
+            raise ValueError(
+                f"unknown linear solver {linear_solver!r}: expected 'splu', "
+                "'band' or a factory(A) -> solve(b) callable"
+            )
 
         self.M = operator.mass_matrix
         self._A_adv: sp.csr_matrix | None = None
@@ -196,7 +182,6 @@ class ImplicitLandauSolver:
             raise ValueError(f"expected {S} fields, got {len(fields)}")
         fn = [np.asarray(x, dtype=float) for x in fields]
         fk = [x.copy() for x in fn]
-        theta = self.theta
         M = self.M
         A = self.advection if efield != 0.0 else None
 
@@ -205,39 +190,28 @@ class ImplicitLandauSolver:
         norms0 = [max(np.linalg.norm(x), self.atol) for x in fn]
         converged = False
         for _it in range(self.max_newton):
-            if theta == 1.0:
-                f_lin = fk
-            else:
-                # freeze D/K at the theta-weighted state so the theta method
-                # keeps its formal order (coefficients at the midpoint for
-                # Crank-Nicolson)
-                f_lin = [
-                    theta * fk[s] + (1.0 - theta) * fn[s] for s in range(S)
-                ]
-            L = self.op.jacobian(f_lin)
+            L = self.op.jacobian(fk)
             step_stats.jacobian_builds += 1
             step_stats.newton_iterations += 1
             delta = 0.0
             fk1 = []
             for s_idx, s in enumerate(self.species):
-                lhs = M - theta * dt * L[s_idx]
+                lhs = M - dt * L[s_idx]
                 rhs = M @ fn[s_idx]
-                if theta < 1.0:
-                    rhs = rhs + (1.0 - theta) * dt * (L[s_idx] @ fn[s_idx])
                 if A is not None:
                     a_s = s.charge * efield / s.mass
-                    lhs = lhs + theta * dt * a_s * A
-                    if theta < 1.0:
-                        rhs = rhs - (1.0 - theta) * dt * a_s * (A @ fn[s_idx])
+                    lhs = lhs + dt * a_s * A
                 if sources is not None and sources[s_idx] is not None:
                     rhs = rhs + dt * sources[s_idx]
                 solve = self._factor(lhs.tocsr())
                 step_stats.factorizations += 1
                 x = solve(rhs)
                 step_stats.solves += 1
-                delta = max(
+                # np.maximum, not max(): max(0.0, nan) is 0.0, which
+                # would report a NaN solve as converged
+                delta = float(np.maximum(
                     delta, np.linalg.norm(x - fk[s_idx]) / norms0[s_idx]
-                )
+                ))
                 fk1.append(x)
             fk = fk1
             step_stats.record_residual(delta)

@@ -296,9 +296,10 @@ def measure_resistivity(
     :meth:`~repro.core.solver.ImplicitLandauSolver.advance` under a
     :class:`~repro.resilience.guards.StepGuard` (density conservation,
     finiteness, positivity — momentum/energy are driven by the field and
-    therefore not checked).  ``linear_solver`` accepts the usual plugs,
-    including ``"fallback"`` and fault-injected chains, so the whole
-    recovery stack can be exercised on this ramp.
+    therefore not checked).  ``linear_solver`` accepts the usual plugs
+    (``"splu"``, ``"band"`` or a ``factory(A) -> solve(b)`` callable,
+    e.g. a fault-injected one), so the whole recovery stack can be
+    exercised on this ramp.
     """
     _validate_stepping(dt, max_steps, "measure_resistivity")
     if not np.isfinite(efield):

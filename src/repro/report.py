@@ -121,19 +121,12 @@ def solver_stats_table(stats, title: str = "solver work") -> str:
 
 
 def resilience_summary(stats, max_events: int = 12) -> str:
-    """Backend usage + the tail of the structured event log.
+    """Solver counters + the tail of the structured event log.
 
-    This is the operator-facing record the acceptance runs check: which
-    linear-solver backend served each solve, and every fallback /
+    This is the operator-facing record the acceptance runs check: every
     step-rejection event the run survived.
     """
     lines = [solver_stats_table(stats)]
-    if stats.backend_solves:
-        rows = sorted(stats.backend_solves.items(), key=lambda kv: -kv[1])
-        lines.append("")
-        lines.append(
-            format_table(["backend", "solves served"], rows, title="linear-solver backends")
-        )
     if stats.events:
         lines.append("")
         shown = stats.events[-max_events:]

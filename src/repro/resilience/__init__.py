@@ -1,12 +1,12 @@
-"""Resilience layer: guards, adaptive retry/backoff, fallback solves,
-checkpoint/restart, and deterministic fault injection.
+"""Resilience layer: guards, adaptive retry/backoff, checkpoint/restart,
+and deterministic fault injection.
 
 The quench scenario (Fig. 5) is exactly the regime where implicit Landau
 solves fail in production — the cold pulse collapses ``T_e``,
 collisionality spikes, and a fixed-``dt`` quasi-Newton loop stalls or
 silently produces NaN/negative-density states.  This package makes every
-failure mode detectable (:mod:`.guards`), recoverable (:mod:`.controller`,
-:mod:`.fallback`), survivable (:mod:`.checkpoint`) and *testable*
+failure mode detectable (:mod:`.guards`), recoverable
+(:mod:`.controller`), survivable (:mod:`.checkpoint`) and *testable*
 (:mod:`.faults`).
 """
 
@@ -23,7 +23,6 @@ from .exceptions import (
 )
 from .guards import GuardConfig, GuardReference, StepGuard
 from .controller import TimeStepController
-from .fallback import DEFAULT_BACKENDS, FallbackSolverChain
 from .checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -55,8 +54,6 @@ __all__ = [
     "GuardReference",
     "StepGuard",
     "TimeStepController",
-    "FallbackSolverChain",
-    "DEFAULT_BACKENDS",
     "Checkpoint",
     "save_checkpoint",
     "load_checkpoint",

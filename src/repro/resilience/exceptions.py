@@ -35,9 +35,8 @@ class StepRejected(ResilienceError):
 
 
 class SolveFailure(ResilienceError):
-    """A solve could not be completed at all: every linear-solver backend
-    in the fallback chain failed, or the retry/backoff budget of the
-    time-step controller is exhausted.  Not recoverable by shrinking
+    """A solve could not be completed at all: the retry/backoff budget of
+    the time-step controller is exhausted.  Not recoverable by shrinking
     ``dt`` further."""
 
 

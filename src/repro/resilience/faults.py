@@ -1,15 +1,15 @@
 """Deterministic, seeded fault injection for the solver stack.
 
 The recovery paths of the resilience layer are only trustworthy if tests
-can make each one fire on demand.  :class:`FaultInjector` wraps a linear
-solver factory (a chain backend or the whole ``factory(A) -> solve(b)``
-plug) and injects failures at exact, reproducible call indices:
+can make each one fire on demand.  :class:`FaultInjector` wraps a
+``factory(A) -> solve(b)`` linear-solver plug and injects failures at
+exact, reproducible call indices:
 
 * ``fail_first_solves=k`` — the first ``k`` solve calls raise
   :class:`~repro.resilience.exceptions.InjectedFault` (exercises the
-  fallback chain and the retry/backoff loop);
+  retry/backoff loop);
 * ``factorization_failures=(i, ...)`` — the ``i``-th factorization calls
-  raise (exercises factorization fallback);
+  raise (exercises recovery from a failed factorization);
 * ``nan_solve_indices=(i, ...)`` — the ``i``-th solve calls return a
   NaN-corrupted solution, which poisons the Newton residual (exercises
   the NaN guards);
@@ -24,7 +24,7 @@ faults succeeds, exactly like a transient hardware fault clearing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,15 +105,3 @@ class FaultInjector:
             return faulty_solve
 
         return faulty_factory
-
-    def wrap_backends(
-        self, backends: Iterable[tuple[str, Callable]], only: str | None = None
-    ) -> list[tuple[str, Callable]]:
-        """Wrap (a subset of) ``(name, factory)`` chain backends."""
-        out = []
-        for bname, bfactory in backends:
-            if only is None or bname == only:
-                out.append((bname, self.wrap_factory(bfactory, name=bname)))
-            else:
-                out.append((bname, bfactory))
-        return out

@@ -70,6 +70,8 @@ class SolvePlan:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.rtol <= 0:
             raise ValueError(f"rtol must be positive, got {self.rtol}")
+        if self.max_newton < 1:
+            raise ValueError(f"max_newton must be >= 1, got {self.max_newton}")
 
     @property
     def key(self) -> str:

@@ -98,8 +98,8 @@ def band_factor(
     Without pivoting a tiny (not just zero) pivot silently amplifies
     rounding error through the whole factorization; ``pivot_tol > 0``
     raises :class:`numpy.linalg.LinAlgError` when a pivot falls below
-    ``pivot_tol`` times the largest in-band magnitude, so a fallback chain
-    can hand the system to a pivoted solver instead.
+    ``pivot_tol`` times the largest in-band magnitude, so the caller can
+    hand the system to a pivoted solver instead.
     """
     W, B = bm.W, bm.B
     n = W.shape[0]

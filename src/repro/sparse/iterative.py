@@ -165,8 +165,8 @@ def landau_iterative_solver_factory(
     ``ImplicitLandauSolver(op, linear_solver=landau_iterative_solver_factory())``
     swaps the direct band/LU solve for preconditioned GMRES.
 
-    A stalled solve raises ``RuntimeError`` so a fallback chain (or the
-    adaptive time-step controller) can recover; ``raise_on_stall=False``
+    A stalled solve raises ``RuntimeError`` so the adaptive time-step
+    controller can recover; ``raise_on_stall=False``
     returns the best iterate instead.  Either way the returned ``solve``
     exposes the most recent :class:`IterativeStats` as ``solve.last_stats``.
     """

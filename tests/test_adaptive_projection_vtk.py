@@ -1,9 +1,8 @@
-"""Adaptive time stepping, conservative projection, and VTK output."""
+"""Conservative projection and VTK output."""
 
 import numpy as np
 import pytest
 
-from repro.core.adaptive import AdaptiveLandauIntegrator
 from repro.core.maxwellian import maxwellian_rz
 from repro.core.projection import conservative_projection, moment_functionals
 from repro.fem.vtk import field_to_vtk, mesh_to_vtk
@@ -16,44 +15,6 @@ def aniso(fs_q3):
         return np.exp(-((r / vr) ** 2) - (z / vz) ** 2) / (np.pi**1.5 * vr * vr * vz)
 
     return fs_q3.interpolate(f)
-
-
-class TestAdaptive:
-    def test_relaxation_with_step_control(self, electron_operator, aniso, electron_moments):
-        integ = AdaptiveLandauIntegrator(electron_operator, tol=1e-3, dt_min=0.01)
-        f0 = [aniso]
-        m0 = electron_moments.summary(f0)
-        f1 = integ.integrate(f0, t_final=2.0, dt0=0.1)
-        m1 = electron_moments.summary(f1)
-        assert integ.stats.steps_accepted >= 2
-        assert m1["n_e"] == pytest.approx(m0["n_e"], rel=1e-10)
-        assert m1["energy"] == pytest.approx(m0["energy"], rel=1e-5)
-
-    def test_dt_grows_near_equilibrium(self, electron_operator, fs_q3):
-        """At equilibrium the error is tiny, so the controller opens dt."""
-        f_eq = fs_q3.interpolate(lambda r, z: maxwellian_rz(r, z, 1.0, 0.886))
-        integ = AdaptiveLandauIntegrator(
-            electron_operator, tol=1e-4, dt_min=0.01, dt_max=2.0
-        )
-        integ.integrate([f_eq], t_final=3.0, dt0=0.05)
-        dts = integ.stats.dt_history
-        assert dts[-1] > dts[0]
-
-    def test_tight_tolerance_rejects_or_shrinks(self, electron_operator, aniso):
-        loose = AdaptiveLandauIntegrator(electron_operator, tol=3e-3, dt_min=1e-3)
-        tight = AdaptiveLandauIntegrator(electron_operator, tol=1e-6, dt_min=1e-3)
-        loose.integrate([aniso], t_final=0.5, dt0=0.25)
-        tight.integrate([aniso], t_final=0.5, dt0=0.25)
-        assert tight.stats.steps_accepted > loose.stats.steps_accepted
-
-    def test_validation(self, electron_operator, aniso):
-        with pytest.raises(ValueError):
-            AdaptiveLandauIntegrator(electron_operator, tol=-1.0)
-        with pytest.raises(ValueError):
-            AdaptiveLandauIntegrator(electron_operator, dt_min=1.0, dt_max=0.5)
-        integ = AdaptiveLandauIntegrator(electron_operator)
-        with pytest.raises(ValueError):
-            integ.integrate([aniso], t_final=0.0)
 
 
 class TestConservativeProjection:

@@ -67,6 +67,15 @@ class TestBatchedSolve:
         with pytest.raises(ValueError):
             bs.step(batch_states, dt=0.0)
 
+    def test_rejects_no_iteration(self, fs_q3, electron_species):
+        """``max_newton=0`` used to return the input batch unchanged with
+        every vertex unconverged; ``rtol <= 0`` can never be met."""
+        with pytest.raises(ValueError, match="max_newton"):
+            BatchedVertexSolver(fs_q3, electron_species, max_newton=0)
+        for rtol in (0.0, -1e-8):
+            with pytest.raises(ValueError, match="rtol"):
+                BatchedVertexSolver(fs_q3, electron_species, rtol=rtol)
+
     def test_batched_fields_match_single(self, fs_q3, electron_species, batch_states):
         bs = BatchedVertexSolver(fs_q3, electron_species)
         op = bs.op

@@ -1,16 +1,15 @@
-"""Resilience layer unit tests: guards, controller, fallback chain,
-fault injection, checkpoint round-trips, and the adaptive advance loop."""
+"""Resilience layer unit tests: guards, controller, fault injection,
+checkpoint round-trips, and the adaptive advance loop."""
 
 import numpy as np
 import pytest
 
 from repro.core import ImplicitLandauSolver, Moments, NewtonStats
+from repro.core.maxwellian import maxwellian_rz
 from repro.core.solver import _splu_factory
 from repro.report import resilience_summary, solver_stats_table
 from repro.resilience import (
-    DEFAULT_BACKENDS,
     CheckpointError,
-    FallbackSolverChain,
     FaultInjector,
     GuardConfig,
     InjectedFault,
@@ -173,68 +172,6 @@ class TestTimeStepController:
             TimeStepController(dt_init=1.0, growth=0.9)
 
 
-class TestFallbackChain:
-    def test_primary_serves_when_healthy(self, electron_operator, aniso_state):
-        solver = ImplicitLandauSolver(
-            electron_operator, linear_solver="fallback", rtol=1e-9
-        )
-        solver.step([aniso_state], dt=0.5)
-        assert set(solver.stats.backend_solves) == {"band"}
-        assert solver.stats.backend_solves["band"] == solver.stats.solves
-
-    def test_matches_splu(self, electron_operator, aniso_state):
-        s1 = ImplicitLandauSolver(electron_operator, rtol=1e-9)
-        s2 = ImplicitLandauSolver(electron_operator, linear_solver="fallback", rtol=1e-9)
-        f1 = s1.step([aniso_state], dt=0.5)
-        f2 = s2.step([aniso_state], dt=0.5)
-        assert np.allclose(f1[0], f2[0], atol=1e-11)
-
-    def test_falls_back_on_failure(self, electron_operator, aniso_state):
-        def broken(A):
-            raise np.linalg.LinAlgError("injected: factorization refused")
-
-        chain = FallbackSolverChain(
-            [("broken", broken)] + list(DEFAULT_BACKENDS)
-        )
-        solver = ImplicitLandauSolver(electron_operator, linear_solver=chain, rtol=1e-9)
-        solver.step([aniso_state], dt=0.5)
-        assert "broken" not in solver.stats.backend_solves
-        assert solver.stats.backend_solves["band"] == solver.stats.solves
-        kinds = {e["kind"] for e in solver.stats.events}
-        assert "linear_fallback" in kinds
-
-    def test_nan_solution_rejected(self):
-        """A backend returning NaN counts as failed, not served."""
-        A = __import__("scipy.sparse", fromlist=["sparse"]).eye(4, format="csr")
-
-        def nan_backend(A):
-            return lambda b: np.full_like(np.asarray(b, float), np.nan)
-
-        stats = NewtonStats()
-        chain = FallbackSolverChain(
-            [("nan", nan_backend), ("splu", lambda A: _splu_factory(A))], stats=stats
-        )
-        x = chain(A)(np.ones(4))
-        assert np.allclose(x, 1.0)
-        assert stats.backend_solves == {"splu": 1}
-
-    def test_all_fail_raises_solve_failure(self):
-        import scipy.sparse as sp
-
-        def broken(A):
-            raise RuntimeError("no")
-
-        chain = FallbackSolverChain([("b1", broken), ("b2", broken)])
-        solve = chain(sp.eye(3, format="csr"))
-        with pytest.raises(SolveFailure) as exc:
-            solve(np.ones(3))
-        assert len(exc.value.diagnostics["errors"]) == 2
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            FallbackSolverChain([])
-
-
 class TestFaultInjector:
     def test_fail_first_solves_then_recover(self):
         import scipy.sparse as sp
@@ -281,15 +218,6 @@ class TestFaultInjector:
         assert run(7) == run(7)
         assert run(7) != run(8)  # astronomically unlikely to collide
 
-    def test_wrap_backends_only(self):
-        inj = FaultInjector(fail_first_solves=1)
-        wrapped = inj.wrap_backends(DEFAULT_BACKENDS, only="band")
-        names = [n for n, _ in wrapped]
-        assert names == [n for n, _ in DEFAULT_BACKENDS]
-        # non-wrapped backends are the original factories
-        assert wrapped[1][1] is DEFAULT_BACKENDS[1][1]
-        assert wrapped[0][1] is not DEFAULT_BACKENDS[0][1]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultInjector(nan_probability=1.5)
@@ -332,6 +260,86 @@ class TestAdvance:
         assert solver.stats.step_rejections == 1
         assert np.all(np.isfinite(f[0]))
         assert solver.stats.converged_last
+
+    def test_nan_fault_rejected_without_guard(self, electron_operator, aniso_state):
+        """The non-convergence check alone rejects a NaN solve: a NaN
+        residual never counts as converged."""
+        inj = FaultInjector(nan_solve_indices=(0,))
+        solver = ImplicitLandauSolver(
+            electron_operator, linear_solver=inj.wrap_factory(_splu_factory), rtol=1e-8
+        )
+        ctrl = TimeStepController(dt_init=0.5)
+        f, _ = solver.advance([aniso_state], 0.5, ctrl)
+        assert inj.n_injected == 1
+        assert solver.stats.step_rejections == 1
+        assert "did not converge" in solver.stats.events[0]["reason"]
+        assert np.all(np.isfinite(f[0]))
+
+    def test_relaxation_conserves_over_substeps(
+        self, electron_operator, electron_moments, aniso_state
+    ):
+        """A multi-substep relaxation under the controller keeps density
+        and energy, as a fixed-dt run does."""
+        solver = ImplicitLandauSolver(electron_operator, rtol=1e-9)
+        ctrl = TimeStepController(dt_init=0.1, dt_max=1.0)
+        times = []
+        m0 = electron_moments.summary([aniso_state])
+        f, t = solver.advance(
+            [aniso_state], 2.0, ctrl, callback=lambda t, f: times.append(t)
+        )
+        assert t == pytest.approx(2.0)
+        assert len(times) >= 2 and times == sorted(times)
+        assert times[-1] == t
+        m1 = electron_moments.summary(f)
+        assert m1["n_e"] == pytest.approx(m0["n_e"], rel=1e-10)
+        assert m1["energy"] == pytest.approx(m0["energy"], rel=1e-5)
+
+    def test_dt_grows_near_equilibrium(self, electron_operator, fs_q3):
+        """At equilibrium every step is easy, so the controller opens dt."""
+        f_eq = fs_q3.interpolate(lambda r, z: maxwellian_rz(r, z, 1.0, 0.886))
+        solver = ImplicitLandauSolver(electron_operator, rtol=1e-9)
+        ctrl = TimeStepController(dt_init=0.05, dt_max=2.0)
+        times = [0.0]
+        solver.advance([f_eq], 3.0, ctrl, callback=lambda t, f: times.append(t))
+        dts = np.diff(times)
+        assert solver.stats.step_rejections == 0
+        assert dts.max() > 4 * dts[0]
+        assert ctrl.dt > ctrl.dt_init
+
+    def test_matches_fixed_step_integrate(self, electron_operator, aniso_state):
+        """With no rejection and no growth, ``advance`` takes exactly the
+        backward-Euler steps of ``integrate``."""
+        fixed = ImplicitLandauSolver(electron_operator, rtol=1e-9)
+        f_fixed = fixed.integrate([aniso_state], dt=0.25, nsteps=4)
+        adaptive = ImplicitLandauSolver(electron_operator, rtol=1e-9)
+        ctrl = TimeStepController(dt_init=0.25)
+        f_adv, t = adaptive.advance([aniso_state], 1.0, ctrl)
+        assert t == 1.0
+        assert ctrl.total_accepts == 4 and ctrl.total_backoffs == 0
+        assert np.array_equal(f_adv[0], f_fixed[0])
+
+    def test_linalg_error_from_plug_is_retried(
+        self, electron_operator, electron_moments, aniso_state
+    ):
+        """A plug that raises a real ``LinAlgError`` (not an injected
+        fault) costs one rejected substep, then the retry succeeds."""
+        failures = [1]
+
+        def flaky(A):
+            if failures[0]:
+                failures[0] -= 1
+                raise np.linalg.LinAlgError("singular factor")
+            return _splu_factory(A)
+
+        solver = ImplicitLandauSolver(electron_operator, linear_solver=flaky, rtol=1e-8)
+        ctrl = TimeStepController(dt_init=0.5)
+        f, t = solver.advance([aniso_state], 0.5, ctrl)
+        assert t == pytest.approx(0.5)
+        assert solver.stats.step_rejections == 1 == ctrl.total_backoffs
+        (event,) = solver.stats.events
+        assert event["kind"] == "step_rejected"
+        assert event["reason"].startswith("LinAlgError")
+        assert solver.stats.converged_last and np.all(np.isfinite(f[0]))
 
     def test_budget_exhaustion_propagates(self, electron_operator, aniso_state):
         inj = FaultInjector(fail_first_solves=10**9)
@@ -398,11 +406,8 @@ class TestReporting:
             solves=40,
             step_rejections=1,
             dt_backoffs=1,
-            backend_solves={"band": 30, "splu": 10},
         )
-        stats.record_event("linear_fallback", backend="band", error="LinAlgError: x")
         stats.record_event("step_rejected", t=0.5, dt=0.25, reason="StepRejected: y")
         out = resilience_summary(stats)
-        assert "band" in out and "splu" in out
-        assert "linear_fallback" in out and "step_rejected" in out
+        assert "step_rejected" in out and "reason=StepRejected: y" in out
         assert "backoffs" in solver_stats_table(stats)

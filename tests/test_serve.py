@@ -112,6 +112,15 @@ class TestSolvePlan:
         with pytest.raises(ValueError):
             SolvePlan(fs=fs_q2, species=electron_species, dt=DT, rtol=-1.0)
 
+    def test_rejects_max_newton_below_one(self, fs_q2, electron_species):
+        """A zero-iteration plan used to be accepted and served every job
+        its unchanged input state."""
+        for max_newton in (0, -1):
+            with pytest.raises(ValueError, match="max_newton"):
+                SolvePlan(
+                    fs=fs_q2, species=electron_species, dt=DT, max_newton=max_newton
+                )
+
 
 class TestHashRing:
     def test_routing_deterministic_and_in_range(self):

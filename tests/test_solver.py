@@ -1,11 +1,16 @@
 """Implicit quasi-Newton integrator: conservation over steps, convergence,
-linear-solver equivalence, advection, sources."""
+linear-solver equivalence, advection, sources, and the backward-Euler
+residual of the returned state."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from repro.core import ImplicitLandauSolver, Moments, NewtonStats
-from repro.core.maxwellian import maxwellian_rz
+from repro.amr import landau_mesh
+from repro.core import ImplicitLandauSolver, LandauOperator, NewtonStats
+from repro.core.maxwellian import maxwellian_rz, shifted_maxwellian_rz
+from repro.fem import FunctionSpace
+from repro.fem.assembly import assemble_z_advection
 
 
 class TestNewtonStatsMerge:
@@ -33,15 +38,24 @@ class TestNewtonStatsMerge:
         assert bad2.converged_last is False
 
     def test_merge_resilience_counters(self):
-        a = NewtonStats(step_rejections=1, dt_backoffs=1,
-                        backend_solves={"band": 2})
-        b = NewtonStats(step_rejections=2, dt_backoffs=3,
-                        backend_solves={"band": 1, "splu": 4})
-        b.record_event("linear_fallback", backend="band")
+        a = NewtonStats(step_rejections=1, dt_backoffs=1)
+        b = NewtonStats(step_rejections=2, dt_backoffs=3)
+        b.record_event("step_rejected", t=0.5, dt=0.25)
         a.merge(b)
         assert a.step_rejections == 3 and a.dt_backoffs == 4
-        assert a.backend_solves == {"band": 3, "splu": 4}
-        assert a.events == [{"kind": "linear_fallback", "backend": "band"}]
+        assert a.events == [{"kind": "step_rejected", "t": 0.5, "dt": 0.25}]
+
+
+def _weak_source(fs, density_rate, vth):
+    """``(psi, S)`` of a Maxwellian source, reduced to free dofs."""
+    vals = maxwellian_rz(fs.qpoints[:, :, 0], fs.qpoints[:, :, 1], density_rate, vth)
+    b_full = np.zeros(fs.dofmap.n_full)
+    np.add.at(
+        b_full,
+        fs.dofmap.cell_nodes,
+        np.einsum("eq,qb->eb", fs.qweights * vals, fs.B),
+    )
+    return fs.dofmap.reduce_vector(b_full)
 
 
 @pytest.fixture()
@@ -107,31 +121,121 @@ class TestStep:
         f2 = s2.step([aniso_state], dt=0.5)
         assert np.allclose(f1[0], f2[0], atol=1e-11)
 
+    def test_callable_plug_matches_splu(self, electron_operator, aniso_state):
+        """A ``factory(A) -> solve(b)`` callable is called once per
+        factorization and, wrapping the same LU, gives the same state."""
+        calls = []
+
+        def factory(A):
+            calls.append(A.shape)
+            return spla.splu(A.tocsc()).solve
+
+        s1 = ImplicitLandauSolver(electron_operator, rtol=1e-9)
+        s2 = ImplicitLandauSolver(electron_operator, linear_solver=factory, rtol=1e-9)
+        f1 = s1.step([aniso_state], dt=0.5)
+        f2 = s2.step([aniso_state], dt=0.5)
+        assert np.array_equal(f1[0], f2[0])
+        assert len(calls) == s2.stats.factorizations == s1.stats.factorizations
+        n = aniso_state.size
+        assert set(calls) == {(n, n)}
+
+    def test_nan_plug_stops_iteration(self, electron_operator, aniso_state):
+        """A plug that returns NaN ends the step after one iteration,
+        unconverged, instead of burning ``max_newton`` iterations."""
+
+        def nan_factory(A):
+            return lambda b: np.full_like(np.asarray(b, float), np.nan)
+
+        solver = ImplicitLandauSolver(
+            electron_operator, linear_solver=nan_factory, max_newton=30
+        )
+        solver.step([aniso_state], dt=0.5)
+        assert not solver.stats.converged_last
+        assert solver.stats.newton_iterations == 1
+        assert np.isnan(solver.stats.residual_history[-1])
+
     def test_invalid_inputs(self, electron_operator, aniso_state):
         solver = ImplicitLandauSolver(electron_operator)
         with pytest.raises(ValueError):
             solver.step([aniso_state], dt=-0.1)
         with pytest.raises(ValueError):
             solver.step([aniso_state, aniso_state], dt=0.1)
-        with pytest.raises(ValueError):
-            ImplicitLandauSolver(electron_operator, theta=0.0)
-        with pytest.raises(ValueError):
-            ImplicitLandauSolver(electron_operator, linear_solver="magic")
+        for plug in ("magic", "fallback"):
+            with pytest.raises(ValueError) as exc:
+                ImplicitLandauSolver(electron_operator, linear_solver=plug)
+            msg = str(exc.value)
+            assert "'splu'" in msg and "'band'" in msg and "callable" in msg
 
-    def test_crank_nicolson_more_accurate(self, electron_operator, aniso_state):
-        """The midpoint-linearized theta=0.5 scheme beats backward Euler at
-        the same (moderate) step size."""
-        ref = ImplicitLandauSolver(electron_operator, rtol=1e-11, max_newton=60)
-        f_ref = ref.integrate([aniso_state], dt=0.0125, nsteps=32)
-        be = ImplicitLandauSolver(electron_operator, rtol=1e-11, max_newton=60)
-        f_be = be.integrate([aniso_state], dt=0.2, nsteps=2)
-        cn = ImplicitLandauSolver(
-            electron_operator, theta=0.5, rtol=1e-11, max_newton=60
-        )
-        f_cn = cn.integrate([aniso_state], dt=0.2, nsteps=2)
-        err_be = np.linalg.norm(f_be[0] - f_ref[0])
-        err_cn = np.linalg.norm(f_cn[0] - f_ref[0])
-        assert err_cn < 0.6 * err_be
+    def test_rejects_no_iteration(self, electron_operator):
+        """``max_newton=0`` used to return the input state unchanged with
+        ``converged_last`` False; ``rtol <= 0`` can never be met."""
+        with pytest.raises(ValueError, match="max_newton"):
+            ImplicitLandauSolver(electron_operator, max_newton=0)
+        for rtol in (0.0, -1e-9):
+            with pytest.raises(ValueError, match="rtol"):
+                ImplicitLandauSolver(electron_operator, rtol=rtol)
+
+
+@pytest.fixture(scope="module")
+def ed_q2_operator(ed_species):
+    mesh = landau_mesh([s.thermal_velocity for s in ed_species])
+    return LandauOperator(FunctionSpace(mesh, order=2), ed_species)
+
+
+class TestBackwardEulerResidual:
+    """The returned state solves the backward-Euler equations
+
+        M (f_s - f_s^n) = dt (C_s(f)[f_s] - a_s A f_s + b_s)
+
+    to the stopping tolerance — checked with the nonlinear operator
+    (``op.apply``), not the frozen-coefficient matrices the iteration
+    factors, so the check is independent of how the iteration got there."""
+
+    @staticmethod
+    def residual(solver, fn, f, dt, efield=0.0, sources=None):
+        op = solver.op
+        M = op.mass_matrix
+        A = assemble_z_advection(op.fs)
+        Cf = op.apply(f)
+        worst = 0.0
+        for s_idx, s in enumerate(op.species):
+            rhs = Cf[s_idx] - (s.charge * efield / s.mass) * (A @ f[s_idx])
+            if sources is not None:
+                rhs = rhs + sources[s_idx]
+            r = M @ (f[s_idx] - fn[s_idx]) - dt * rhs
+            worst = max(worst, np.linalg.norm(r) / np.linalg.norm(M @ fn[s_idx]))
+        return worst
+
+    def test_electron_q3(self, electron_operator, aniso_state):
+        solver = ImplicitLandauSolver(electron_operator, rtol=1e-11)
+        fn = [aniso_state]
+        f = solver.step(fn, dt=0.5)
+        assert solver.stats.converged_last
+        assert self.residual(solver, fn, f, 0.5) <= 1e-10
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["relax", "efield-sources"])
+    def test_ed_q2(self, ed_q2_operator, driven):
+        fs = ed_q2_operator.fs
+        fn = [
+            fs.interpolate(
+                lambda r, z, s=s, k=k: shifted_maxwellian_rz(
+                    r, z, s.density, (0.8 + 0.4 * k) * s.thermal_velocity,
+                    0.2 * s.thermal_velocity,
+                )
+            )
+            for k, s in enumerate(ed_q2_operator.species)
+        ]
+        efield, sources = 0.0, None
+        if driven:
+            efield = 0.02
+            sources = [
+                _weak_source(fs, 0.1, s.thermal_velocity)
+                for s in ed_q2_operator.species
+            ]
+        solver = ImplicitLandauSolver(ed_q2_operator, rtol=1e-11)
+        f = solver.step(fn, dt=0.5, efield=efield, sources=sources)
+        assert solver.stats.converged_last
+        assert self.residual(solver, fn, f, 0.5, efield, sources) <= 1e-10
 
 
 class TestEfieldAndSources:
@@ -152,15 +256,7 @@ class TestEfieldAndSources:
         self, electron_operator, fs_q3, electron_moments, electron_maxwellian
     ):
         solver = ImplicitLandauSolver(electron_operator, rtol=1e-8)
-        # weak source vector for a unit-density-rate Maxwellian
-        vals = maxwellian_rz(fs_q3.qpoints[:, :, 0], fs_q3.qpoints[:, :, 1], 1.0, 0.8)
-        b_full = np.zeros(fs_q3.dofmap.n_full)
-        np.add.at(
-            b_full,
-            fs_q3.dofmap.cell_nodes,
-            np.einsum("eq,qb->eb", fs_q3.qweights * vals, fs_q3.B),
-        )
-        b = fs_q3.dofmap.reduce_vector(b_full)
+        b = _weak_source(fs_q3, 1.0, 0.8)  # unit density rate
         n0 = electron_moments.summary([electron_maxwellian])["n_e"]
         f1 = solver.step([electron_maxwellian], dt=0.5, sources=[b])
         n1 = electron_moments.summary(f1)["n_e"]
