@@ -3,9 +3,8 @@
 Times the three backend-dispatched hot paths of a batched collision solve
 at batch 64 — field construction (``fields_batch``), operator assembly
 (``species_data_batch``) and the banded factor+solve
-(``CachedBandSolverFactory.factor_batch`` / ``solve_many``) — for every
-execution backend available in the container (``numpy`` always,
-``threaded`` always, ``numba`` when installed), and checks they agree
+(``CachedBandSolverFactory.factor_batch`` / ``solve_many``) — for both
+execution backends (``numpy`` and ``threaded``), and checks they agree
 with the numpy reference to 1e-12.
 
 Run as a script::
@@ -27,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.backend import available_backends, get_backend
+from repro.backend import BACKEND_NAMES
 from repro.core import AssemblyOptions, LandauOperator, SpeciesSet, deuterium, electron
 from repro.core.maxwellian import species_maxwellian
 from repro.fem import FunctionSpace, Mesh
@@ -54,7 +53,7 @@ def _batch_states(fields, batch: int):
 
 
 def _time(fn, repeats: int) -> float:
-    fn()  # warmup (pools, caches, numba JIT)
+    fn()  # warmup (pools, caches)
     t0 = time.perf_counter()
     for _ in range(repeats):
         fn()
@@ -72,7 +71,7 @@ def run_bench(smoke: bool = False, batch: int = 64, repeats: int = 3) -> dict:
     results: dict[str, dict] = {}
     reference: dict[str, np.ndarray] = {}
 
-    for name in available_backends():
+    for name in BACKEND_NAMES:
         opts = AssemblyOptions.from_env(
             backend=name, num_threads=0 if name == "numpy" else threads
         )

@@ -7,21 +7,19 @@ architectures come nearly for free.  This module is the CPU-side
 analogue for the reproduction: every hot path — pair-table contractions,
 batched einsum assembly, sparse scatter-apply, batched band
 factorization/solve, and block-parallel builds — is expressed once
-against :class:`ExecutionBackend`, and the backends
+against :class:`ExecutionBackend`, and the two backends
 (:class:`~repro.backend.numpy_backend.NumpyBackend`,
-:class:`~repro.backend.threaded.ThreadedBackend`,
-:class:`~repro.backend.numba_backend.NumbaBackend`) map those
-operations onto serial numpy, chunked thread pools, or JIT-compiled
-kernels.
+:class:`~repro.backend.threaded.ThreadedBackend`) map those operations
+onto serial numpy or chunked thread pools.
 
 Guarantees:
 
 * ``NumpyBackend`` is the reference — its dispatch is bitwise identical
   to inlined numpy code (it forwards every operation unchanged).
-* Every other backend must match the reference to ``<= 1e-12`` relative
-  error (enforced by ``tests/test_execution_backends.py``); they may
+* The threaded backend must match the reference to ``<= 1e-12`` relative
+  error (enforced by ``tests/test_execution_backends.py``); it may
   reassociate floating-point sums.
-* All backends are deterministic run-to-run: parallel work is split
+* Both backends are deterministic run-to-run: parallel work is split
   into disjoint output blocks, never racing accumulations.  The one
   kernel whose blocks overlap in their output, :meth:`ExecutionBackend.
   field_rows`, leaves that to its caller: concurrent calls are given
@@ -33,16 +31,11 @@ Backends are looked up by name through :mod:`repro.backend.registry`
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["BackendUnavailable", "ExecutionBackend"]
-
-
-class BackendUnavailable(RuntimeError):
-    """Requested backend cannot run in this environment (missing optional
-    dependency).  The message names the backend and what is missing."""
+__all__ = ["ExecutionBackend"]
 
 
 class ExecutionBackend:
@@ -56,41 +49,13 @@ class ExecutionBackend:
     Attributes
     ----------
     name:
-        registry name (``"numpy"``, ``"threaded"``, ``"numba"``).
+        registry name (``"numpy"``, ``"threaded"``).
     workers:
         worker count used to size parallel block splits (1 = serial).
     """
 
     name: str = "abstract"
     workers: int = 1
-    #: set by :meth:`warmup`; backends with JIT state flip it after
-    #: compiling their kernels, everything else after the first (no-op)
-    #: warmup call.
-    warmed: bool = False
-    #: wall-clock seconds the last non-trivial :meth:`warmup` spent
-    #: (JIT compilation); 0.0 for compile-free backends.
-    warmup_seconds: float = 0.0
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can run here (optional deps present)."""
-        return True
-
-    # ------------------------------------------------------------------
-    def warmup(self) -> float:
-        """Compile/prime any lazily-built kernels *outside* timed paths.
-
-        Idempotent: the first call pays whatever one-time cost the
-        backend has (JIT compilation on the numba backend) and every
-        later call returns immediately.  Returns the seconds spent by
-        *this* call (0.0 when already warm or there is nothing to
-        compile).  Deadline-sensitive callers — the serve tier's
-        per-batch supervisor — invoke this before starting any clock so
-        first-call compilation can never masquerade as a hung worker.
-        """
-        self.warmed = True
-        return 0.0
 
     # ------------------------------------------------------------------
     # parallel-for over disjoint blocks
@@ -193,29 +158,21 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     # banded factor / solve (batched, one shared symbolic setup, factors
     # resident in backend-owned storage addressed by slot)
-    def banded_alloc(self, st, n: int, count: int) -> tuple[str, object]:
-        """Storage for ``count`` resident band LU factors of order ``n``
-        sharing the symbolic setup ``st`` (a
+    def banded_alloc(self, st, n: int, count: int):
+        """Storage for ``count`` resident LAPACK band LU factors of order
+        ``n`` sharing the symbolic setup ``st`` (a
         :class:`repro.sparse.band._BandStructure`, duck-typed: needs
-        ``B``, ``pos``, ``lapack_rows(n)`` and ``lapack_positions(n)``).
+        ``B``, ``lapack_rows(n)`` and ``lapack_positions(n)``).
 
-        Returns ``(engine, factors)``: ``engine`` names the numeric
-        kernel (``"lapack"``, ``"python"`` or ``"numba"``) and
-        ``factors`` is the opaque state — ``len(factors) == count``,
-        ``factors[x]`` is what :meth:`banded_solve_one` consumes — that
+        Returns the opaque factor state — ``len(factors) == count``,
+        ``factors[x]`` is slot ``x``'s ``(lu, piv)`` — that
         :meth:`banded_factor_many` fills and :meth:`banded_solve_many`
         reads.  Nothing is factored yet.
         """
         raise NotImplementedError
 
     def banded_factor_many(
-        self,
-        st,
-        n: int,
-        data: np.ndarray,
-        factors,
-        rows: np.ndarray,
-        pivot_tol: float = 0.0,
+        self, st, n: int, data: np.ndarray, factors, rows: np.ndarray
     ) -> None:
         """Factor the ``X`` band matrices ``data (X, nnz)`` (CSR data
         rows) into slots ``rows (X,)`` of ``factors`` (from
@@ -223,21 +180,14 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def banded_solve_many(
-        self, engine: str, factors, st, rhs_p: np.ndarray, rows: np.ndarray
+        self, factors, st, rhs_p: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
         """Solve ``rhs_p[k]`` against slot ``rows[k]``; ``rhs_p`` is
-        ``(K, n)`` already in the band (RCM-permuted) ordering.  Returns permuted solutions ``(K, n)``."""
-        raise NotImplementedError
-
-    def banded_solve_one(self, engine: str, factor, st, b_p: np.ndarray) -> np.ndarray:
-        """Solve one factored system for one permuted right-hand side."""
+        ``(K, n)`` already in the band (RCM-permuted) ordering.  Returns
+        permuted solutions ``(K, n)``."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, workers={self.workers})"
 
-
-def as_blocks(blocks: Iterable[tuple[int, int]]) -> list[tuple]:
-    """Normalize ``(i0, i1)`` pairs into ``parallel_for`` task tuples."""
-    return [tuple(b) for b in blocks]

@@ -42,7 +42,6 @@ __all__ = [
     "TENSOR_FMA",
     "TENSOR_MUL",
     "TENSOR_SPECIAL",
-    "DeviceKernelData",
     "FieldData",
     "KernelData",
     "KernelMapping",
@@ -120,48 +119,6 @@ class KernelData:
             charges=species.charges,
             masses=species.masses,
             n_free=dm.n_free,
-        )
-
-
-@dataclass
-class DeviceKernelData:
-    """Flat, device-shippable view of :class:`KernelData`.
-
-    The per-element constraint data (``elem_targets`` / ``elem_P``) is
-    ragged — element ``e`` scatters into ``K_e`` free dofs — which a
-    device kernel cannot index as python lists.  This packs both into
-    offset-indexed flat arrays (CSR-style): element ``e`` owns
-    ``targets_flat[targets_off[e]:targets_off[e+1]]`` and its ``(nb,
-    K_e)`` distribution matrix is ``P_flat[P_off[e]:P_off[e+1]]`` in
-    row-major order.  Everything a ``numba.cuda.jit`` kernel touches is
-    then a contiguous ndarray.
-    """
-
-    targets_flat: np.ndarray  # (sum_e K_e,) int64 free-dof targets
-    targets_off: np.ndarray  # (nelem + 1,) int64 offsets into targets_flat
-    P_flat: np.ndarray  # (sum_e nb*K_e,) float64 row-major (nb, K_e) blocks
-    P_off: np.ndarray  # (nelem + 1,) int64 offsets into P_flat
-
-    @classmethod
-    def pack(cls, kd: KernelData) -> "DeviceKernelData":
-        counts = np.array([t.size for t in kd.elem_targets], dtype=np.int64)
-        targets_off = np.concatenate(([0], np.cumsum(counts)))
-        P_off = np.concatenate(([0], np.cumsum(kd.nb * counts)))
-        targets_flat = (
-            np.concatenate(kd.elem_targets)
-            if counts.sum()
-            else np.zeros(0, dtype=np.int64)
-        ).astype(np.int64)
-        P_flat = (
-            np.concatenate([np.asarray(P, dtype=np.float64).ravel() for P in kd.elem_P])
-            if counts.sum()
-            else np.zeros(0)
-        )
-        return cls(
-            targets_flat=targets_flat,
-            targets_off=targets_off,
-            P_flat=P_flat,
-            P_off=P_off,
         )
 
 

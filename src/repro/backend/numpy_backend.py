@@ -4,13 +4,14 @@ operation.
 Every method is the direct numpy/scipy form of its definition in
 :class:`~repro.backend.base.ExecutionBackend` — ``A @ B``, one einsum,
 one sparse product, LAPACK band LU in place — with no partitioning, so
-``NumpyBackend`` (the default) is what the other backends are held to
+``NumpyBackend`` (the default) is what the threaded backend is held to
 and what the serve golden hashes are recorded on.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 from .base import ExecutionBackend
 
@@ -40,10 +41,6 @@ class NumpyBackend(ExecutionBackend):
 
     name = "numpy"
     workers = 1
-    #: scipy's LAPACK wrappers, bound by :meth:`banded_alloc` so the factor
-    #: and per-system solve loops run no import statement (the import stays
-    #: lazy: the backend layer loads without :mod:`repro.sparse`)
-    _lapack = None
 
     # ------------------------------------------------------------------
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -56,95 +53,55 @@ class NumpyBackend(ExecutionBackend):
         return np.ascontiguousarray((T @ flat.T).T)
 
     # ------------------------------------------------------------------
-    # banded batch LU: LAPACK (dgbtrf/dgbtrs, or dgetrf/dgetrs where the
-    # dense form is the smaller one) when available, pure-python
-    # band_factor/band_solve otherwise.
-    def banded_alloc(self, st, n: int, count: int) -> tuple[str, object]:
-        from ..sparse.band import _HAVE_GBTRF, _lapack
-
-        if _HAVE_GBTRF:
-            self._lapack = _lapack
-            return "lapack", _LapackFactors(count, n, st.lapack_rows(n))
-        return "python", [None] * count  # pragma: no cover - no-LAPACK
+    # banded batch LU: LAPACK dgbtrf/dgbtrs, or dgetrf/dgetrs where the
+    # dense form is the smaller one, in place in preallocated slots
+    def banded_alloc(self, st, n: int, count: int) -> "_LapackFactors":
+        return _LapackFactors(count, n, st.lapack_rows(n))
 
     def banded_factor_many(
-        self,
-        st,
-        n: int,
-        data: np.ndarray,
-        factors,
-        rows: np.ndarray,
-        pivot_tol: float = 0.0,
+        self, st, n: int, data: np.ndarray, factors, rows: np.ndarray
     ) -> None:
         B = st.B
-        if isinstance(factors, _LapackFactors):
-            pos = st.lapack_positions(n)
+        pos = st.lapack_positions(n)
 
-            def factor_block(i0: int, i1: int) -> None:
-                for k in range(i0, i1):
-                    x = rows[k]
-                    a = factors.lu[x]
-                    a.fill(0.0)
-                    a.ravel()[pos] = data[k]
-                    # a.T is the Fortran-ordered LAPACK array: factored
-                    # in place, no copy in or out
-                    if a.shape[0] == a.shape[1]:
-                        _, factors.piv[x], info = self._lapack.dgetrf(
-                            a.T, overwrite_a=1
-                        )
-                    else:
-                        _, factors.piv[x], info = self._lapack.dgbtrf(
-                            a.T, B, B, overwrite_ab=1
-                        )
-                    if info != 0:
-                        raise np.linalg.LinAlgError(
-                            f"LU failed on batch entry {k} with info={info}"
-                        )
-
-            self.parallel_for(self.batch_blocks(len(rows)), factor_block)
-            return
-
-        from ..sparse.band import BandMatrix, band_factor  # pragma: no cover
-
-        def factor_block(i0: int, i1: int) -> None:  # pragma: no cover - no-LAPACK
+        def factor_block(i0: int, i1: int) -> None:
             for k in range(i0, i1):
-                W = np.zeros((n, 2 * B + 1))
-                W.ravel()[st.pos] = data[k]
-                factors[rows[k]] = band_factor(
-                    BandMatrix(W=W, B=B), pivot_tol=pivot_tol
-                )
+                x = rows[k]
+                a = factors.lu[x]
+                a.fill(0.0)
+                a.ravel()[pos] = data[k]
+                # a.T is the Fortran-ordered LAPACK array: factored in
+                # place, no copy in or out
+                if a.shape[0] == a.shape[1]:
+                    _, factors.piv[x], info = dgetrf(a.T, overwrite_a=1)
+                else:
+                    _, factors.piv[x], info = dgbtrf(a.T, B, B, overwrite_ab=1)
+                if info != 0:
+                    raise np.linalg.LinAlgError(
+                        f"LU failed on batch entry {k} with info={info}"
+                    )
 
-        self.parallel_for(
-            self.batch_blocks(len(rows)), factor_block
-        )  # pragma: no cover
+        self.parallel_for(self.batch_blocks(len(rows)), factor_block)
 
     def banded_solve_many(
-        self, engine: str, factors, st, rhs_p: np.ndarray, rows: np.ndarray
+        self, factors, st, rhs_p: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
         out = np.empty_like(rhs_p)
 
         def solve_block(i0: int, i1: int) -> None:
             for k in range(i0, i1):
-                out[k] = self.banded_solve_one(
-                    engine, factors[rows[k]], st, rhs_p[k]
-                )
+                lu, piv = factors[rows[k]]
+                if lu.shape[0] == lu.shape[1]:
+                    out[k], info = dgetrs(lu, piv, rhs_p[k])
+                else:
+                    out[k], info = dgbtrs(lu, st.B, st.B, rhs_p[k], piv)
+                if info != 0:  # pragma: no cover - never fails post-factor
+                    raise np.linalg.LinAlgError(
+                        f"LU solve failed with info={info}"
+                    )
 
         self.parallel_for(self.batch_blocks(len(rows)), solve_block)
         return out
-
-    def banded_solve_one(self, engine: str, factor, st, b_p: np.ndarray) -> np.ndarray:
-        if engine == "lapack":
-            lu, piv = factor
-            if lu.shape[0] == lu.shape[1]:
-                y, info = self._lapack.dgetrs(lu, piv, b_p)
-            else:
-                y, info = self._lapack.dgbtrs(lu, st.B, st.B, b_p, piv)
-            if info != 0:  # pragma: no cover - never fails post-factor
-                raise np.linalg.LinAlgError(f"LU solve failed with info={info}")
-            return y
-        from ..sparse.band import band_solve
-
-        return band_solve(factor, b_p)
 
 
 class _LapackFactors:

@@ -10,31 +10,19 @@ deployment env var cannot silently fall back to the slow path.
 
 from __future__ import annotations
 
-from .base import BackendUnavailable, ExecutionBackend
-from .numba_backend import NumbaBackend
+from .base import ExecutionBackend
 from .numpy_backend import NumpyBackend
 from .threaded import ThreadedBackend
 
-__all__ = [
-    "BACKEND_NAMES",
-    "available_backends",
-    "get_backend",
-    "resolve_backend_name",
-]
+__all__ = ["BACKEND_NAMES", "get_backend", "resolve_backend_name"]
 
 #: registry order is also the documentation order
 _BACKENDS: dict[str, type[ExecutionBackend]] = {
     "numpy": NumpyBackend,
     "threaded": ThreadedBackend,
-    "numba": NumbaBackend,
 }
 
 BACKEND_NAMES: tuple[str, ...] = tuple(_BACKENDS)
-
-
-def available_backends() -> list[str]:
-    """Names of the backends that can actually run here."""
-    return [name for name, cls in _BACKENDS.items() if cls.available()]
 
 
 def resolve_backend_name(name: str | None, num_threads: int = 1) -> str:
@@ -64,18 +52,9 @@ def get_backend(
     name: str | None = None, num_threads: int = 1
 ) -> ExecutionBackend:
     """Resolve + instantiate a backend; instances are cached per
-    ``(name, threads)`` so thread pools are shared across operators.
-
-    Raises :class:`BackendUnavailable` for a backend whose optional
-    dependency is missing (e.g. ``numba`` without the package).
-    """
+    ``(name, threads)`` so thread pools are shared across operators."""
     resolved = resolve_backend_name(name, num_threads)
     cls = _BACKENDS[resolved]
-    if not cls.available():
-        raise BackendUnavailable(
-            f"backend {resolved!r} is not available in this environment "
-            f"(available: {', '.join(available_backends())})"
-        )
     key = (resolved, int(num_threads) if resolved != "numpy" else 1)
     inst = _INSTANCES.get(key)
     if inst is None:

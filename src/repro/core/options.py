@@ -53,13 +53,22 @@ class PairTableMemoryError(RuntimeError):
 
 
 def _env_int(name: str, default: int) -> int:
+    """``int`` of the variable ``name``, which may be written as a float
+    (``2e9``) but must be integral and finite; ``default`` when unset."""
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(float(raw))
-    except ValueError as err:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from err
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        value = float(raw)
+        if value.is_integer():  # false for inf and nan
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +95,8 @@ class AssemblyOptions:
         the space); a forced True whose build exceeds ``memory_budget``
         raises :class:`PairTableMemoryError`.
     backend:
-        execution backend name (``auto`` | ``numpy`` | ``threaded`` |
-        ``numba``) for the operator/assembly/band-solve hot paths; see
+        execution backend name (``auto`` | ``numpy`` | ``threaded``) for
+        the operator/assembly/band-solve hot paths; see
         :mod:`repro.backend`.  ``auto`` picks ``threaded`` when
         ``num_threads > 1`` and the serial reference otherwise.
     """
@@ -114,7 +123,7 @@ class AssemblyOptions:
 
         Recognized variables: ``REPRO_ASSEMBLY_THREADS``,
         ``REPRO_ASSEMBLY_MEMORY_BUDGET``, ``REPRO_ASSEMBLY_CACHE_TABLES``
-        (``auto``/``1``/``0``) and ``REPRO_BACKEND`` (``auto``/``numpy``/``threaded``/``numba``).
+        (``auto``/``1``/``0``) and ``REPRO_BACKEND`` (``auto``/``numpy``/``threaded``).
         Keyword arguments win over the environment.
         """
         values = {

@@ -237,8 +237,7 @@ def assemble_coefficient_operator(
         optional :class:`~repro.backend.base.ExecutionBackend`; when
         given, the two element contractions run through
         ``backend.contract`` (as the ``X = 1`` slice of the batched
-        assembly specs, so compiled backends hit their kernels) instead
-        of inline ``np.einsum``.
+        assembly specs) instead of inline ``np.einsum``.
     """
     ne, nq = fs.qweights.shape
     if D_q.shape != (ne, nq, 2, 2) or K_q.shape != (ne, nq, 2):

@@ -69,15 +69,14 @@ class SupervisorOptions:
     #: idle-worker heartbeat period in seconds; 0 disables the watchdog
     heartbeat_s: float = 0.0
     #: wall-clock budget for one batch on the process tier; 0 = no deadline.
-    #: Cold costs (the O(N^2) pair-table build and, on the numba backend,
-    #: JIT compilation) are paid by the separate *warm* call the service
-    #: issues before the first timed batch of each plan, so this budget
-    #: only has to cover warm execution.
+    #: The cold cost (the O(N^2) pair-table build) is paid by the separate
+    #: *warm* call the service issues before the first timed batch of each
+    #: plan, so this budget only has to cover warm execution.
     batch_deadline_s: float = 0.0
     #: wall-clock budget for the untimed-by-default per-plan warm call
-    #: (plan build + backend JIT warmup in a fresh worker); 0 = no
-    #: deadline.  Kept separate from ``batch_deadline_s`` precisely so
-    #: compile/build time never eats the per-batch budget.
+    #: (the plan build in a fresh worker); 0 = no deadline.  Kept
+    #: separate from ``batch_deadline_s`` precisely so build time never
+    #: eats the per-batch budget.
     warm_deadline_s: float = 0.0
     #: consecutive worker failures before the shard's breaker opens
     breaker_threshold: int = 3

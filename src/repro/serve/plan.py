@@ -138,19 +138,10 @@ class PlanRuntime:
             options=plan.options,
         )
         self._retry_solver = None
-        #: compile cost hoisted at construction (0.0 for interpreted
-        #: backends whose warmup is a no-op)
-        self.warmup_s = self.warmup()
 
     @property
     def op(self):
         return self.solver.op
-
-    def warmup(self) -> float:
-        """Hoist backend one-time costs (numba JIT compilation) out of
-        the solve path; idempotent.  Returns the seconds spent, 0.0 when
-        the backend was already warm."""
-        return float(self.op.backend.warmup())
 
     def retry_solver(self):
         """A per-vertex implicit solver sharing the warm operator, for the

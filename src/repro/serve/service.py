@@ -256,7 +256,7 @@ class CollisionSolveService:
         #: per shard: plan keys already published to its worker process
         self._published_plans: list[set] = [set() for _ in range(n)]
         #: per shard: plan keys already *warmed* in its worker process
-        #: (runtime built + backend JIT compiled, outside batch deadlines)
+        #: (runtime built outside batch deadlines)
         self._warmed_plans: list[set] = [set() for _ in range(n)]
         #: per shard: times its worker process died and was re-initialized
         self._restarts = [0] * n
@@ -468,8 +468,8 @@ class CollisionSolveService:
     def _warm_worker(self, shard: int, plan: SolvePlan) -> None:
         """Warm a published plan in the shard worker *before* its first
         timed batch: the worker builds the PlanRuntime (O(N^2) pair
-        tables) and JIT-compiles the backend under the separate —
-        untimed by default — ``warm_deadline_s`` budget, so
+        tables) under the separate — untimed by default —
+        ``warm_deadline_s`` budget, so
         ``batch_deadline_s`` only ever measures warm execution.  Once
         per (worker incarnation, plan); a worker restart clears the
         warmed set along with the published set."""

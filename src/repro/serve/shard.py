@@ -158,7 +158,7 @@ class ShardWorker:
         self.shard_id = shard_id
         self.metrics = ShardMetrics(shard=shard_id)
         self.plans = PlanCache(budget=plan_budget)
-        #: untimed warm calls served (plan build + backend JIT warmup)
+        #: untimed warm calls served (plan builds outside any batch)
         self.warm_calls = 0
         self.warm_seconds = 0.0
         self._injector = fault_injector
@@ -179,12 +179,11 @@ class ShardWorker:
             self._fault_shim = shim
 
     def warm_plan(self, plan) -> float:
-        """Build (or touch) the plan's runtime and warm its backend, so
-        the first *timed* batch never pays the O(N^2) pair-table build
-        or JIT compile cost.  Returns the seconds this call spent."""
+        """Build (or touch) the plan's runtime, so the first *timed*
+        batch never pays the O(N^2) pair-table build.  Returns the
+        seconds this call spent."""
         t0 = time.monotonic()
-        runtime = self.plans.get(plan)
-        runtime.warmup()
+        self.plans.get(plan)
         spent = time.monotonic() - t0
         self.warm_calls += 1
         self.warm_seconds += spent
@@ -343,8 +342,7 @@ def _process_publish_plan(plan) -> str:
 
 def _process_warm(plan_key: str) -> float:
     """Warm one published plan in this worker, **outside** any batch
-    deadline: builds the PlanRuntime (pair tables, band symbolics) and
-    runs the backend's :meth:`warmup` (numba JIT compilation).  The
+    deadline: builds the PlanRuntime (pair tables, band symbolics).  The
     service calls this once per (worker incarnation, plan) before the
     first timed ``_process_execute``, so batch deadlines measure warm
     execution only."""

@@ -386,17 +386,6 @@ class _CachedBandSolver:
         return self.solve(b)
 
 
-try:  # pragma: no cover - import probe
-    from scipy.linalg import lapack as _lapack
-
-    _HAVE_GBTRF = all(
-        hasattr(_lapack, f) for f in ("dgbtrf", "dgbtrs", "dgetrf", "dgetrs")
-    )
-except ImportError:  # pragma: no cover - scipy without lapack wrappers
-    _lapack = None
-    _HAVE_GBTRF = False
-
-
 class BatchedBandSolver:
     """Resident LU factors of many same-pattern matrices sharing one band
     symbolic.
@@ -410,9 +399,8 @@ class BatchedBandSolver:
     :meth:`solve_many`.  All matrices come from the same
     :class:`ScatterMap` structure — identical sparsity, hence identical
     RCM ordering, bandwidth and CSR→band scatter.  The numeric kernels
-    (LAPACK band or dense LU in place in preallocated slots,
-    pure-python :func:`band_factor`/:func:`band_solve`, or numba's JIT
-    variant) and the factor storage live in the
+    (LAPACK band or dense LU in place in preallocated slots) and the
+    factor storage live in the
     :class:`~repro.backend.ExecutionBackend`; this wrapper owns the
     shared symbolic state and applies the RCM permutation once per solve
     call.
@@ -439,7 +427,7 @@ class BatchedBandSolver:
         self.n = n
         self._backend = backend
         self._band_n = n if cond is None else cond.skel.size
-        self.engine, self._factors = backend.banded_alloc(st, self._band_n, capacity)
+        self._factors = backend.banded_alloc(st, self._band_n, capacity)
         if cond is not None:
             ne, m, p = cond.pos_ib.shape
             self._ainv = np.empty((capacity, ne, m, m))
@@ -474,9 +462,7 @@ class BatchedBandSolver:
         st, c = self._st, self._cond
         if c is None:
             rhs_p = np.ascontiguousarray(rhs[:, st.perm])
-            out = self._backend.banded_solve_many(
-                self.engine, self._factors, st, rhs_p, rows
-            )
+            out = self._backend.banded_solve_many(self._factors, st, rhs_p, rows)
             return out[:, st.iperm]
         K = rhs.shape[0]
         # y_i = A_ii^-1 b_i cell by cell; skeleton rhs b_b - sum_c A_bi y_i
@@ -484,7 +470,7 @@ class BatchedBandSolver:
         corr = (self._abi[rows] @ y[..., None]).reshape(K, -1)
         b = rhs[:, c.skel] - c.lift.dot(corr.T).T
         xs = self._backend.banded_solve_many(
-            self.engine, self._factors, st, np.ascontiguousarray(b), rows
+            self._factors, st, np.ascontiguousarray(b), rows
         )
         out = np.empty_like(rhs)
         out[:, c.skel] = xs
@@ -633,8 +619,7 @@ class CachedBandSolverFactory:
         symbolic reuse.  The numeric factorizations are dispatched through
         ``backend`` (:meth:`ExecutionBackend.banded_factor_many`; the
         serial numpy reference when ``None``): LAPACK's partial-pivoting
-        band LU when available, the pure-python no-pivot
-        :func:`band_factor` or numba's JIT kernel otherwise.
+        band LU, so ``pivot_tol`` does not apply to them.
 
         The factors are *resident*: they are written into slots ``rows``
         (default ``0..X``) of the returned solver.  A new solver with
@@ -681,14 +666,7 @@ class CachedBandSolverFactory:
         slots = into._slots(rows, X)
         if cond is not None:
             data = into._condense(data, slots)
-        into._backend.banded_factor_many(
-            st,
-            into._band_n,
-            data,
-            into._factors,
-            slots,
-            pivot_tol=self.pivot_tol,
-        )
+        into._backend.banded_factor_many(st, into._band_n, data, into._factors, slots)
         return into
 
 

@@ -59,6 +59,40 @@ class TestOptionsParsing:
         with pytest.raises(ValueError):
             AssemblyOptions.from_env()
 
+    @pytest.mark.parametrize(
+        "name, raw, expected",
+        [
+            ("REPRO_ASSEMBLY_THREADS", "3", 3),
+            ("REPRO_ASSEMBLY_THREADS", " 2 ", 2),
+            ("REPRO_ASSEMBLY_THREADS", "2.0", 2),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "2e9", 2_000_000_000),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "123456789012345678", 123456789012345678),
+        ],
+    )
+    def test_integral_env_values_accepted(self, monkeypatch, name, raw, expected):
+        monkeypatch.setenv(name, raw)
+        field = "num_threads" if name.endswith("THREADS") else "memory_budget"
+        assert getattr(AssemblyOptions.from_env(), field) == expected
+
+    @pytest.mark.parametrize(
+        "name, raw",
+        [
+            ("REPRO_ASSEMBLY_THREADS", "1.9"),
+            ("REPRO_ASSEMBLY_THREADS", "inf"),
+            ("REPRO_ASSEMBLY_THREADS", "-inf"),
+            ("REPRO_ASSEMBLY_THREADS", "nan"),
+            ("REPRO_ASSEMBLY_THREADS", "four"),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "2.5e0"),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "1e400"),
+        ],
+    )
+    def test_non_integral_env_values_name_the_variable(self, monkeypatch, name, raw):
+        """A fractional or non-finite value is rejected, never truncated
+        or let escape as an ``OverflowError``."""
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            AssemblyOptions.from_env()
+
 
 class TestMemoryBudget:
     def test_forced_cache_over_budget_raises(self, fs_q3, electron_species):

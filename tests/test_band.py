@@ -240,3 +240,34 @@ class TestFactorMany:
         A, data = self._batch()
         with pytest.raises(ValueError):
             CachedBandSolverFactory().factor_batch(A, data[:, :-1])
+
+    @pytest.mark.parametrize("backend", ["numpy", "threaded"])
+    def test_singular_member_raises_naming_its_entry(self, backend):
+        """LAPACK's ``info > 0`` on one batch member is an error naming
+        that member, on either backend, never a silently bad factor."""
+        from repro.backend import get_backend
+        from repro.sparse.band import CachedBandSolverFactory
+
+        A, data = self._batch(X=4)
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        data[2, rows == 7] = 0.0  # member 2: row 7 is zero
+        with pytest.raises(np.linalg.LinAlgError, match="batch entry 2"):
+            CachedBandSolverFactory().factor_batch(
+                A, data, backend=get_backend(backend, num_threads=2)
+            )
+
+    def test_zero_diagonal_needs_the_pivoted_lu(self):
+        """The batched factors are LAPACK's partially pivoted LU: a zero
+        on the diagonal, which the unpivoted :func:`band_factor` rejects,
+        factors and solves."""
+        from repro.sparse.band import CachedBandSolverFactory
+
+        n = 6  # even: the zero-diagonal tridiagonal matrix is invertible
+        A = sp.diags([1.0, 2.0], [-1, 1], shape=(n, n), format="csr")
+        with pytest.raises(ZeroDivisionError):
+            BandSolver(A)
+        solver = CachedBandSolverFactory().factor_batch(A, A.data[None])
+        b = np.arange(1.0, n + 1)
+        np.testing.assert_allclose(
+            solver.solve(0, b), np.linalg.solve(A.toarray(), b), rtol=1e-12
+        )

@@ -9,7 +9,7 @@ the cached and chunked-on-the-fly field evaluations.
 import numpy as np
 import pytest
 
-from repro.backend import NumbaBackend, available_backends
+from repro.backend import BACKEND_NAMES
 from repro.core import (
     AssemblyOptions,
     LandauOperator,
@@ -162,25 +162,6 @@ class TestConservation:
 # same invariants on every execution backend, and cross-backend agreement
 # of the moment residuals and the entropy-production sign.
 
-#: explicit skip-marked params — a missing numba never silently shrinks
-#: the property matrix
-PROPERTY_BACKENDS = [
-    pytest.param(
-        n,
-        id=n,
-        marks=(
-            []
-            if n in available_backends()
-            else [
-                pytest.mark.skip(
-                    reason=f"backend {n!r} unavailable in this container"
-                )
-            ]
-        ),
-    )
-    for n in ("numpy", "threaded", "numba")
-]
-
 SEEDS = [0, 1, 2]
 
 
@@ -235,7 +216,7 @@ def _invariants(fs, species, fields, C):
 
 class TestRandomizedConservation:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("name", PROPERTY_BACKENDS)
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_invariants_hold_per_backend(self, ed_fs, ed_species, seed, name):
         fields = _random_maxwellian_mix(ed_fs, ed_species, seed)
         C = _apply_on(ed_fs, ed_species, fields, name)
@@ -246,7 +227,7 @@ class TestRandomizedConservation:
         assert abs(eng) < 1e-4 * scale
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("name", PROPERTY_BACKENDS)
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_invariants_identical_to_numpy(
         self, ed_fs, ed_species, seed, name
     ):

@@ -140,7 +140,7 @@ class TestRemovedProcessBackend:
         execution backend; a plan built from that environment must fail
         loudly with the valid choices, not fall back to another backend."""
         monkeypatch.setenv("REPRO_BACKEND", "process")
-        with pytest.raises(ValueError, match="auto, numpy, threaded, numba$"):
+        with pytest.raises(ValueError, match="auto, numpy, threaded$"):
             SolvePlan(fs=fs_q2, species=electron_species, dt=DT)
 
     def test_threaded_backend_runs_in_process_workers(
