@@ -22,13 +22,13 @@ Determinism is by construction, not by executor luck:
   charge share a serve plan, so the warm plan cache is hit across the
   whole campaign.
 
-Fault tolerance reuses the PR 7 machinery rather than reimplementing it:
+Fault tolerance reuses the resilience machinery rather than reimplementing it:
 failed jobs get a bounded per-member retry, and the campaign ledger —
 completed member results plus in-progress member states — is written
 atomically under the ``RPROCKSUM1`` checksum envelope every round.  A
 SIGKILLed campaign re-run with the same design resumes from the ledger
 and re-executes only unfinished members (``rerun_overlap == 0``
-accounting, as in ``BENCH_chaos.json``).
+accounting, as a restored service does for its jobs).
 """
 
 from __future__ import annotations
@@ -437,10 +437,18 @@ class CampaignDriver:
                 "no campaign ledger to resume from",
                 diagnostics={"path": path},
             )
-        payload = pickle.loads(read_checksummed(path))
-        if payload.get("version") != LEDGER_VERSION:
+        blob = read_checksummed(path)  # CheckpointError on corruption
+        try:
+            payload = pickle.loads(blob)
+            version = payload.get("version")
+        except Exception as err:
             raise CheckpointError(
-                f"unsupported campaign ledger version {payload.get('version')}",
+                "failed to read campaign ledger",
+                diagnostics={"path": path, "error": f"{type(err).__name__}: {err}"},
+            ) from err
+        if version != LEDGER_VERSION:
+            raise CheckpointError(
+                f"unsupported campaign ledger version {version}",
                 diagnostics={"path": path},
             )
         fp = self._fingerprint()

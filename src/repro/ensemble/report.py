@@ -1,10 +1,9 @@
-"""Campaign reporting: ASCII rollup + the BENCH-style JSON artifact.
+"""Campaign reporting: ASCII rollup + a JSON campaign artifact.
 
 The operator-facing text report is built on :func:`repro.report.serve_summary`
 (the campaign snapshot rolls into the service summary rather than a
 separate print path) plus distribution/sensitivity tables; the JSON
-artifact mirrors the ``BENCH_*.json`` convention so CI uploads it the
-same way.
+artifact holds the campaign snapshot and its statistics.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ def write_campaign_json(
     serve_snapshot: dict | None = None,
     extra: dict | None = None,
 ) -> str:
-    """Write the ``BENCH_*.json``-style campaign artifact; returns path."""
+    """Write the JSON campaign artifact; returns path."""
     payload = {
         "benchmark": "ensemble",
         "campaign": campaign_snapshot,

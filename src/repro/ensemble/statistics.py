@@ -191,7 +191,7 @@ class EnsembleAccumulator:
     Keeps Welford moments, P² quantile markers for the requested
     probabilities, and a bounded reservoir for exact quantiles/bootstrap
     CIs.  :meth:`summary` is the JSON-able distribution record the
-    campaign report and ``BENCH_ensemble.json`` embed.
+    campaign report and JSON artifact embed.
     """
 
     QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)

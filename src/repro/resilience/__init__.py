@@ -30,8 +30,7 @@ from .checkpoint import (
     save_checkpoint,
     write_checksummed,
 )
-from .faults import FaultInjector
-from .faultplan import FaultPlan, FaultPlanState
+from .faults import FaultInjector, FaultPlan
 from .supervisor import (
     CircuitBreaker,
     RestartBackoff,
@@ -61,7 +60,6 @@ __all__ = [
     "read_checksummed",
     "FaultInjector",
     "FaultPlan",
-    "FaultPlanState",
     "SupervisorOptions",
     "CircuitBreaker",
     "RestartBackoff",

@@ -23,8 +23,7 @@ On disk the archive is wrapped in a checksummed envelope
 (:func:`write_checksummed` — a magic line carrying the SHA-256 of the
 payload, then the payload bytes), written atomically (tmp + fsync +
 rename), so a truncated or bit-flipped file is *detected* at load time
-instead of resuming a run from silently corrupted state.  Files written
-before the envelope existed (bare ``.npz``) still load.  The serve
+instead of resuming a run from silently corrupted state.  The serve
 tier's crash-consistent service checkpoints
 (:mod:`repro.serve.checkpoint`) share the same envelope.
 """
@@ -77,14 +76,16 @@ def write_checksummed(path: str, payload: bytes) -> str:
 def read_checksummed(path: str) -> bytes:
     """Read a :func:`write_checksummed` file, verifying the digest.
 
-    Raises :class:`CheckpointError` on a truncated or bit-flipped file.
-    Files without the magic header (pre-envelope checkpoints) are
-    returned verbatim for backward compatibility.
+    Raises :class:`CheckpointError` on a truncated or bit-flipped file,
+    or one without the magic header.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(CHECKSUM_MAGIC):
-        return raw
+        raise CheckpointError(
+            "checkpoint has no checksum header (truncated or not a checkpoint)",
+            diagnostics={"path": path, "bytes": len(raw)},
+        )
     header, sep, payload = raw.partition(b"\n")
     stored = header[len(CHECKSUM_MAGIC):]
     if not sep:

@@ -47,7 +47,7 @@ class InjectedFault(SolveFailure):
 
 
 class ShmAttachFault(InjectedFault):
-    """An injected shared-memory attach failure (:mod:`.faultplan`):
+    """An injected shared-memory attach failure (:mod:`.faults`):
     the worker pretends the per-batch state segment is corrupted or
     already unlinked.  The service retries the batch with an inline
     (pickled) payload, exactly as it would for a real attach error."""

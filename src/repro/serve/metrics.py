@@ -6,7 +6,7 @@ actually coalescing?), launch reduction (the paper's batching win),
 latency percentiles (the tail users see), and the plan-cache counters
 (are pair tables/band symbolics being rebuilt?).  Snapshots are plain
 JSON-able dicts — :func:`repro.report.serve_summary` renders them and
-``benchmarks/bench_serve.py`` dumps them into ``BENCH_serve.json``.
+the tracked benchmark (``benchmarks/e2e``) records them per workload.
 """
 
 from __future__ import annotations

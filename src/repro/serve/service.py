@@ -37,7 +37,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import os
-import pickle
 import threading
 import time
 from collections import deque
@@ -55,7 +54,7 @@ from ..backend.shm import (
     reclaim_dead_owner_segments,
 )
 from ..resilience.exceptions import ServiceOverloaded, ShmAttachFault, WorkerHang
-from ..resilience.faultplan import FaultPlan
+from ..resilience.faults import FaultInjector, FaultPlan
 from ..resilience.supervisor import ShardSupervisor, SupervisorOptions, WorkerWatchdog
 from .checkpoint import (
     PendingJob,
@@ -196,52 +195,24 @@ class CollisionSolveService:
       processed in submission order with reproducible batch composition
       (the mode the chaos tests rerun for bitwise stability).
 
-    Fault injection takes two forms.  ``fault_injector`` (a
-    :class:`repro.resilience.FaultInjector`) is the ad-hoc path — its
-    seeded counters live in the submitting process, so on
-    ``executor="process"`` it must be picklable (no bound callbacks) to
-    ship to the shard workers.  ``fault_plan`` (a
-    :class:`repro.resilience.FaultPlan`, or ``REPRO_FAULT_PLAN`` in the
-    environment) is the declarative path: a frozen, picklable schedule of
-    solver faults, worker crashes, hangs, and shm-attach failures that
-    every worker installs deterministically at startup — the supported
-    way to run chaos scenarios across process boundaries.
+    ``fault_plan`` (a :class:`repro.resilience.FaultPlan`, or
+    ``REPRO_FAULT_PLAN`` in the environment) injects faults on purpose:
+    each shard interprets it with its own seeded
+    :class:`~repro.resilience.FaultInjector` — solver faults on either
+    executor; worker crashes, hangs and shm-attach failures on
+    ``executor="process"``, whose workers build their injector at
+    startup.
     """
 
     def __init__(
         self,
         options: ServeOptions | None = None,
-        fault_injector=None,
         fault_plan: FaultPlan | None = None,
     ):
         self.options = options or ServeOptions.from_env()
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
-        if fault_injector is not None and fault_plan is not None:
-            raise ValueError(
-                "pass either fault_injector or fault_plan, not both "
-                "(is REPRO_FAULT_PLAN set in the environment?)"
-            )
         self._fault_plan = fault_plan
-        self._fault_payload = None
-        if self.options.executor == "process":
-            payload = fault_plan if fault_plan is not None else fault_injector
-            if payload is not None:
-                try:
-                    pickle.dumps(payload)
-                except Exception as err:
-                    raise ValueError(
-                        "fault injection on executor='process' requires a "
-                        "picklable fault source: shard workers install it at "
-                        "startup in their own process. This injector cannot "
-                        "be pickled "
-                        f"({type(err).__name__}: {err}). Use a declarative "
-                        "FaultPlan (or the REPRO_FAULT_PLAN env var), or "
-                        "unset REPRO_SERVE_EXECUTOR=process (pass "
-                        "ServeOptions(executor='thread')) to keep ad-hoc "
-                        "injector state in this process."
-                    ) from err
-            self._fault_payload = payload
         n = self.options.num_shards
         self.ring = HashRing(n, vnodes=self.options.vnodes)
         self._queues: list[deque] = [deque() for _ in range(n)]
@@ -288,15 +259,7 @@ class CollisionSolveService:
                 ShardWorker(
                     s,
                     plan_budget=self.options.plan_budget,
-                    fault_injector=(
-                        fault_injector
-                        if fault_injector is not None
-                        else (
-                            fault_plan.injector(s)
-                            if fault_plan is not None
-                            else None
-                        )
-                    ),
+                    injector=FaultInjector(fault_plan, s) if fault_plan else None,
                 )
                 for s in range(n)
             ]
@@ -305,7 +268,7 @@ class CollisionSolveService:
         return ProcessPoolExecutor(
             max_workers=1,
             initializer=_process_init,
-            initargs=(shard, self.options.plan_budget, self._fault_payload),
+            initargs=(shard, self.options.plan_budget, self._fault_plan),
         )
 
     def _restart_worker(self, shard: int) -> None:

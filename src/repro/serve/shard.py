@@ -37,6 +37,7 @@ import numpy as np
 
 from ..resilience.controller import TimeStepController
 from ..resilience.exceptions import InjectedFault, SolveFailure, StepRejected
+from ..resilience.faults import FaultInjector
 from .jobs import STATUS_FAILED, STATUS_OK, STATUS_SHED, JobResult, SolveJob
 from .metrics import ShardMetrics
 from .plan import PlanCache, PlanRuntime
@@ -153,7 +154,7 @@ class ShardWorker:
         self,
         shard_id: int,
         plan_budget: int | None = None,
-        fault_injector=None,
+        injector=None,
     ):
         self.shard_id = shard_id
         self.metrics = ShardMetrics(shard=shard_id)
@@ -161,14 +162,14 @@ class ShardWorker:
         #: untimed warm calls served (plan builds outside any batch)
         self.warm_calls = 0
         self.warm_seconds = 0.0
-        self._injector = fault_injector
+        self._injector = injector
         self._fault_shim = None
-        if fault_injector is not None:
+        if injector is not None:
             # adapt FaultInjector's factory(A)->solve(b) wrapping to a
             # per-job result shim: each delivered state passes through a
             # wrapped identity "solve", advancing the injector's seeded
             # counters exactly once per job
-            faulty_identity = fault_injector.wrap_factory(
+            faulty_identity = injector.wrap_factory(
                 lambda A: (lambda x: x), name=f"shard-{shard_id}"
             )
 
@@ -288,9 +289,9 @@ _PROCESS_WORKER: ShardWorker | None = None
 #: plans published into this worker process, keyed by SolvePlan.key
 _PLAN_STORE: dict[str, "SolvePlan"] = {}
 
-#: the installed FaultPlanState (chaos runs only); counters reset with
+#: this worker's FaultInjector (chaos runs only); its counters reset with
 #: the process, so a replaced worker replays its schedule from index 0
-_FAULT_STATE = None
+_FAULT_INJECTOR = None
 
 
 class PlanNotPublished(RuntimeError):
@@ -299,31 +300,18 @@ class PlanNotPublished(RuntimeError):
     plan and retries the batch."""
 
 
-def _process_init(
-    shard_id: int, plan_budget: int | None, fault_payload=None
-) -> None:
+def _process_init(shard_id: int, plan_budget: int | None, fault_plan=None) -> None:
     """Worker initializer: warm shard state + optional chaos install.
 
-    ``fault_payload`` is either a picklable
-    :class:`~repro.resilience.faultplan.FaultPlan` (full schedule:
-    solver faults interpreted by a worker-local injector, crash/hang/
-    shm-attach faults interpreted per dispatch) or a picklable ad-hoc
-    :class:`~repro.resilience.faults.FaultInjector` (solver faults
-    only).  Each worker owns its own copy — deterministic for a fixed
-    batch order, exactly like PR 1's in-process chaos tests.
+    A :class:`~repro.resilience.faults.FaultPlan` becomes one worker-local
+    injector that serves both the per-dispatch faults (crash, hang,
+    shm attach) and the per-job solver faults — deterministic for a
+    fixed batch order, whichever process runs it.
     """
-    global _PROCESS_WORKER, _FAULT_STATE
-    from ..resilience.faultplan import FaultPlan, FaultPlanState
-
-    injector = None
-    _FAULT_STATE = None
-    if isinstance(fault_payload, FaultPlan):
-        _FAULT_STATE = FaultPlanState(fault_payload, shard_id)
-        injector = fault_payload.injector(shard_id)
-    elif fault_payload is not None:
-        injector = fault_payload
+    global _PROCESS_WORKER, _FAULT_INJECTOR
+    _FAULT_INJECTOR = FaultInjector(fault_plan, shard_id) if fault_plan else None
     _PROCESS_WORKER = ShardWorker(
-        shard_id, plan_budget=plan_budget, fault_injector=injector
+        shard_id, plan_budget=plan_budget, injector=_FAULT_INJECTOR
     )
     _PLAN_STORE.clear()
 
@@ -367,11 +355,11 @@ def _process_execute(
     if plan is None:
         raise PlanNotPublished(plan_key)
     kind, data = payload
-    if _FAULT_STATE is not None:
+    if _FAULT_INJECTOR is not None:
         # chaos schedule runs before the payload is touched: a crash or
         # hang here models a worker dying/stalling with the batch state
         # still owned by the service (which must retry or degrade)
-        _FAULT_STATE.on_dispatch(kind)
+        _FAULT_INJECTOR.on_dispatch(kind)
     if kind == "shm":
         from ..backend.shm import attach_copy
 

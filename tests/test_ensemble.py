@@ -349,6 +349,19 @@ class TestCampaignDriver:
             json.dumps(r.to_dict(), sort_keys=True) for r in b
         ]
 
+    def test_process_executor_is_bitwise_identical(self):
+        """Moving the shards into worker processes changes no bit of any
+        member's final state."""
+        _, thread = run_small_campaign()
+        driver = CampaignDriver(
+            ScenarioDesign(members=4, seed=7),
+            fast_options(),
+            serve_options=ServeOptions(num_shards=2, max_batch=32, executor="process"),
+        )
+        process = driver.run()
+        assert all(r.status == "ok" for r in process)
+        assert [r.state_sha256 for r in process] == [r.state_sha256 for r in thread]
+
     def test_max_inflight_is_part_of_determinism_envelope(self):
         # chunking changes batch composition and therefore BLAS reduction
         # order: not bitwise, but agreement to solver tolerance — and any

@@ -11,6 +11,7 @@ from repro.report import resilience_summary, solver_stats_table
 from repro.resilience import (
     CheckpointError,
     FaultInjector,
+    FaultPlan,
     GuardConfig,
     InjectedFault,
     SolveFailure,
@@ -176,7 +177,7 @@ class TestFaultInjector:
     def test_fail_first_solves_then_recover(self):
         import scipy.sparse as sp
 
-        inj = FaultInjector(fail_first_solves=2)
+        inj = FaultInjector(FaultPlan(fail_first_solves=2))
         factory = inj.wrap_factory(_splu_factory)
         solve = factory(sp.eye(3, format="csr").tocsr())
         with pytest.raises(InjectedFault):
@@ -189,7 +190,7 @@ class TestFaultInjector:
     def test_factorization_failure_indices(self):
         import scipy.sparse as sp
 
-        inj = FaultInjector(factorization_failures=(1,))
+        inj = FaultInjector(FaultPlan(factorization_failures=(1,)))
         factory = inj.wrap_factory(_splu_factory)
         factory(sp.eye(2, format="csr"))  # index 0: fine
         with pytest.raises(InjectedFault):
@@ -199,7 +200,7 @@ class TestFaultInjector:
     def test_nan_corruption_deterministic(self):
         import scipy.sparse as sp
 
-        inj = FaultInjector(nan_solve_indices=(0,))
+        inj = FaultInjector(FaultPlan(nan_solve_indices=(0,)))
         solve = inj.wrap_factory(_splu_factory)(sp.eye(4, format="csr"))
         assert np.any(np.isnan(solve(np.ones(4))))
         assert not np.any(np.isnan(solve(np.ones(4))))
@@ -211,7 +212,7 @@ class TestFaultInjector:
         import scipy.sparse as sp
 
         def run(seed):
-            inj = FaultInjector(nan_probability=0.5, seed=seed)
+            inj = FaultInjector(FaultPlan(nan_probability=0.5, seed=seed))
             solve = inj.wrap_factory(_splu_factory)(sp.eye(2, format="csr"))
             return [bool(np.any(np.isnan(solve(np.ones(2))))) for _ in range(16)]
 
@@ -220,7 +221,7 @@ class TestFaultInjector:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultInjector(nan_probability=1.5)
+            FaultInjector(FaultPlan(nan_probability=1.5))
 
 
 class TestAdvance:
@@ -248,7 +249,7 @@ class TestAdvance:
     def test_nan_fault_recovers(self, electron_operator, electron_moments, aniso_state):
         """Injected NaN solves poison the residual; the guard/controller
         must restore the pre-step state and the retry must succeed."""
-        inj = FaultInjector(nan_solve_indices=(0,))
+        inj = FaultInjector(FaultPlan(nan_solve_indices=(0,)))
         solver = ImplicitLandauSolver(
             electron_operator, linear_solver=inj.wrap_factory(_splu_factory), rtol=1e-8
         )
@@ -264,7 +265,7 @@ class TestAdvance:
     def test_nan_fault_rejected_without_guard(self, electron_operator, aniso_state):
         """The non-convergence check alone rejects a NaN solve: a NaN
         residual never counts as converged."""
-        inj = FaultInjector(nan_solve_indices=(0,))
+        inj = FaultInjector(FaultPlan(nan_solve_indices=(0,)))
         solver = ImplicitLandauSolver(
             electron_operator, linear_solver=inj.wrap_factory(_splu_factory), rtol=1e-8
         )
@@ -342,7 +343,7 @@ class TestAdvance:
         assert solver.stats.converged_last and np.all(np.isfinite(f[0]))
 
     def test_budget_exhaustion_propagates(self, electron_operator, aniso_state):
-        inj = FaultInjector(fail_first_solves=10**9)
+        inj = FaultInjector(FaultPlan(fail_first_solves=10**9))
         solver = ImplicitLandauSolver(
             electron_operator, linear_solver=inj.wrap_factory(_splu_factory)
         )

@@ -12,6 +12,7 @@ from repro.report import resilience_summary
 from repro.resilience import (
     CheckpointError,
     FaultInjector,
+    FaultPlan,
     TimeStepController,
 )
 from repro.sparse.band import CachedBandSolverFactory
@@ -25,9 +26,11 @@ class TestFaultedSpitzerRamp:
 
     def test_retry_under_faults(self):
         inj = FaultInjector(
-            fail_first_solves=2,       # transient: first two solves die
-            factorization_failures=(5,),
-            nan_solve_indices=(8,),    # NaN residual mid-run
+            FaultPlan(
+                fail_first_solves=2,       # transient: first two solves die
+                factorization_failures=(5,),
+                nan_solve_indices=(8,),    # NaN residual mid-run
+            )
         )
         res = measure_resistivity(
             Z=1.0,
@@ -56,7 +59,7 @@ class TestFaultedSpitzerRamp:
         invariant under E-field drive — survives to guard tolerance."""
         from repro.core.solver import _splu_factory
 
-        inj = FaultInjector(nan_solve_indices=(3,))
+        inj = FaultInjector(FaultPlan(nan_solve_indices=(3,)))
         res = measure_resistivity(
             Z=1.0,
             dt=0.5,

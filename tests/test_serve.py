@@ -12,7 +12,7 @@ import pytest
 from repro.core import ImplicitLandauSolver, LandauOperator
 from repro.core.maxwellian import maxwellian_rz
 from repro.core.options import AssemblyOptions
-from repro.resilience import FaultInjector, ServiceOverloaded
+from repro.resilience import FaultPlan, ServiceOverloaded
 from repro.serve import (
     CollisionSolveService,
     HashRing,
@@ -345,22 +345,22 @@ class TestChaos:
 
     def _run(self, fs, species, states):
         plan = SolvePlan(fs=fs, species=species, dt=DT, rtol=1e-10)
-        injector = FaultInjector(
-            fail_first_solves=2, nan_solve_indices=(4, 7), seed=3
-        )
         svc = CollisionSolveService(
-            ServeOptions(num_shards=2, max_batch=4), fault_injector=injector
+            ServeOptions(num_shards=2, max_batch=4),
+            fault_plan=FaultPlan(
+                fail_first_solves=2, nan_solve_indices=(4, 7), seed=3
+            ),
         )
         handles = [svc.submit(plan, s) for s in states]
         svc.drain()
-        return [h.result(1.0) for h in handles], svc.snapshot(), injector
+        return [h.result(1.0) for h in handles], svc.snapshot()
 
     def test_no_job_lost_none_twice_bitwise_stable(
         self, fs_q2, electron_species, serve_states
     ):
         states = serve_states[:8]
-        r1, snap1, inj1 = self._run(fs_q2, electron_species, states)
-        r2, snap2, _ = self._run(fs_q2, electron_species, states)
+        r1, snap1 = self._run(fs_q2, electron_species, states)
+        r2, snap2 = self._run(fs_q2, electron_species, states)
 
         # every job answered exactly once (JobHandle raises on double set)
         assert len(r1) == len(states)
@@ -368,7 +368,7 @@ class TestChaos:
         assert all(r.ok for r in r1)
 
         # the injector fired and its victims went through the retry path
-        assert inj1.n_injected >= 4
+        assert snap1["failures"]["injected_faults"] >= 4
         assert snap1["jobs"]["retried"] >= 4
         assert snap1["solver"]["retry_steps"] > 0
 
@@ -378,18 +378,3 @@ class TestChaos:
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a.state, b.state)
         assert snap1["batch_size_hist"] == snap2["batch_size_hist"]
-
-    def test_fault_injection_rejects_unpicklable_on_process_executor(self):
-        # picklable injectors now ship to shard workers (ISSUE-7 lifted
-        # the PR-6 blanket ban); only injector state that cannot cross
-        # the fork is rejected — and the message must name both the
-        # FaultPlan route and the env knob an operator would unset
-        inj = FaultInjector(fail_first_solves=1)
-        inj.callback = lambda: None
-        with pytest.raises(
-            ValueError, match="(?s)FaultPlan.*REPRO_SERVE_EXECUTOR"
-        ):
-            CollisionSolveService(
-                ServeOptions(num_shards=1, executor="process"),
-                fault_injector=inj,
-            )

@@ -187,47 +187,18 @@ class TestShmBudgetFallback:
             assert np.abs(r.state - rr.state).max() <= 1e-12 * scale
 
 
-class TestFaultInjectorConflict:
-    def test_fail_fast_names_the_env_knob(self, monkeypatch):
-        """An ad-hoc injector that cannot pickle (here: one carrying a
-        lambda) must be rejected with pointers at both the FaultPlan
-        route and the executor env knob."""
-        from repro.resilience import FaultInjector
-
-        inj = FaultInjector(fail_first_solves=1)
-        inj.callback = lambda: None  # closures cannot cross the fork
-        monkeypatch.setenv("REPRO_SERVE_EXECUTOR", "process")
-        with pytest.raises(ValueError, match="REPRO_SERVE_EXECUTOR"):
-            CollisionSolveService(
-                ServeOptions.from_env(num_shards=1), fault_injector=inj
-            )
-        with pytest.raises(ValueError, match="FaultPlan"):
-            CollisionSolveService(
-                ServeOptions.from_env(num_shards=1), fault_injector=inj
-            )
-
+class TestProcessFaultPlan:
     def test_picklable_injector_rides_into_workers(self, plan, states):
-        """PR-6 banned all injectors on executor='process'; a picklable
-        schedule now ships to the workers and fires there (the retry
-        path answers the job OK and counts the injection)."""
-        from repro.resilience import FaultInjector
+        """A fault plan's solver faults fire inside the process workers
+        (the retry path answers the job OK and counts the injection)."""
+        from repro.resilience import FaultPlan
 
         with CollisionSolveService(
             ServeOptions(executor="process", num_shards=1, max_batch=4),
-            fault_injector=FaultInjector(fail_first_solves=1),
+            fault_plan=FaultPlan(fail_first_solves=1),
         ) as svc:
             res = svc.solve_many(plan, states[:2])
             assert all(r.status == STATUS_OK for r in res)
             snap = svc.snapshot()
             assert snap["failures"]["injected_faults"] >= 1
             assert snap["jobs"]["retried"] >= 1
-
-    def test_injector_plus_plan_is_rejected(self):
-        from repro.resilience import FaultInjector, FaultPlan
-
-        with pytest.raises(ValueError, match="not both"):
-            CollisionSolveService(
-                ServeOptions(num_shards=1),
-                fault_injector=FaultInjector(fail_first_solves=1),
-                fault_plan=FaultPlan(fail_first_solves=1),
-            )

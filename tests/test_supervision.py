@@ -5,6 +5,7 @@ SIGTERM arena backstop, and crash-consistent service resume."""
 from __future__ import annotations
 
 import glob
+import multiprocessing as mp
 import os
 import pickle
 import signal
@@ -14,16 +15,18 @@ import tempfile
 import textwrap
 import time
 from contextlib import suppress
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.maxwellian import maxwellian_rz
+from repro.ensemble import CampaignDriver, CampaignOptions, ScenarioDesign
 from repro.resilience import (
     CheckpointError,
     CircuitBreaker,
+    FaultInjector,
     FaultPlan,
-    FaultPlanState,
     RestartBackoff,
     ShardSupervisor,
     SupervisorOptions,
@@ -32,11 +35,13 @@ from repro.resilience import (
     save_checkpoint,
     write_checksummed,
 )
+from repro.resilience.checkpoint import CHECKSUM_MAGIC
 from repro.serve import (
     CollisionSolveService,
     PendingJob,
     ServeOptions,
     SolvePlan,
+    checkpoint_path,
     load_service_checkpoint,
     save_service_checkpoint,
 )
@@ -115,21 +120,50 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="REPRO_FAULT_PLAN"):
             FaultPlan.from_env()
 
-    def test_shard_scoping_and_injector(self):
-        p = FaultPlan(fail_first_solves=1, shards=(0,))
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"crash_batches": [1.7]}', "crash_batches"),
+            ('{"shards": [0.5]}', "shards"),
+            ('{"hang_batches": true}', "hang_batches"),
+            ('{"nan_solve_indices": [true]}', "nan_solve_indices"),
+            ('{"shm_attach_failures": [-1]}', "shm_attach_failures"),
+            ('{"fail_first_solves": "2"}', "fail_first_solves"),
+            ('{"fail_first_solves": -3}', "fail_first_solves"),
+            ('{"fail_first_solves": false}', "fail_first_solves"),
+            ('{"seed": "x"}', "seed"),
+            ('{"seed": 1.5}', "seed"),
+            ('{"nan_probability": "0.5"}', "nan_probability"),
+            ('{"hang_s": 0}', "hang_s"),
+            ('{"hang_s": 1e999}', "hang_s"),
+        ],
+    )
+    def test_invalid_fields_rejected(self, monkeypatch, text, field):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan.from_json(text)
+        monkeypatch.setenv("REPRO_FAULT_PLAN", text)
+        with pytest.raises(ValueError, match=f"invalid REPRO_FAULT_PLAN: {field}"):
+            FaultPlan.from_env()
+
+    def test_shard_scoping(self):
+        p = FaultPlan(fail_first_solves=1, crash_batches=(0,), shards=(0,))
         assert p.applies_to(0) and not p.applies_to(1)
-        assert p.injector(0) is not None
-        assert p.injector(1) is None
-        assert FaultPlan(crash_batches=(0,)).injector(0) is None  # no solver faults
+        factory = lambda A: (lambda b: b)  # noqa: E731
+        assert FaultInjector(p, 0).wrap_factory(factory) is not factory
+        # a shard outside the plan gets no solver faults and no crash
+        skipped = FaultInjector(p, 1)
+        assert skipped.wrap_factory(factory) is factory
+        skipped.on_dispatch("inline")
+        assert skipped.dispatches == 0
 
     def test_state_counts_per_incarnation(self):
         p = FaultPlan(shm_attach_failures=(1,))
-        st = FaultPlanState(p, shard_id=0)
+        st = FaultInjector(p, shard_id=0)
         st.on_dispatch("shm")  # batch 0: clean
         with pytest.raises(Exception, match="attach"):
             st.on_dispatch("shm")  # batch 1: injected
         # inline payloads never see shm faults
-        st2 = FaultPlanState(p, shard_id=0)
+        st2 = FaultInjector(p, shard_id=0)
         st2.on_dispatch("inline")
         st2.on_dispatch("inline")
 
@@ -223,25 +257,6 @@ class TestChecksummedCheckpoints:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
 
-    def test_legacy_bare_npz_still_loads(self, tmp_path):
-        import io
-        import json
-
-        path = str(tmp_path / "legacy.npz")
-        f = np.arange(6.0)
-        buf = io.BytesIO()
-        np.savez_compressed(
-            buf,
-            __version__=np.array(1),
-            fields=np.stack([f]),
-            t=np.array(0.5),
-            extra_json=np.array(json.dumps({"old": True})),
-        )
-        open(path, "wb").write(buf.getvalue())  # no checksum envelope
-        ck = load_checkpoint(path)
-        np.testing.assert_array_equal(ck.fields[0], f)
-        assert ck.extra["old"] is True
-
     def test_envelope_primitives(self, tmp_path):
         path = str(tmp_path / "raw.bin")
         write_checksummed(path, b"payload-bytes")
@@ -249,6 +264,80 @@ class TestChecksummedCheckpoints:
         open(path, "wb").write(b"RPROCKSUM1 deadbeef\n")
         with pytest.raises(CheckpointError):
             read_checksummed(path)
+
+
+# ----------------------------------------------------------------------
+# corrupt durable state: every loader raises CheckpointError, never a
+# stray unpickling error and never a half-loaded file
+CAMPAIGN_FAST = dict(
+    dt=0.5, max_steps=2, post_steps=1, order=2, mesh_kwargs={"h_factor": 1.6}
+)
+
+
+def _campaign_driver(d: str) -> CampaignDriver:
+    return CampaignDriver(
+        ScenarioDesign(members=2, seed=1),
+        CampaignOptions(checkpoint_dir=d, **CAMPAIGN_FAST),
+    )
+
+
+def _write_checkpoint(d: str) -> str:
+    return save_checkpoint(os.path.join(d, "state.npz"), fields=[np.arange(6.0)], t=0.5)
+
+
+def _write_service(d: str) -> str:
+    path = os.path.join(d, "svc.ckpt")
+    save_service_checkpoint(path, pending=[], plans={}, completed=["x"])
+    return path
+
+
+def _write_ledger(d: str) -> str:
+    driver = _campaign_driver(d)
+    try:
+        driver.write_ledger()
+    finally:
+        driver.service.close()
+    return driver.ledger_path
+
+
+def _resume_campaign(path: str) -> None:
+    driver = _campaign_driver(os.path.dirname(path))
+    try:
+        driver.run(resume=True)
+    finally:
+        driver.service.close()
+
+
+def _header_len(raw: bytes) -> int:
+    return raw.index(b"\n") + 1
+
+
+DURABLE_LOADERS = {
+    "checkpoint": (_write_checkpoint, load_checkpoint),
+    "service": (_write_service, load_service_checkpoint),
+    "campaign": (_write_ledger, _resume_campaign),
+}
+
+CORRUPTIONS = {
+    "flipped_magic": lambda raw: bytes([raw[0] ^ 0x01]) + raw[1:],
+    "cut_in_header": lambda raw: raw[: len(CHECKSUM_MAGIC) + 10],
+    "cut_in_payload": lambda raw: raw[: (_header_len(raw) + len(raw)) // 2],
+    "payload_bit_flip": lambda raw: raw[:-10] + bytes([raw[-10] ^ 0x40]) + raw[-9:],
+    "empty": lambda raw: b"",
+    "no_header": lambda raw: raw[_header_len(raw):],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("loader", sorted(DURABLE_LOADERS))
+def test_corrupt_durable_state_raises_checkpoint_error(tmp_path, loader, corruption):
+    write, load = DURABLE_LOADERS[loader]
+    path = write(str(tmp_path))
+    raw = Path(path).read_bytes()
+    assert raw.startswith(CHECKSUM_MAGIC)
+    Path(path).write_bytes(CORRUPTIONS[corruption](raw))
+    with pytest.raises(CheckpointError):
+        load(path)
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +476,13 @@ class TestProcessChaos:
 
     def test_hang_is_detected_killed_and_retried(self, plan, states):
         """A hung worker raises nothing — only the batch deadline can see
-        it.  The supervisor kills it and the retry completes."""
+        it.  The supervisor kills it and the retry completes, bitwise
+        equal to a fault-free run with the same batches."""
+        with CollisionSolveService(
+            ServeOptions(executor="thread", num_shards=1, max_batch=4)
+        ) as ref_svc:
+            ref = ref_svc.solve_many(plan, states[:2])
+            ref += ref_svc.solve_many(plan, states[2:6])
         sup = _fast_supervision(batch_deadline_s=3.0)
         with self._service(
             fault_plan=FaultPlan(hang_batches=(1,), hang_s=60.0),
@@ -400,6 +495,8 @@ class TestProcessChaos:
             detect_s = time.monotonic() - t0
             snap = svc.snapshot()
         assert all(r.status == STATUS_OK for r in out)
+        for a, b in zip(ref, warm + out):
+            np.testing.assert_array_equal(a.state, b.state)
         assert detect_s < 30.0  # killed at the deadline, not hang_s
         shard0 = snap["shards"][0]
         assert shard0["worker_hangs"] >= 1
@@ -455,6 +552,29 @@ class TestProcessChaos:
 
 # ----------------------------------------------------------------------
 # crash-consistent service checkpoints + resume
+def _resume_options(ckpt_dir: str) -> ServeOptions:
+    return ServeOptions(
+        executor="process",
+        num_shards=1,
+        max_batch=2,
+        checkpoint_dir=ckpt_dir,
+        supervision=_fast_supervision(),
+    )
+
+
+def _killed_drain(ckpt_dir: str, plan, states, job_ids, pid_file: str) -> None:
+    """Child process: drain two batches with checkpointing on, then die
+    the hard way (no atexit, no cleanup) with jobs still queued.  The
+    pool worker pids go to ``pid_file``: a SIGKILLed owner orphans them."""
+    svc = CollisionSolveService(_resume_options(ckpt_dir))
+    for jid, s in zip(job_ids, states):
+        svc.submit(plan, s, job_id=jid)
+    svc.drain(max_batches=2)
+    with open(pid_file, "w") as fh:
+        fh.write(" ".join(str(pid) for pool in svc._pools for pid in pool._processes))
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestServiceResume:
     def test_killed_service_resumes_only_unfinished_jobs(
         self, plan, states, tmp_path
@@ -499,6 +619,41 @@ class TestServiceResume:
         assert set(first_half) & set(second_half) == set()
         assert snap["checkpoint"]["resume"]["resumed_jobs"] == 4
         assert snap["checkpoint"]["resume"]["skipped_completed"] == 4
+
+    def test_sigkilled_service_resumes_only_unfinished_jobs(
+        self, plan, states, tmp_path
+    ):
+        """A real SIGKILL: a child process drains half the jobs with
+        checkpointing on and dies mid-drain with no cleanup; a fresh
+        service restores, sweeps what the dead owner leaked, and runs
+        only the jobs the checkpoint does not record as completed."""
+        ckpt_dir = str(tmp_path / "ckpt")
+        pid_file = str(tmp_path / "worker-pids")
+        all_ids = [f"job-k{i}" for i in range(8)]
+        child = mp.get_context("spawn").Process(
+            target=_killed_drain,
+            args=(ckpt_dir, plan, states[:8], all_ids, pid_file),
+        )
+        child.start()
+        child.join(timeout=120.0)
+        with suppress(FileNotFoundError):
+            for pid in Path(pid_file).read_text().split():
+                with suppress(ProcessLookupError):
+                    os.kill(int(pid), signal.SIGKILL)
+        assert child.exitcode == -signal.SIGKILL, child.exitcode
+        completed = set(load_service_checkpoint(checkpoint_path(ckpt_dir)).completed)
+        assert completed and completed < set(all_ids)
+
+        with CollisionSolveService(_resume_options(ckpt_dir)) as svc:
+            handles = svc.restore()
+            svc.drain()
+            results = [h.result(10.0) for h in handles]
+            resume = svc.snapshot()["checkpoint"]["resume"]
+        assert all(r.status == STATUS_OK for r in results)
+        rerun = {r.job_id for r in results}
+        assert rerun & completed == set()
+        assert rerun | completed == set(all_ids)
+        assert resume["swept_shm_segments"] >= 0
 
     def test_resumed_results_match_uninterrupted_run(self, plan, states):
         """Interrupted-then-resumed must be bitwise the uninterrupted
