@@ -4,10 +4,11 @@ The paper's engineering claim is performance *portability*: the same
 Landau kernel expressed in two programming models (raw CUDA §III-B,
 Kokkos league/team/vector §III-C) over one shared data layout, so new
 architectures come nearly for free.  This module is the CPU-side
-analogue for the reproduction: every hot path — pair-table contractions,
-batched einsum assembly, sparse scatter-apply, batched band
-factorization/solve, and block-parallel builds — is expressed once
-against :class:`ExecutionBackend`, and the two backends
+analogue for the reproduction: every hot path — the on-the-fly
+Algorithm-1 field launch, the response-table field GEMMs, batched
+einsum assembly, sparse scatter-apply, batched band factorization/solve
+and block-parallel loops — is expressed once against
+:class:`ExecutionBackend`, and the two backends
 (:class:`~repro.backend.numpy_backend.NumpyBackend`,
 :class:`~repro.backend.threaded.ThreadedBackend`) map those operations
 onto serial numpy or chunked thread pools.
@@ -81,26 +82,7 @@ class ExecutionBackend:
         return [(i0, min(i0 + chunk, n)) for i0 in range(0, n, chunk)]
 
     # ------------------------------------------------------------------
-    # Algorithm-1 row-block kernels (pair-table build / on-the-fly fields)
-    def pair_table_rows(
-        self, out: np.ndarray, r: np.ndarray, z: np.ndarray, i0: int, i1: int
-    ) -> None:
-        """Row block ``[i0, i1)``'s share of the packed pair table ``out
-        (5, N, N)``, ``(Drr, Drz, Dzz, Krr, Kzr)`` order, for integration
-        points ``(r, z)``.
-
-        ``out`` arrives uninitialised; calls over any partition of
-        ``[0, N)`` must leave it complete, with entries that do not
-        depend on the partition.  A call writes all of rows ``[i0, i1)``
-        or, like the default
-        (:func:`repro.core.landau_tensor.packed_pair_rows`), their
-        entries ``[i0:i1, i0:]`` and the mirror images ``[i1:, i0:i1]``
-        — either way disjoint from every other block's, so calls may run
-        concurrently."""
-        from ..core.landau_tensor import packed_pair_rows
-
-        packed_pair_rows(out, r, z, i0, i1)
-
+    # Algorithm-1 row-block kernel (on-the-fly fields)
     def field_rows(
         self,
         G_D: np.ndarray,
@@ -132,7 +114,7 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     # dense contractions
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Dense ``A @ B`` (the pair-table field contraction)."""
+        """Dense ``A @ B`` (the response-table field GEMMs)."""
         raise NotImplementedError
 
     def contract(self, spec: str, *ops: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ and what the serve golden hashes are recorded on.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
@@ -27,13 +29,24 @@ __all__ = ["NumpyBackend", "einsum"]
 EINSUM_INTERMEDIATE_LIMIT = 1 << 20
 
 
-def einsum(spec: str, *ops: np.ndarray) -> np.ndarray:
-    """``np.einsum`` with the greedy path planner under
-    :data:`EINSUM_INTERMEDIATE_LIMIT` — the one contraction every
-    backend's ``contract`` runs on a (block of a) batch."""
-    return np.einsum(
+@functools.lru_cache(maxsize=64)
+def _einsum_path(spec: str, *shapes: tuple[int, ...]) -> list:
+    """The greedy contraction order of ``spec`` on operands of these
+    shapes under :data:`EINSUM_INTERMEDIATE_LIMIT` (the planner reads
+    shapes only, so zero-stride stand-ins serve as operands)."""
+    ops = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(
         spec, *ops, optimize=("greedy", EINSUM_INTERMEDIATE_LIMIT)
-    )
+    )[0]
+
+
+def einsum(spec: str, *ops: np.ndarray) -> np.ndarray:
+    """``np.einsum`` along the greedy path under
+    :data:`EINSUM_INTERMEDIATE_LIMIT`, planned once per spec and operand
+    shapes — the one contraction every backend's ``contract`` runs on a
+    (block of a) batch."""
+    path = _einsum_path(spec, *(op.shape for op in ops))
+    return np.einsum(spec, *ops, optimize=path)
 
 
 class NumpyBackend(ExecutionBackend):

@@ -67,7 +67,6 @@ __all__ = [
     "landau_tensors_cyl",
     "pair_block_tensors",
     "shared_block_scratch",
-    "packed_pair_rows",
     "field_rows",
 ]
 
@@ -247,12 +246,13 @@ def landau_tensors_cyl(
 
 # ----------------------------------------------------------------------
 # The row-block kernel behind the two O(N^2) hot loops of Algorithm 1 —
-# the packed pair-table build and the on-the-fly field launch — which
-# :class:`repro.backend.base.ExecutionBackend` exposes as the hooks
-# ``pair_table_rows`` / ``field_rows``.  Both are the same evaluation of
-# the tensors for a block of point pairs, followed by "store"
-# (:func:`packed_pair_rows`) or "contract against the sources"
-# (:func:`field_rows`).
+# the field-response build (:meth:`repro.core.operator.LandauOperator.
+# _build_response`, which contracts a block's rows against the basis as
+# soon as they are complete) and the on-the-fly field launch, which
+# :class:`repro.backend.base.ExecutionBackend` exposes as the hook
+# ``field_rows``.  Both are the same evaluation of the tensors for a
+# block of point pairs, followed by "contract against the basis" or
+# "contract against the sources" (:func:`field_rows`).
 
 #: float64 planes of per-pair scratch :func:`pair_block_tensors` holds
 #: live at its widest point (the six results, the integrals still to be
@@ -283,6 +283,7 @@ def _scratch_planes(R: int, W: int) -> list[np.ndarray]:
     if buf is None:
         buf = np.empty(need)
     elif buf.size < need:
+        _scratch.buf = buf = None  # drop the smaller one before growing
         buf = _scratch.buf = np.empty(need)
     return list(buf[:need].reshape(PAIR_BLOCK_PLANES, R, W))
 
@@ -423,32 +424,6 @@ def pair_block_tensors(
         for comp in comps:
             comp.ravel()[coincident] = 0.0
     return comps
-
-
-def packed_pair_rows(
-    out: np.ndarray, r: np.ndarray, z: np.ndarray, i0: int, i1: int
-) -> None:
-    """Store the tensors of row block ``[i0, i1)`` into the packed
-    ``(5, N, N)`` table ``out`` in ``(Drr, Drz, Dzz, Krr, Kzr)`` order
-    (``Krz``/``Kzz`` alias ``Drz``/``Dzz`` and are not stored): entries
-    ``[i0:i1, i0:]`` directly and their mirror images ``[i1:, i0:i1]``
-    from the same integrals.
-
-    Calls over any partition of ``[0, N)`` fill ``out`` completely, with
-    entries that do not depend on the partition; different blocks write
-    disjoint entries, so the calls may run concurrently.
-    """
-    Drr, Drz, Dzz, Krr, Kzr, DrrT = pair_block_tensors(r, z, i0, i1)
-    R = i1 - i0
-    for c, direct, mirror in (
-        (0, Drr, DrrT),
-        (1, Drz, Kzr),
-        (2, Dzz, Dzz),
-        (3, Krr, Krr),
-        (4, Kzr, Drz),
-    ):
-        out[c, i0:i1, i0:] = direct
-        out[c, i1:, i0:i1] = mirror[:, R:].T
 
 
 def field_rows(

@@ -17,33 +17,35 @@ and a standard finite element assembly produces the (block-diagonal over
 species) Jacobian.  The complexity is O(N^2 S) instead of the naive
 O(N^2 S^2).
 
-The pair tables U^D/U^K depend only on quadrature geometry.  Two exact
+The pair tensors U^D/U^K depend only on quadrature geometry.  Two exact
 symmetries of the axisymmetric tensors — ``U^K_rz == U^D_rz`` and
 ``U^K_zz == U^D_zz`` — mean only *five* distinct ``N x N`` components
 exist.  The same linearity that moves the species sum inside the
 integral reaches further: ``T_D`` and ``T_K`` are fixed linear maps of
 two species-summed *dof* vectors, ``u_D = sum_b z_b^2 f_b`` and ``u_K =
 sum_b z_b^2 (m0/m_b) f_b`` (weights, basis tabulation and hanging-node
-constraints).  So a cached operator builds the five tables once,
-contracts them against those maps into **field-response tables** —
-``R_D`` (``Drr``, ``Drz``, ``Dzz`` against values) and ``R_K`` (``Krr
-d/dr + Krz d/dz`` and ``Kzr d/dr + Kzz d/dz``, the pairs pre-summed since
-``G_K`` only uses their sums), five ``(n, N)`` components — and drops
-them.  A batch's fields are then two GEMMs on dof vectors, ``5 * 2Nn``
-flops per vertex instead of ``7 * 2N^2``.  The CUDA-model kernel
+constraints).  So a cached operator contracts the five components
+against those maps into **field-response tables** once — ``R_D``
+(``Drr``, ``Drz``, ``Dzz`` against values) and ``R_K`` (``Krr d/dr + Krz
+d/dz`` and ``Kzr d/dr + Kzz d/dz``, the pairs pre-summed since ``G_K``
+only uses their sums), five ``(n, N)`` components — row block by row
+block, each block's rows as soon as they are complete, so no ``N x N``
+table is ever whole (:meth:`LandauOperator._build_response`).  A
+batch's fields are then two GEMMs on dof vectors, ``5 * 2Nn`` flops per
+vertex instead of ``7 * 2N^2``.  The CUDA-model kernel
 (:mod:`repro.core.kernel_cuda`) instead recomputes the tensors on the
 fly exactly as Algorithm 1 does on a GPU — the two paths
 are verified against each other in the test suite
 (``tests/test_backend_equivalence.py``).
 
-Both the table build and the operator's own on-the-fly launch (tables
-not cached) run one pair-symmetric row-block kernel,
-:func:`repro.core.landau_tensor.pair_block_tensors`, behind the backend
-hooks ``pair_table_rows`` / ``field_rows``: a block of field rows
-evaluates the azimuthal integrals against the sources at or after its
-first row only and serves the pairs below it through the exchange
-symmetry of the tensors, so a launch evaluates about ``N^2 / 2`` pairs.
-Blocks are cut by pair count (:meth:`LandauOperator._row_blocks`).
+Both the response build and the operator's own on-the-fly launch
+(tables not cached) run one pair-symmetric row-block kernel,
+:func:`repro.core.landau_tensor.pair_block_tensors` (the launch behind
+the backend hook ``field_rows``): a block of field rows evaluates the
+azimuthal integrals against the sources at or after its first row only
+and serves the pairs below it through the exchange symmetry of the
+tensors, so a launch evaluates about ``N^2 / 2`` pairs.  Blocks are cut
+by pair count (:meth:`LandauOperator._row_blocks`).
 
 The response tables depend on the space's quadrature geometry alone, so
 they are built once per ``(space, resolved backend)`` and shared, read-
@@ -70,7 +72,7 @@ import scipy.sparse as sp
 
 from ..fem.assembly import element_mass_blocks, get_scatter_map
 from ..fem.function_space import FunctionSpace
-from .landau_tensor import shared_block_scratch
+from .landau_tensor import pair_block_tensors, shared_block_scratch
 from .options import ONTHEFLY_BYTES_PER_PAIR, AssemblyOptions, PairTableMemoryError
 from .species import SpeciesSet
 
@@ -81,6 +83,11 @@ from .species import SpeciesSet
 #: largest allocation of a plan; 2 MiB (20 164 pairs) is in the flat
 #: optimum measured on N = 504 (10 000 - 20 000 pairs per block).
 ROW_BLOCK_BYTES = 2 * 1024 * 1024
+
+#: mirror pieces a row block of the response build contracts one by one;
+#: a block owed more copies them into one array first (past a few pieces
+#: the per-cell GEMM calls cost more than the copy)
+DIRECT_PIECES = 4
 
 #: space -> (pid, build lock, {resolved backend name: weak refs to the
 #: response tables}); the operators hold the tables, this only finds them
@@ -139,8 +146,8 @@ class LandauOperator:
         collision prefactor; 1.0 in code units (``nu_ee = 1``).
     options:
         assembly configuration (thread count, caching of the O(N^2)
-        tensor tables, memory budget, backend); defaults to
-        :meth:`AssemblyOptions.from_env`.
+        tensors as field-response tables, memory budget, backend);
+        defaults to :meth:`AssemblyOptions.from_env`.
     """
 
     def __init__(
@@ -161,7 +168,7 @@ class LandauOperator:
         #: assembly work accounting consumed by ``NewtonStats``:
         #: ``structure_reuses`` counts matrix builds served by the cached
         #: scatter structure, ``parallel_builds`` counts thread-pool
-        #: dispatched table/field builds.
+        #: dispatched on-the-fly field launches.
         self.counters = {"structure_reuses": 0, "parallel_builds": 0}
 
         N = fs.n_integration_points
@@ -176,9 +183,10 @@ class LandauOperator:
             cache_pair_tables = build_bytes <= self.options.memory_budget
         elif cache_pair_tables and build_bytes > self.options.memory_budget:
             raise PairTableMemoryError(
-                f"cached pair tables and their field-response tables need "
-                f"{build_bytes / 1e6:.2f} MB for N={N} integration points and "
-                f"n={fs.ndofs} dofs, above the assembly memory budget "
+                f"building the field-response tables needs {build_bytes / 1e6:.2f} "
+                f"MB at its peak (the tables, the pair-tensor mirror images "
+                f"still owed and one row block) for N={N} integration points "
+                f"and n={fs.ndofs} dofs, above the assembly memory budget "
                 f"of {self.options.memory_budget / 1e6:.2f} MB; raise "
                 "AssemblyOptions.memory_budget (REPRO_ASSEMBLY_MEMORY_BUDGET) "
                 "or leave cache_pair_tables=None to fall back to chunked "
@@ -202,15 +210,16 @@ class LandauOperator:
         self._fac_d = -self.nu0 * z2 / species.masses**2
 
     # ------------------------------------------------------------------
-    def _row_blocks(self, N: int) -> list[tuple[int, int]]:
+    def _row_blocks(self, N: int, step: int = 1) -> list[tuple[int, int]]:
         """Row blocks ``[i0, i1)`` covering ``[0, N)`` for the O(N^2)
-        table/field work.  Block ``[i0, i1)`` evaluates the pairs
-        ``[i0, i1) x [i0, N)`` (the rest of its rows comes from earlier
-        blocks' mirror images), so blocks are cut by *pair* count, later
-        ones taking more rows: as many pairs as keep the kernel's scratch
-        within :data:`ROW_BLOCK_BYTES` (and the memory budget, when that
-        is smaller), fewer when a parallel backend's workers would
-        otherwise not all have work.  Never less than one row."""
+        response build and field launch.  Block ``[i0, i1)`` evaluates the
+        pairs ``[i0, i1) x [i0, N)`` (the rest of its rows comes from
+        earlier blocks' mirror images), so blocks are cut by *pair* count,
+        later ones taking more rows: as many pairs as keep the kernel's
+        scratch within :data:`ROW_BLOCK_BYTES` (and the memory budget, when
+        that is smaller), fewer when a parallel backend's workers would
+        otherwise not all have work.  Blocks start on multiples of
+        ``step`` and take at least ``step`` rows."""
         pairs = min(
             ROW_BLOCK_BYTES // ONTHEFLY_BYTES_PER_PAIR,
             self.options.row_chunk(N) * N,
@@ -221,25 +230,10 @@ class LandauOperator:
         blocks = []
         i0 = 0
         while i0 < N:
-            i1 = min(N, i0 + max(1, pairs // (N - i0)))
+            i1 = min(N, i0 + max(step, pairs // (N - i0) // step * step))
             blocks.append((i0, i1))
             i0 = i1
         return blocks
-
-    def _build_tables(self) -> np.ndarray:
-        """The 5 unique components ``(Drr, Drz, Dzz, Krr, Kzr)`` as one
-        ``(5, N, N)`` array; row blocks are dispatched through the
-        backend (a block stores its own entries and their mirror images,
-        disjoint from every other block's)."""
-        N = self.N
-        out = np.empty((5, N, N))
-
-        def fill(i0: int, i1: int) -> None:
-            self.backend.pair_table_rows(out, self.r, self.z, i0, i1)
-
-        if self.backend.parallel_for(self._row_blocks(N), fill):
-            self.counters["parallel_builds"] += 1
-        return out
 
     def _build_response(self) -> tuple[np.ndarray, np.ndarray]:
         """The field-response tables ``R_D (n, 3N)`` (laid out ``(n, 3,
@@ -247,49 +241,80 @@ class LandauOperator:
         ``(n, N, 2)``, so a GEMM's output is ``G_K`` as it stands).
 
         Each table is contracted cell by cell against the weighted
-        tabulations ``w B``, ``w dB/dr`` and ``w dB/dz`` (contiguous
-        per-cell GEMMs), then gathered onto the free dofs through the
-        cached ``P[cell_nodes]`` map (one sparse product; the two terms
-        of a ``G_K`` component are gathered as one stacked operand, so
-        their sum costs nothing).  Table rows go in chunks whose
-        per-cell products stay within an ``(n, N)`` temporary, so the
-        build peaks at the tables plus the response plus about that."""
+        tabulations ``w B``, ``w dB/dr`` and ``w dB/dz`` (per-cell GEMMs),
+        then gathered onto the free dofs through the cached
+        ``P[cell_nodes]`` map (one sparse product; the two terms of a
+        ``G_K`` component are gathered as one stacked operand, so their
+        sum costs nothing) — a block of rows at a time, no ``(N, N)``
+        table ever whole.  The row blocks (:meth:`_row_blocks`, cut on
+        cell boundaries) run in order, so once block ``[i0, i1)`` is
+        evaluated its rows are complete: its own pairs at columns
+        ``[i0, N)``, straight from the kernel's scratch, and the mirror
+        images earlier blocks left for it at ``[0, i0)``, one piece per
+        earlier block (:data:`DIRECT_PIECES`).  The block then copies out
+        the pieces it owes the later blocks.  The build holds the
+        response, the pieces still owed (at most ``5 N^2 / 4`` entries,
+        halfway through) and one block — what
+        :meth:`AssemblyOptions.cached_build_bytes` counts."""
         fs = self.fs
         sm = self._scatter
         N, n = self.N, fs.ndofs
         ne, nq, nb = fs.nelem, fs.nq, fs.nb
-        tables = self._build_tables()
         w = fs.qweights[:, None, :]
         wB = w * fs.B.T  # (ne, nb, nq)
         wEr = w * fs.Dref[:, :, 0].T * fs.inv_jac[:, 0, None, None]
         wEz = w * fs.Dref[:, :, 1].T * fs.inv_jac[:, 1, None, None]
         R_D = np.empty((n, 3, N))
         R_K = np.empty((n, N, 2))
-        rows = max(1, n * N // (2 * ne * nb))
-        buf = np.empty(2 * ne * nb * min(rows, N))
-        for i0 in range(0, N, rows):
-            i1 = min(N, i0 + rows)
-            Y = buf[: 2 * ne * nb * (i1 - i0)].reshape(2, ne, nb, i1 - i0)
+        blocks = self._row_blocks(N, step=nq)
+        # owed[b]: block b's rows at the columns [k0, k1) of an earlier
+        # block, as (k0, k1, (5, rows, k1 - k0)) pieces
+        owed: list = [[] for _ in blocks]
+        with shared_block_scratch():
+            for b, (i0, i1) in enumerate(blocks):
+                R = i1 - i0
+                comps = pair_block_tensors(self.r, self.z, i0, i1)
+                parts, owed[b] = owed[b], None
+                if len(parts) > DIRECT_PIECES:
+                    lower = np.empty((5, R, i0))
+                    for k0, k1, piece in parts:
+                        lower[:, :, k0:k1] = piece
+                    parts = [(0, i0, lower)]
+                    del lower, piece
+                parts.append((i0, N, comps))
+                Y = np.empty((2, ne, nb, R))
 
-            def cells(k: int) -> np.ndarray:
-                # rows [i0, i1) of table k against each cell's points
-                return tables[k, i0:i1].reshape(-1, ne, nq).transpose(1, 2, 0)
+                def contract(W: np.ndarray, c: int, out: np.ndarray) -> None:
+                    # rows [i0, i1) of component c against each cell's points
+                    for k0, k1, part in parts:
+                        e = slice(k0 // nq, k1 // nq)
+                        cells = part[c].reshape(R, -1, nq).transpose(1, 2, 0)
+                        np.matmul(W[e], cells, out=out[e])
 
-            for c in range(3):
-                np.matmul(wB, cells(c), out=Y[0])
-                R_D[:, c, i0:i1] = sm.gather @ Y[0].reshape(ne * nb, -1)
-            # Krz == Drz and Kzz == Dzz
-            for d, (k_r, k_z) in enumerate(((3, 1), (4, 2))):
-                np.matmul(wEr, cells(k_r), out=Y[0])
-                np.matmul(wEz, cells(k_z), out=Y[1])
-                R_K[:, i0:i1, d] = sm.gather_pair @ Y.reshape(2 * ne * nb, -1)
+                for c in range(3):
+                    contract(wB, c, Y[0])
+                    R_D[:, c, i0:i1] = sm.gather @ Y[0].reshape(ne * nb, -1)
+                # Krz == Drz and Kzz == Dzz
+                for d, (k_r, k_z) in enumerate(((3, 1), (4, 2))):
+                    contract(wEr, k_r, Y[0])
+                    contract(wEz, k_z, Y[1])
+                    R_K[:, i0:i1, d] = sm.gather_pair @ Y.reshape(2 * ne * nb, -1)
+                del parts, Y
+                # U(x_j, x_i) from the integrals of (x_i, x_j): Drr from
+                # DrrT, Drz and Kzr exchanged, Dzz and Krr as they are
+                for m, (m0, m1) in enumerate(blocks[b + 1 :], b + 1):
+                    piece = np.empty((5, m1 - m0, R))
+                    for c, k in enumerate((5, 4, 2, 3, 1)):
+                        piece[c] = comps[k][:, m0 - i0 : m1 - i0].T
+                    owed[m].append((i0, i1, piece))
+                del comps  # the scratch may grow for the next block
         return R_D.reshape(n, 3 * N), R_K.reshape(n, 2 * N)
 
     @property
     def pair_tables_cached(self) -> bool:
-        """Whether the pair tables were built (and contracted into the
-        resident field-response tables) rather than evaluated on the
-        fly every launch."""
+        """Whether the pair tensors were contracted into the resident
+        field-response tables rather than evaluated on the fly every
+        launch."""
         return self._response is not None
 
     @property

@@ -2,19 +2,20 @@
 
 The assembly has one shape: the element→CSR scatter map is built once per
 mesh (:class:`repro.fem.assembly.ScatterMap`) so every Jacobian/mass build
-is a pure ``data`` update, and a cached operator builds the five distinct
-``N x N`` float64 components of ``U^D``/``U^K`` (the rz-symmetries
-``U^K_rz == U^D_rz`` and ``U^K_zz == U^D_zz`` leave no more) once,
-contracts them with the basis into ``(n, N)`` field-response tables and
-drops them.  :class:`AssemblyOptions` bundles what is selectable:
+is a pure ``data`` update, and a cached operator contracts the five
+distinct components of ``U^D``/``U^K`` (the rz-symmetries ``U^K_rz ==
+U^D_rz`` and ``U^K_zz == U^D_zz`` leave no more) with the basis into
+``(n, N)`` field-response tables once, row block by row block, without
+ever holding an ``N x N`` table.  :class:`AssemblyOptions` bundles what
+is selectable:
 
-* **parallel builds** — dispatch the O(N^2) table build and the chunked
-  on-the-fly field path in row blocks over a thread pool (numpy releases
-  the GIL inside the row-block kernel's array operations).
+* **parallel launches** — dispatch the chunked on-the-fly field path in
+  row blocks over a thread pool (numpy releases the GIL inside the
+  row-block kernel's array operations).
 * **memory budgeting** — a single byte budget replaces the hard-coded
   ``5e7`` chunk constant: it sizes the on-the-fly row chunks and guards
-  the cached build's peak (pair tables plus response tables) with a
-  clear error instead of a ``MemoryError``.
+  the cached build's peak (:meth:`AssemblyOptions.cached_build_bytes`)
+  with a clear error instead of a ``MemoryError``.
 * **table caching** — build the response tables once or recompute the
   tensors on the fly every launch (the paper's regime).
 * **execution backend** — see :mod:`repro.backend`.
@@ -26,6 +27,7 @@ code.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -45,7 +47,10 @@ ONTHEFLY_BYTES_PER_PAIR = PAIR_BLOCK_PLANES * 8
 
 
 class PairTableMemoryError(RuntimeError):
-    """Raised when a forced pair-table cache would exceed the memory budget.
+    """Raised when a forced response-table build's peak
+    (:meth:`AssemblyOptions.cached_build_bytes`: the response tables, the
+    mirror images still owed and one row block) would exceed the memory
+    budget.
 
     Raised *before* any allocation so the caller gets a clear, actionable
     message instead of a ``MemoryError`` mid-build.
@@ -78,11 +83,13 @@ class AssemblyOptions:
     Parameters
     ----------
     num_threads:
-        row-block thread count for the table build and the chunked
-        on-the-fly field path; ``0`` or ``1`` runs serially.
+        row-block thread count for the chunked on-the-fly field path;
+        ``0`` or ``1`` runs serially.
     memory_budget:
         byte budget for the cached build's peak
-        (:meth:`cached_build_bytes`) and on-the-fly chunk sizing.  It
+        (:meth:`cached_build_bytes`: the response tables, the mirror
+        images still owed to later row blocks and one row block's rows
+        and scratch) and on-the-fly chunk sizing.  It
         guards a *new* build and is checked as if the operator were
         making one: within budget it reuses the space's existing build
         when there is one; over budget it stays on the fly (or raises)
@@ -90,10 +97,11 @@ class AssemblyOptions:
     cache_pair_tables:
         force (True/False) or auto-decide (None, cache when
         :meth:`cached_build_bytes` fits ``memory_budget``) the use of
-        the field-response tables built from the O(N^2) pair tables
-        (once per space and backend, shared by every cached operator on
-        the space); a forced True whose build exceeds ``memory_budget``
-        raises :class:`PairTableMemoryError`.
+        the field-response tables, the O(N^2) pair tensors contracted
+        with the basis block by block (once per space and backend,
+        shared by every cached operator on the space); a forced True
+        whose build exceeds ``memory_budget`` raises
+        :class:`PairTableMemoryError`.
     backend:
         execution backend name (``auto`` | ``numpy`` | ``threaded``) for
         the operator/assembly/band-solve hot paths; see
@@ -167,17 +175,25 @@ class AssemblyOptions:
 
         return get_backend(self.backend, self.resolved_threads())
 
-    def table_bytes(self, n_ip: int) -> int:
-        """Bytes of the ``(5, N, N)`` float64 pair tables for ``n_ip``
-        points: built transiently, contracted into the response tables
-        and dropped."""
-        return 5 * n_ip * n_ip * 8
-
     def cached_build_bytes(self, n_ip: int, n_dofs: int) -> int:
         """Peak bytes of a cached build, what ``memory_budget`` guards:
-        the transient pair tables plus the five ``(n_dofs, N)`` float64
-        response tables they are contracted into."""
-        return self.table_bytes(n_ip) + 5 * n_ip * n_dofs * 8
+        the five ``(n_dofs, N)`` float64 response tables, the mirror
+        images still owed to later row blocks (at most ``5 N^2 / 4``
+        entries, owed by the first half of the rows to the second) and
+        the widest row block of
+        :meth:`~repro.core.operator.LandauOperator._build_response`: its
+        kernel scratch and, per row, eight ``N``-wide float64 rows of
+        contraction operands (five assembled components, two per-cell
+        products over ``ne * nb <= N`` entries, one gathered row)."""
+        from .operator import ROW_BLOCK_BYTES
+
+        pairs = ROW_BLOCK_BYTES // ONTHEFLY_BYTES_PER_PAIR
+        # R rows against N - i0 >= R sources within the pair budget:
+        # R <= sqrt(pairs).  A block raised to one cell's rows (a cell of
+        # up to 54 points) holds no more than this block charges.
+        rows = math.isqrt(pairs)
+        block = ONTHEFLY_BYTES_PER_PAIR * pairs + 8 * 8 * rows * n_ip
+        return 8 * (5 * n_ip * n_dofs + 5 * n_ip * n_ip // 4) + block
 
     def row_chunk(self, n_ip: int) -> int:
         """On-the-fly evaluation row-chunk size within the memory budget."""

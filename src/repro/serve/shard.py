@@ -31,6 +31,7 @@ lost its plans (fresh or restarted process) raises
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -300,8 +301,23 @@ class PlanNotPublished(RuntimeError):
     plan and retries the batch."""
 
 
+#: seconds between a pool worker's checks that its service still lives
+PARENT_POLL_S = 1.0
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this worker once the process that started it is gone: a
+    SIGKILLed service never closes the call queue, so a worker blocked
+    on it would otherwise wait forever."""
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(0)
+
+
 def _process_init(shard_id: int, plan_budget: int | None, fault_plan=None) -> None:
-    """Worker initializer: warm shard state + optional chaos install.
+    """Worker initializer: warm shard state + optional chaos install, and
+    a daemon thread that ends the worker with its service
+    (:func:`_exit_with_parent`).
 
     A :class:`~repro.resilience.faults.FaultPlan` becomes one worker-local
     injector that serves both the per-dispatch faults (crash, hang,
@@ -309,6 +325,12 @@ def _process_init(shard_id: int, plan_budget: int | None, fault_plan=None) -> No
     fixed batch order, whichever process runs it.
     """
     global _PROCESS_WORKER, _FAULT_INJECTOR
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(os.getppid(),),
+        name="repro-parent-watch",
+        daemon=True,
+    ).start()
     _FAULT_INJECTOR = FaultInjector(fault_plan, shard_id) if fault_plan else None
     _PROCESS_WORKER = ShardWorker(
         shard_id, plan_budget=plan_budget, injector=_FAULT_INJECTOR
@@ -330,7 +352,7 @@ def _process_publish_plan(plan) -> str:
 
 def _process_warm(plan_key: str) -> float:
     """Warm one published plan in this worker, **outside** any batch
-    deadline: builds the PlanRuntime (pair tables, band symbolics).  The
+    deadline: builds the PlanRuntime (response tables, band symbolics).  The
     service calls this once per (worker incarnation, plan) before the
     first timed ``_process_execute``, so batch deadlines measure warm
     execution only."""

@@ -121,30 +121,41 @@ class TestMemoryBudget:
         per_row_bytes = AssemblyOptions(memory_budget=10**6).row_chunk(n)
         assert 1 <= per_row_bytes < n
 
-    def test_table_bytes_accounts_for_layout(self):
-        n = 100
+    def test_build_bytes_accounts_for_the_streamed_build(self):
+        """The response tables, at most a quarter of the ``5 N^2`` pair
+        entries owed as mirror images, and one row block: the widest
+        block's scratch and its eight N-wide rows of operands per row."""
         o = AssemblyOptions()
-        assert o.table_bytes(n) == 5 * n * n * 8
-        assert o.cached_build_bytes(n, 40) == 5 * n * (n + 40) * 8
+        pairs = operator_module.ROW_BLOCK_BYTES // ONTHEFLY_BYTES_PER_PAIR
+        rows = int(np.sqrt(pairs))
+        for N, n in ((100, 40), (666, 287), (20_000, 9_000)):
+            block = ONTHEFLY_BYTES_PER_PAIR * pairs + 8 * 8 * rows * N
+            assert o.cached_build_bytes(N, n) == (
+                5 * N * n * 8 + 5 * N * N * 8 // 4 + block
+            )
+        # at scale the (5, N, N) pair tables the build no longer holds
+        # are what it saves
+        N, n = 2_000, 1_000
+        assert o.cached_build_bytes(N, n) < 0.6 * (5 * N * N * 8 + 5 * N * n * 8)
 
-    def test_budget_covers_tables_plus_response(self, fs_q3, electron_species):
-        """The budget guards the build's peak, not the tables alone: a
-        budget that fits the tables but not tables + response leaves the
+    def test_budget_covers_the_build_peak(self, fs_q3, electron_species):
+        """The budget guards the build's peak, not the response alone: a
+        budget that fits the response but not the build leaves the
         operator on the fly (auto) or raises (forced)."""
         N, n = fs_q3.n_integration_points, fs_q3.ndofs
         peak = AssemblyOptions().cached_build_bytes(N, n)
-        tables_only = AssemblyOptions().table_bytes(N)
         op = LandauOperator(
             fs_q3, electron_species, options=AssemblyOptions(memory_budget=peak)
         )
         assert op.pair_tables_cached
         R_D, R_K = op.response_tables
-        assert R_D.nbytes + R_K.nbytes == peak - tables_only == 5 * N * n * 8
-        # the pair tables were dropped: no (5, N, N) array stays resident
+        response = R_D.nbytes + R_K.nbytes
+        assert response == 5 * N * n * 8 < peak
+        # no (N, N) table stays resident
         assert not any(
-            getattr(v, "shape", None) == (5, N, N) for v in vars(op).values()
+            tuple(getattr(v, "shape", ()))[-2:] == (N, N) for v in vars(op).values()
         )
-        over = AssemblyOptions(memory_budget=tables_only)
+        over = AssemblyOptions(memory_budget=response)
         op = LandauOperator(fs_q3, electron_species, options=over)
         assert not op.pair_tables_cached
         forced = AssemblyOptions(memory_budget=peak - 1, cache_pair_tables=True)
@@ -210,13 +221,19 @@ class TestRowBlocks:
     def test_pair_tables_bitwise_independent_of_block_size(
         self, fs_q3, electron_species, monkeypatch
     ):
+        """The packed tables the response build assembles a block's rows
+        from, over the operator's blocks at three block sizes."""
+        from .test_pair_symmetry import block_tables
+
         options = AssemblyOptions(cache_pair_tables=False)
         op = LandauOperator(fs_q3, electron_species, options=options)
-        ref = op._build_tables()
+        ref = block_tables(op.r, op.z, op._row_blocks(op.N, step=fs_q3.nq))
         assert ref.shape == (5, op.N, op.N) and np.isfinite(ref).all()
         for block_bytes in (64 * 1024, 1 << 40):  # 1-row blocks, one block
             monkeypatch.setattr(operator_module, "ROW_BLOCK_BYTES", block_bytes)
-            assert np.array_equal(op._build_tables(), ref)
+            blocks = op._row_blocks(op.N)
+            assert min(i1 - i0 for i0, i1 in blocks) == 1 or len(blocks) == 1
+            assert np.array_equal(block_tables(op.r, op.z, blocks), ref)
 
     def test_on_the_fly_fields_independent_of_block_size(
         self, big_fs, monkeypatch

@@ -1,13 +1,13 @@
 """Cross-backend conformance matrix for the Algorithm-1 hot path.
 
 Every registered backend is exercised against the numpy reference on a
-two-species quench vertex, stage by stage: packed pair-table build,
-on-the-fly row-block field tensors, the cached field-response tables and
-their batched GEMMs, the two batched element-contraction
-specs, the CSR scatter-apply, the banded factor/solve and the resident
-factor stack with subset solves, plain and with the Q3 cell interiors
-statically condensed — each to <= 1e-12 (relative to the stage's max
-magnitude).
+two-species quench vertex, stage by stage: the pair tensors over each
+backend's row partition, on-the-fly row-block field tensors, the cached
+field-response tables and their batched GEMMs, the two batched
+element-contraction specs, the CSR scatter-apply, the banded
+factor/solve and the resident factor stack with subset solves, plain and
+with the Q3 cell interiors statically condensed — each to <= 1e-12
+(relative to the stage's max magnitude).
 """
 
 import numpy as np
@@ -63,15 +63,14 @@ class TestStageConformance:
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_pair_table_build(self, quench_op, name):
+        """The pair tensors the response build assembles its rows from,
+        over each backend's row partition, against one block."""
+        from .test_pair_symmetry import block_tables
+
         N = quench_op.N
         r, z = quench_op.r, quench_op.z
-        ref = np.empty((5, N, N))
-        NumpyBackend().pair_table_rows(ref, r, z, 0, N)
-        out = np.empty((5, N, N))
-        be = _backend(name)
-        # fill through the same disjoint row blocks the operator uses
-        for i0, i1 in be.batch_blocks(N):
-            be.pair_table_rows(out, r, z, i0, i1)
+        ref = block_tables(r, z, [(0, N)])
+        out = block_tables(r, z, _backend(name).batch_blocks(N))
         _assert_close(out, ref, f"{name} pair tables")
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)

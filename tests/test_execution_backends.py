@@ -140,6 +140,42 @@ class TestBackendPrimitives:
         got = be.contract("bij,ij->bi", X, Y)
         assert np.allclose(got, ref.contract("bij,ij->bi", X, Y), atol=TOL)
 
+    def test_contraction_planned_once_per_key(
+        self, fs_q2, fs_q3, electron_species, monkeypatch
+    ):
+        """The assembly contractions plan their path once per (spec,
+        operand shapes) and give what the planning call gives."""
+        from repro.backend import numpy_backend
+
+        numpy_backend._einsum_path.cache_clear()
+        planned = []
+        real = np.einsum_path
+
+        def counting(spec, *ops, **kw):
+            planned.append((spec, tuple(op.shape for op in ops)))
+            return real(spec, *ops, **kw)
+
+        monkeypatch.setattr(np, "einsum_path", counting)
+        limit = numpy_backend.EINSUM_INTERMEDIATE_LIMIT
+        rng = np.random.default_rng(5)
+        keys = set()
+        for fs in (fs_q2, fs_q3):
+            sm = _operator(fs, electron_species, "numpy").scatter_map
+            ne, nq = fs.qweights.shape
+            w, g = fs.qweights, sm.gphys
+            for X in (1, 5, 8, 5, 1):
+                G_D = rng.normal(size=(X, ne, nq, 2, 2))
+                G_K = rng.normal(size=(X, ne, nq, 2))
+                for spec, ops in (
+                    ("eq,eqad,xeqdc,eqbc->xeab", (w, g, G_D, g)),
+                    ("eq,eqad,xeqd,qb->xeab", (w, g, G_K, fs.B)),
+                ):
+                    keys.add((spec, tuple(o.shape for o in ops)))
+                    got = numpy_backend.einsum(spec, *ops)
+                    ref = np.einsum(spec, *ops, optimize=("greedy", limit))
+                    assert np.array_equal(got, ref)
+        assert sorted(planned) == sorted(keys) and len(keys) == 12
+
     def test_parallel_for_covers_all_blocks(self):
         be = ThreadedBackend(num_threads=4)
         hits = np.zeros(97, dtype=int)

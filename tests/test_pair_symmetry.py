@@ -1,4 +1,4 @@
-"""The pair-symmetric row-block kernel behind the table build and the
+"""The pair-symmetric row-block kernel behind the response build and the
 on-the-fly field launch.
 
 The kernel evaluates each unordered point pair once and serves the
@@ -29,6 +29,23 @@ def reference_tables(r, z):
     return np.stack(
         [UD[..., 0, 0], UD[..., 0, 1], UD[..., 1, 1], UK[..., 0, 0], UK[..., 1, 0]]
     )
+
+
+def block_tables(r, z, blocks):
+    """The packed ``(5, N, N)`` table from :func:`pair_block_tensors`
+    over the row blocks ``blocks``: each block's own pairs ``[i0:i1,
+    i0:]`` and, from the same integrals, their mirror images ``[i1:,
+    i0:i1]`` (``Drr`` from ``DrrT``, ``Drz`` and ``Kzr`` exchanged,
+    ``Dzz`` and ``Krr`` as they are) — the entries the response build
+    assembles a block's rows from."""
+    N = r.size
+    out = np.full((5, N, N), np.nan)
+    for i0, i1 in blocks:
+        comps = lt.pair_block_tensors(r, z, i0, i1)
+        for c, k in enumerate((5, 4, 2, 3, 1)):
+            out[c, i0:i1, i0:] = comps[c]
+            out[c, i1:, i0:i1] = comps[k][:, i1 - i0 :].T
+    return out
 
 
 def point_cloud():
@@ -72,17 +89,17 @@ class TestTableBuild:
         for fs, spc in (ed_q2, (fs_q3, electron_species)):
             options = AssemblyOptions(cache_pair_tables=False)
             op = LandauOperator(fs, spc, options=options)
-            assert len(op._row_blocks(op.N)) > 1
-            assert np.array_equal(op._build_tables(), reference_tables(op.r, op.z))
+            blocks = op._row_blocks(op.N, step=fs.nq)
+            assert len(blocks) > 1
+            tables = block_tables(op.r, op.z, blocks)
+            assert np.array_equal(tables, reference_tables(op.r, op.z))
 
     @pytest.mark.parametrize("cuts", [(), (1,), (37, 38, 110), (75,)])
     def test_point_cloud_equals_reference_on_any_partition(self, cuts):
         r, z = point_cloud()
         N = r.size
-        out = np.full((5, N, N), np.nan)
         edges = (0, *cuts, N)
-        for i0, i1 in zip(edges[:-1], edges[1:]):
-            lt.packed_pair_rows(out, r, z, i0, i1)
+        out = block_tables(r, z, zip(edges[:-1], edges[1:]))
         ref = reference_tables(r, z)
         assert np.array_equal(out, ref)
         assert (ref[:, 40, 10] == 0).all() and (ref[:, 61, 60] == 0).all()

@@ -193,7 +193,7 @@ class TestPlanCache:
         T = op.scatter_map.T
         tail = T.data.nbytes + T.indices.nbytes + T.indptr.nbytes
         assert rt.bytes == R_D.nbytes + R_K.nbytes + tail
-        assert rt.bytes < op.options.table_bytes(op.N)
+        assert rt.bytes < 5 * op.N * op.N * 8  # the pair tables' size
         other = cache.get(SolvePlan(fs=fs_q2, species=electron_species, dt=2 * DT))
         assert other.op.response_tables[0] is R_D
         assert other.bytes == rt.bytes == cache.bytes

@@ -562,10 +562,24 @@ def _resume_options(ckpt_dir: str) -> ServeOptions:
     )
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; an exited one nobody has reaped
+    yet (a zombie) is not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    with suppress(OSError):
+        stat = Path(f"/proc/{pid}/stat").read_text()
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+    return True
+
+
 def _killed_drain(ckpt_dir: str, plan, states, job_ids, pid_file: str) -> None:
     """Child process: drain two batches with checkpointing on, then die
     the hard way (no atexit, no cleanup) with jobs still queued.  The
-    pool worker pids go to ``pid_file``: a SIGKILLed owner orphans them."""
+    pool worker pids go to ``pid_file``: they must exit with their
+    SIGKILLed owner."""
     svc = CollisionSolveService(_resume_options(ckpt_dir))
     for jid, s in zip(job_ids, states):
         svc.submit(plan, s, job_id=jid)
@@ -636,11 +650,20 @@ class TestServiceResume:
         )
         child.start()
         child.join(timeout=120.0)
-        with suppress(FileNotFoundError):
-            for pid in Path(pid_file).read_text().split():
-                with suppress(ProcessLookupError):
-                    os.kill(int(pid), signal.SIGKILL)
-        assert child.exitcode == -signal.SIGKILL, child.exitcode
+        try:
+            assert child.exitcode == -signal.SIGKILL, child.exitcode
+            pids = [int(pid) for pid in Path(pid_file).read_text().split()]
+            assert pids
+            # the orphaned pool workers see their owner gone and exit
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, pids)), "pool workers outlived the service"
+        finally:
+            with suppress(FileNotFoundError):
+                for pid in Path(pid_file).read_text().split():
+                    with suppress(ProcessLookupError):
+                        os.kill(int(pid), signal.SIGKILL)
         completed = set(load_service_checkpoint(checkpoint_path(ckpt_dir)).completed)
         assert completed and completed < set(all_ids)
 
