@@ -1,9 +1,10 @@
-"""Pluggable execution backends (the performance-portability seam).
+"""The executor of the hot paths, and the serve tier's shared memory.
 
-One kernel spec, two executors: the operator/assembly/band-solve hot
-paths dispatch through :class:`ExecutionBackend`, selected by name
-(``numpy`` | ``threaded``, or ``auto``) via :func:`get_backend` / the
-``REPRO_BACKEND`` env knob.  The shared-memory arena
+:class:`NumpyBackend` runs every kernel of the batched step — the
+on-the-fly Algorithm-1 field rows, the response-table field GEMMs, the
+batched einsum assembly, the CSR scatter-apply and the batched band
+factor/solve — serially in numpy/scipy; parallelism lives one level up,
+in the serve tier's shards.  The shared-memory arena
 (:mod:`repro.backend.shm`) carries the serve tier's process executor
 traffic.
 
@@ -13,20 +14,12 @@ Kokkos simulators (not re-exported here, to keep this package free of
 core/gpu imports).
 """
 
-from .base import ExecutionBackend
 from .numpy_backend import NumpyBackend
-from .registry import BACKEND_NAMES, get_backend, resolve_backend_name
 from .shm import SharedArena, ShmBudgetExceeded, ShmHandle
-from .threaded import ThreadedBackend
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ExecutionBackend",
     "NumpyBackend",
     "SharedArena",
     "ShmBudgetExceeded",
     "ShmHandle",
-    "ThreadedBackend",
-    "get_backend",
-    "resolve_backend_name",
 ]

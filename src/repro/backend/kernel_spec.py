@@ -20,7 +20,7 @@ length team scratch and reduces through ``vector_reduce``), so each
 model's instruction/byte accounting is preserved bit-for-bit.
 
 This module is deliberately *not* re-exported from
-:mod:`repro.backend`'s package root: the execution backends know nothing
+:mod:`repro.backend`'s package root: the executor knows nothing
 about the FEM layers, and the kernel spec imports them.
 """
 

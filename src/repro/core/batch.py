@@ -210,7 +210,6 @@ class BatchedVertexSolver:
             resident = self._factory.factor_batch(
                 M,
                 lhs.reshape(-1, lhs.shape[2]),
-                backend=op.backend,
                 into=resident,
                 rows=(rows[blk] * S + species).ravel(),
                 capacity=capacity,

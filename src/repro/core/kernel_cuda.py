@@ -20,7 +20,7 @@ shared-memory replay of the staged KK/DD coefficients by every basis row.
 Execution uses :class:`repro.gpu.machine.CudaMachine` (SIMT with vectorized
 lanes), so the result is identical to the CPU reference up to floating-
 point reassociation, while every instruction and byte is counted.  The
-per-pair instruction mix constants (re-exported from the kernel spec)
+per-pair instruction mix constants (``TENSOR_*`` in the kernel spec)
 describe a production ``LandauTensor2D`` (polynomial elliptic-integral
 approximations as in PETSc); they are the simulator's stand-in for
 counting the real device instructions and feed the Table IV analysis.
@@ -30,14 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend.kernel_spec import (  # noqa: F401  (compat re-exports)
-    ACCUM_FMA,
-    ACCUM_MUL,
-    BETA_FMA_PER_SPECIES,
-    TENSOR_ADD,
-    TENSOR_FMA,
-    TENSOR_MUL,
-    TENSOR_SPECIAL,
+from ..backend.kernel_spec import (
     FieldData,
     KernelData,
     KernelMapping,

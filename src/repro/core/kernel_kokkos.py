@@ -18,10 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backend.kernel_spec import (
+    FieldData,
+    KernelData,
+    KernelMapping,
+    element_jacobian,
+)
 from ..fem.function_space import FunctionSpace
 from ..kokkos.api import TeamMember, TeamPolicy, parallel_for
 from ..kokkos.backends import KokkosBackend, KOKKOS_CUDA
-from .kernel_cuda import FieldData, KernelData, KernelMapping, element_jacobian
 from .species import SpeciesSet
 
 

@@ -249,10 +249,10 @@ def landau_tensors_cyl(
 # the field-response build (:meth:`repro.core.operator.LandauOperator.
 # _build_response`, which contracts a block's rows against the basis as
 # soon as they are complete) and the on-the-fly field launch, which
-# :class:`repro.backend.base.ExecutionBackend` exposes as the hook
-# ``field_rows``.  Both are the same evaluation of the tensors for a
-# block of point pairs, followed by "contract against the basis" or
-# "contract against the sources" (:func:`field_rows`).
+# :meth:`repro.backend.NumpyBackend.field_rows` runs.  Both are the same
+# evaluation of the tensors for a block of point pairs, followed by
+# "contract against the basis" or "contract against the sources"
+# (:func:`field_rows`).
 
 #: float64 planes of per-pair scratch :func:`pair_block_tensors` holds
 #: live at its widest point (the six results, the integrals still to be

@@ -41,23 +41,23 @@ are verified against each other in the test suite
 Both the response build and the operator's own on-the-fly launch
 (tables not cached) run one pair-symmetric row-block kernel,
 :func:`repro.core.landau_tensor.pair_block_tensors` (the launch behind
-the backend hook ``field_rows``): a block of field rows evaluates the
-azimuthal integrals against the sources at or after its first row only
-and serves the pairs below it through the exchange symmetry of the
-tensors, so a launch evaluates about ``N^2 / 2`` pairs.  Blocks are cut
-by pair count (:meth:`LandauOperator._row_blocks`).
+:meth:`repro.backend.NumpyBackend.field_rows`): a block of field rows
+evaluates the azimuthal integrals against the sources at or after its
+first row only and serves the pairs below it through the exchange
+symmetry of the tensors, so a launch evaluates about ``N^2 / 2`` pairs.
+Blocks are cut by pair count (:meth:`LandauOperator._row_blocks`).
 
 The response tables depend on the space's quadrature geometry alone, so
-they are built once per ``(space, resolved backend)`` and shared, read-
-only, by every cached operator on that space
+they are built once per space and shared, read-only, by every cached
+operator on that space
 (:func:`get_field_response`): plans that differ in species or time step
 share one build.  Every matrix build is a ``data`` update through the
 mesh's cached element→CSR scatter structure
 (:func:`repro.fem.assembly.get_scatter_map`).
-Thread counts, table caching and the memory budget are configured by
-:class:`repro.core.options.AssemblyOptions`; the operator's ``counters``
-dict records structure reuses and parallel builds for
-:class:`repro.core.solver.NewtonStats`.
+Table caching and the memory budget are configured by
+:class:`repro.core.options.AssemblyOptions`; every kernel runs serially
+on :class:`repro.backend.NumpyBackend`.  The operator's ``counters`` dict
+records structure reuses for :class:`repro.core.solver.NewtonStats`.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from ..backend.numpy_backend import NumpyBackend
 from ..fem.assembly import element_mass_blocks, get_scatter_map
 from ..fem.function_space import FunctionSpace
 from .landau_tensor import pair_block_tensors, shared_block_scratch
@@ -89,8 +90,8 @@ ROW_BLOCK_BYTES = 2 * 1024 * 1024
 #: the per-cell GEMM calls cost more than the copy)
 DIRECT_PIECES = 4
 
-#: space -> (pid, build lock, {resolved backend name: weak refs to the
-#: response tables}); the operators hold the tables, this only finds them
+#: space -> (pid, build lock, [weak refs to the response tables]); the
+#: operators hold the tables, this only finds them
 _RESPONSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _RESPONSES_LOCK = threading.Lock()
 _RESPONSES_PID = os.getpid()
@@ -107,29 +108,28 @@ def _space_entry(fs: FunctionSpace) -> tuple:
     with _RESPONSES_LOCK:
         entry = _RESPONSES.get(fs)
         if entry is None or entry[0] != pid:
-            entry = (pid, threading.Lock(), entry[2] if entry else {})
+            entry = (pid, threading.Lock(), entry[2] if entry else [])
             _RESPONSES[fs] = entry
     return entry
 
 
 def get_field_response(
     fs: FunctionSpace,
-    backend,
     build: Callable[[], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The field-response tables ``(R_D, R_K)`` of ``fs`` under
-    ``backend``: the live build when one exists, else ``build()``'s,
-    made read-only.  The first build on a space runs under the space's
-    lock, so concurrent first callers build once.  The registry holds
-    the tables weakly: they are freed with the last operator using them."""
+    """The field-response tables ``(R_D, R_K)`` of ``fs``: the live build
+    when one exists, else ``build()``'s, made read-only.  The first build
+    on a space runs under the space's lock, so concurrent first callers
+    build once.  The registry holds the tables weakly: they are freed
+    with the last operator using them."""
     _, lock, built = _space_entry(fs)
     with lock:
-        tables = tuple(ref() for ref in built.get(backend.name, ()))
+        tables = tuple(ref() for ref in built)
         if not tables or any(R is None for R in tables):
             tables = build()
             for R in tables:
                 R.flags.writeable = False
-            built[backend.name] = tuple(weakref.ref(R) for R in tables)
+            built[:] = [weakref.ref(R) for R in tables]
     return tables
 
 
@@ -145,9 +145,9 @@ class LandauOperator:
     nu0:
         collision prefactor; 1.0 in code units (``nu_ee = 1``).
     options:
-        assembly configuration (thread count, caching of the O(N^2)
-        tensors as field-response tables, memory budget, backend);
-        defaults to :meth:`AssemblyOptions.from_env`.
+        assembly configuration (caching of the O(N^2) tensors as
+        field-response tables, memory budget); defaults to
+        :meth:`AssemblyOptions.from_env`.
     """
 
     def __init__(
@@ -161,15 +161,12 @@ class LandauOperator:
         self.species = species
         self.nu0 = float(nu0)
         self.options = options if options is not None else AssemblyOptions.from_env()
-        #: the execution backend every hot path dispatches through; the
-        #: default (``auto`` with no threads requested) is the serial
-        #: numpy reference, bitwise-identical to inlined numpy code.
-        self.backend = self.options.execution_backend()
+        #: the executor every hot path dispatches through
+        self.backend = NumpyBackend()
         #: assembly work accounting consumed by ``NewtonStats``:
         #: ``structure_reuses`` counts matrix builds served by the cached
-        #: scatter structure, ``parallel_builds`` counts thread-pool
-        #: dispatched on-the-fly field launches.
-        self.counters = {"structure_reuses": 0, "parallel_builds": 0}
+        #: scatter structure.
+        self.counters = {"structure_reuses": 0}
 
         N = fs.n_integration_points
         self.N = N
@@ -195,7 +192,7 @@ class LandauOperator:
 
         self._scatter = get_scatter_map(fs)
         self._response = (
-            get_field_response(fs, self.backend, self._build_response)
+            get_field_response(fs, self._build_response)
             if cache_pair_tables
             else None
         )
@@ -217,16 +214,12 @@ class LandauOperator:
         earlier blocks' mirror images), so blocks are cut by *pair* count,
         later ones taking more rows: as many pairs as keep the kernel's
         scratch within :data:`ROW_BLOCK_BYTES` (and the memory budget, when
-        that is smaller), fewer when a parallel backend's workers would
-        otherwise not all have work.  Blocks start on multiples of
-        ``step`` and take at least ``step`` rows."""
+        that is smaller).  Blocks start on multiples of ``step`` and take
+        at least ``step`` rows."""
         pairs = min(
             ROW_BLOCK_BYTES // ONTHEFLY_BYTES_PER_PAIR,
             self.options.row_chunk(N) * N,
         )
-        workers = self.backend.workers
-        if workers > 1:
-            pairs = min(pairs, -(-N * (N + 1) // (2 * workers)))
         blocks = []
         i0 = 0
         while i0 < N:
@@ -321,7 +314,7 @@ class LandauOperator:
     def response_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The resident ``(R_D (n, 3N), R_K (n, 2N))``, or ``None``
         (tables not cached); read-only, shared by every cached operator
-        on the space under the same backend."""
+        on the space."""
         return self._response
 
     # ------------------------------------------------------------------
@@ -366,42 +359,22 @@ class LandauOperator:
         self, wTD: np.ndarray, wTKr: np.ndarray, wTKz: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The on-the-fly field launch for weighted point sources of shape
-        ``(B, N)``: the tensors are re-evaluated in backend-dispatched,
-        cache-sized row blocks (:meth:`_row_blocks`).
-
-        A block adds into its own rows *and*, through the mirror, into
-        the rows below it, so blocks that run concurrently must not share
-        an output: every worker gets its own zero-initialised fields,
-        is fed its blocks in order, and the per-worker fields are summed
-        in worker order afterwards — deterministic run to run, and free
-        on a serial backend (one worker, whose fields are the result).
-        """
+        ``(B, N)``: the tensors are re-evaluated in cache-sized row blocks
+        (:meth:`_row_blocks`), each adding into its own rows and, through
+        the mirror, into the rows below it."""
         N = self.N
         B = wTD.shape[0]
         # (N, B) column sources for the per-block contractions
         cTD = np.ascontiguousarray(wTD.T)
         cTKr = np.ascontiguousarray(wTKr.T)
         cTKz = np.ascontiguousarray(wTKz.T)
-        blocks = self._row_blocks(N)
-        workers = min(self.backend.workers, len(blocks))
-        partial = [
-            (np.zeros((B, N, 2, 2)), np.zeros((B, N, 2))) for _ in range(workers)
-        ]
-
-        def eval_blocks(g: int) -> None:
-            G_D, G_K = partial[g]
-            with shared_block_scratch():
-                for i0, i1 in blocks[g::workers]:  # equal pairs, so equal work
-                    self.backend.field_rows(
-                        G_D, G_K, self.r, self.z, cTD, cTKr, cTKz, i0, i1
-                    )
-
-        if self.backend.parallel_for([(g,) for g in range(workers)], eval_blocks):
-            self.counters["parallel_builds"] += 1
-        G_D, G_K = partial[0]
-        for D, K in partial[1:]:
-            G_D += D
-            G_K += K
+        G_D = np.zeros((B, N, 2, 2))
+        G_K = np.zeros((B, N, 2))
+        with shared_block_scratch():
+            for i0, i1 in self._row_blocks(N):
+                self.backend.field_rows(
+                    G_D, G_K, self.r, self.z, cTD, cTKr, cTKz, i0, i1
+                )
         return G_D, G_K
 
     def fields(
@@ -527,7 +500,7 @@ class LandauOperator:
         every species' weak form is the same pair of element integrals
         scaled by per-species constants, so the diffusion and friction
         element blocks are contracted once for the whole batch (through
-        :meth:`ExecutionBackend.contract`), scattered once each through
+        :meth:`NumpyBackend.contract`), scattered once each through
         the cached structure, and the S·X data rows are axpy combinations
         sharing one sparsity.
         """

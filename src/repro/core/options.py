@@ -6,23 +6,19 @@ is a pure ``data`` update, and a cached operator contracts the five
 distinct components of ``U^D``/``U^K`` (the rz-symmetries ``U^K_rz ==
 U^D_rz`` and ``U^K_zz == U^D_zz`` leave no more) with the basis into
 ``(n, N)`` field-response tables once, row block by row block, without
-ever holding an ``N x N`` table.  :class:`AssemblyOptions` bundles what
-is selectable:
+ever holding an ``N x N`` table.  Every kernel runs serially on the one
+executor, :class:`repro.backend.NumpyBackend`.
+:class:`AssemblyOptions` bundles what is selectable:
 
-* **parallel launches** — dispatch the chunked on-the-fly field path in
-  row blocks over a thread pool (numpy releases the GIL inside the
-  row-block kernel's array operations).
 * **memory budgeting** — a single byte budget replaces the hard-coded
   ``5e7`` chunk constant: it sizes the on-the-fly row chunks and guards
   the cached build's peak (:meth:`AssemblyOptions.cached_build_bytes`)
   with a clear error instead of a ``MemoryError``.
 * **table caching** — build the response tables once or recompute the
   tensors on the fly every launch (the paper's regime).
-* **execution backend** — see :mod:`repro.backend`.
 
-Every knob has an environment override (prefix ``REPRO_ASSEMBLY_``, and
-``REPRO_BACKEND``) so runs can be reconfigured without touching driver
-code.
+Both knobs have an environment override (prefix ``REPRO_ASSEMBLY_``) so
+runs can be reconfigured without touching driver code.
 """
 
 from __future__ import annotations
@@ -82,9 +78,6 @@ class AssemblyOptions:
 
     Parameters
     ----------
-    num_threads:
-        row-block thread count for the chunked on-the-fly field path;
-        ``0`` or ``1`` runs serially.
     memory_budget:
         byte budget for the cached build's peak
         (:meth:`cached_build_bytes`: the response tables, the mirror
@@ -98,46 +91,30 @@ class AssemblyOptions:
         force (True/False) or auto-decide (None, cache when
         :meth:`cached_build_bytes` fits ``memory_budget``) the use of
         the field-response tables, the O(N^2) pair tensors contracted
-        with the basis block by block (once per space and backend,
-        shared by every cached operator on the space); a forced True
-        whose build exceeds ``memory_budget`` raises
-        :class:`PairTableMemoryError`.
-    backend:
-        execution backend name (``auto`` | ``numpy`` | ``threaded``) for
-        the operator/assembly/band-solve hot paths; see
-        :mod:`repro.backend`.  ``auto`` picks ``threaded`` when
-        ``num_threads > 1`` and the serial reference otherwise.
+        with the basis block by block (once per space, shared by every
+        cached operator on the space); a forced True whose build exceeds
+        ``memory_budget`` raises :class:`PairTableMemoryError`.
     """
 
-    num_threads: int = 0
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     cache_pair_tables: bool | None = None
-    backend: str = "auto"
 
     def __post_init__(self):
-        if self.num_threads < 0:
-            raise ValueError(f"num_threads must be >= 0, got {self.num_threads}")
         if self.memory_budget <= 0:
             raise ValueError(
                 f"memory_budget must be positive, got {self.memory_budget}"
             )
-        # fail fast on unknown backend names (typo'd REPRO_BACKEND etc.)
-        self.resolved_backend()
 
     # ------------------------------------------------------------------
     @classmethod
     def from_env(cls, **overrides) -> "AssemblyOptions":
         """Defaults with ``REPRO_ASSEMBLY_*`` environment overrides applied.
 
-        Recognized variables: ``REPRO_ASSEMBLY_THREADS``,
-        ``REPRO_ASSEMBLY_MEMORY_BUDGET``, ``REPRO_ASSEMBLY_CACHE_TABLES``
-        (``auto``/``1``/``0``) and ``REPRO_BACKEND`` (``auto``/``numpy``/``threaded``).
-        Keyword arguments win over the environment.
+        Recognized variables: ``REPRO_ASSEMBLY_MEMORY_BUDGET`` and
+        ``REPRO_ASSEMBLY_CACHE_TABLES`` (``auto``/``1``/``0``).  Keyword
+        arguments win over the environment.
         """
         values = {
-            "backend": os.environ.get("REPRO_BACKEND", "auto").strip().lower()
-            or "auto",
-            "num_threads": _env_int("REPRO_ASSEMBLY_THREADS", 0),
             "memory_budget": _env_int(
                 "REPRO_ASSEMBLY_MEMORY_BUDGET", DEFAULT_MEMORY_BUDGET
             ),
@@ -157,24 +134,6 @@ class AssemblyOptions:
         return cls(**values)
 
     # ------------------------------------------------------------------
-    def resolved_threads(self) -> int:
-        """Effective worker count (>= 1)."""
-        return max(1, int(self.num_threads))
-
-    def resolved_backend(self) -> str:
-        """Concrete backend name with ``auto`` resolved; raises
-        ``ValueError`` on unknown names (the message lists valid ones)."""
-        from ..backend.registry import resolve_backend_name
-
-        return resolve_backend_name(self.backend, self.resolved_threads())
-
-    def execution_backend(self):
-        """The resolved :class:`~repro.backend.ExecutionBackend` instance
-        (cached per name/thread-count in the registry)."""
-        from ..backend.registry import get_backend
-
-        return get_backend(self.backend, self.resolved_threads())
-
     def cached_build_bytes(self, n_ip: int, n_dofs: int) -> int:
         """Peak bytes of a cached build, what ``memory_budget`` guards:
         the five ``(n_dofs, N)`` float64 response tables, the mirror

@@ -32,8 +32,7 @@ class NewtonStats:
 
     Besides the raw work counters, the stats record the assembly fast
     path's activity (``structure_reuses`` counts matrix builds served by
-    the cached scatter structure, ``parallel_builds`` counts thread-pool
-    dispatched table/field builds) and the resilience layer's:
+    the cached scatter structure) and the resilience layer's:
     ``step_rejections``/``dt_backoffs`` count retried steps and
     ``events`` is a log of structured ``{"kind": ..., ...}`` dicts
     (rejections, checkpoints).
@@ -55,7 +54,6 @@ class NewtonStats:
     dt_backoffs: int = 0
     events: list = field(default_factory=list)
     structure_reuses: int = 0
-    parallel_builds: int = 0
     max_events: int = 256
     max_residuals: int = 512
     events_dropped: int = 0
@@ -90,7 +88,6 @@ class NewtonStats:
         self.step_rejections += other.step_rejections
         self.dt_backoffs += other.dt_backoffs
         self.structure_reuses += other.structure_reuses
-        self.parallel_builds += other.parallel_builds
         self.events.extend(other.events)
         self.events_dropped += other.events_dropped
         self.residuals_dropped += other.residuals_dropped
@@ -228,9 +225,6 @@ class ImplicitLandauSolver:
         step_stats.structure_reuses = op_counters.get(
             "structure_reuses", 0
         ) - op_counters0.get("structure_reuses", 0)
-        step_stats.parallel_builds = op_counters.get(
-            "parallel_builds", 0
-        ) - op_counters0.get("parallel_builds", 0)
         self.stats.merge(step_stats)
         # the long-lived stats expose the *last* step's convergence state
         # and residual trace (merge ANDs/extends, which is right for

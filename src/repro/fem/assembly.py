@@ -215,7 +215,6 @@ def assemble_coefficient_operator(
     D_q: np.ndarray,
     K_q: np.ndarray,
     structure: "ScatterMap | None" = None,
-    backend=None,
 ) -> sp.csr_matrix:
     """Assemble the Landau weak form for given point-wise coefficients.
 
@@ -233,11 +232,6 @@ def assemble_coefficient_operator(
         optional precomputed :class:`ScatterMap`; when given, the sparse
         structure work (COO build, dedup, constraint folding) is skipped
         and only the ``data`` vector is recomputed.
-    backend:
-        optional :class:`~repro.backend.base.ExecutionBackend`; when
-        given, the two element contractions run through
-        ``backend.contract`` (as the ``X = 1`` slice of the batched
-        assembly specs) instead of inline ``np.einsum``.
     """
     ne, nq = fs.qweights.shape
     if D_q.shape != (ne, nq, 2, 2) or K_q.shape != (ne, nq, 2):
@@ -252,18 +246,8 @@ def assemble_coefficient_operator(
         else np.einsum("qbd,ed->eqbd", fs.Dref, fs.inv_jac)
     )
     w = fs.qweights
-    if backend is not None:
-        Ce = backend.contract(
-            "eq,eqad,xeqdc,eqbc->xeab", w, gphys, D_q[None], gphys
-        )[0]
-        Ce = Ce + backend.contract(
-            "eq,eqad,xeqd,qb->xeab", w, gphys, K_q[None], fs.B
-        )[0]
-    else:
-        Ce = np.einsum(
-            "eq,eqad,eqdc,eqbc->eab", w, gphys, D_q, gphys, optimize=True
-        )
-        Ce += np.einsum("eq,eqad,eqd,qb->eab", w, gphys, K_q, fs.B, optimize=True)
+    Ce = np.einsum("eq,eqad,eqdc,eqbc->eab", w, gphys, D_q, gphys, optimize=True)
+    Ce += np.einsum("eq,eqad,eqd,qb->eab", w, gphys, K_q, fs.B, optimize=True)
     if structure is not None:
         return structure.assemble(Ce)
     return _scatter(fs, Ce)

@@ -98,7 +98,6 @@ def solver_stats_table(stats, title: str = "solver work") -> str:
         "factor",
         "solves",
         "struct-reuse",
-        "par-builds",
         "rejected",
         "backoffs",
         "converged",
@@ -111,7 +110,6 @@ def solver_stats_table(stats, title: str = "solver work") -> str:
             stats.factorizations,
             stats.solves,
             getattr(stats, "structure_reuses", 0),
-            getattr(stats, "parallel_builds", 0),
             stats.step_rejections,
             stats.dt_backoffs,
             "yes" if stats.converged_last else "NO",

@@ -88,14 +88,10 @@ class SolvePlan:
                 f":{self.max_newton}:{self.accel_m}".encode()
             )
             opt = self.options
-            # the *resolved* backend name is part of the plan identity:
-            # shards must never batch jobs expecting different backends,
-            # and "auto" must coalesce with its concrete resolution
-            # (the literals are retired fields' only values: keys stay put)
+            # the literals are retired fields' only values: keys stay put
             h.update(
-                f"True:True:{opt.num_threads}"
-                f":float64:{opt.memory_budget}"
-                f":{opt.cache_pair_tables}:{opt.resolved_backend()}".encode()
+                f"True:True:0:float64:{opt.memory_budget}"
+                f":{opt.cache_pair_tables}:numpy".encode()
             )
             cached = h.hexdigest()
             object.__setattr__(self, "_key", cached)

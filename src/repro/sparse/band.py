@@ -31,6 +31,8 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import as_strided
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
+from ..backend.numpy_backend import NumpyBackend
+
 
 def rcm_permutation(A: sp.spmatrix) -> np.ndarray:
     """Reverse Cuthill-McKee ordering of the symmetrized pattern."""
@@ -400,17 +402,16 @@ class BatchedBandSolver:
     :class:`ScatterMap` structure — identical sparsity, hence identical
     RCM ordering, bandwidth and CSR→band scatter.  The numeric kernels
     (LAPACK band or dense LU in place in preallocated slots) and the
-    factor storage live in the
-    :class:`~repro.backend.ExecutionBackend`; this wrapper owns the
-    shared symbolic state and applies the RCM permutation once per solve
-    call.
+    factor storage live in :class:`~repro.backend.NumpyBackend`; this
+    wrapper owns the shared symbolic state and applies the RCM
+    permutation once per solve call.
 
     With a :class:`_Condensation` the cell-interior dofs are eliminated
-    at factor time: the backend factors only the skeleton Schur
+    at factor time: the executor factors only the skeleton Schur
     complements (``st`` is the skeleton's band symbolic), and each slot
     keeps its per-cell ``A_ii^-1``, ``A_ii^-1 A_ib`` and ``A_bi`` blocks.
     :meth:`solve_many` then condenses the right-hand sides, solves the
-    skeleton through the same backend hook and back-substitutes the
+    skeleton through the same executor hook and back-substitutes the
     interiors — an exact reordering of the same elimination.
     """
 
@@ -419,15 +420,14 @@ class BatchedBandSolver:
         st: _BandStructure,
         n: int,
         capacity: int,
-        backend,
         cond: _Condensation | None = None,
     ):
         self._st = st
         self._cond = cond
         self.n = n
-        self._backend = backend
+        self._backend = NumpyBackend()
         self._band_n = n if cond is None else cond.skel.size
-        self._factors = backend.banded_alloc(st, self._band_n, capacity)
+        self._factors = self._backend.banded_alloc(st, self._band_n, capacity)
         if cond is not None:
             ne, m, p = cond.pos_ib.shape
             self._ainv = np.empty((capacity, ne, m, m))
@@ -602,7 +602,6 @@ class CachedBandSolverFactory:
         self,
         template: sp.csr_matrix,
         data: np.ndarray,
-        backend=None,
         *,
         into: BatchedBandSolver | None = None,
         rows=None,
@@ -616,16 +615,15 @@ class CachedBandSolverFactory:
         per matrix, aligned with ``template.indices``.  The symbolic setup
         (RCM ordering, bandwidth, scatter positions) is computed or reused
         *once* for the whole batch; each additional matrix counts as a
-        symbolic reuse.  The numeric factorizations are dispatched through
-        ``backend`` (:meth:`ExecutionBackend.banded_factor_many`; the
-        serial numpy reference when ``None``): LAPACK's partial-pivoting
-        band LU, so ``pivot_tol`` does not apply to them.
+        symbolic reuse.  The numeric factorizations
+        (:meth:`NumpyBackend.banded_factor_many`) are LAPACK's partial-
+        pivoting band LU, so ``pivot_tol`` does not apply to them.
 
         The factors are *resident*: they are written into slots ``rows``
         (default ``0..X``) of the returned solver.  A new solver with
         ``capacity`` slots (default ``X``) is allocated unless ``into``
         names one from an earlier call, whose slots ``rows`` are then
-        (re)filled in place, on its backend — how a step is factored
+        (re)filled in place — how a step is factored
         block by block, and how single systems are refreshed later.
 
         ``interior`` (``(ne, m)`` dof ids, each cell's interior dofs, e.g.
@@ -648,16 +646,8 @@ class CachedBandSolverFactory:
         X = data.shape[0]
         self.symbolic_reuses += max(0, X - 1)
         if into is None:
-            if backend is None:
-                from ..backend.registry import get_backend
-
-                backend = get_backend("numpy")
             into = BatchedBandSolver(
-                st,
-                template.shape[0],
-                X if capacity is None else capacity,
-                backend,
-                cond,
+                st, template.shape[0], X if capacity is None else capacity, cond
             )
         elif into._st is not st:
             raise ValueError(

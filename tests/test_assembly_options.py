@@ -1,6 +1,8 @@
 """AssemblyOptions plumbing, the memory-budget guard, the cached scatter
 structure, the cached band factory and the bounded NewtonStats rings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -33,26 +35,27 @@ from repro.sparse.band import band_solver_factory
 class TestOptionsParsing:
     def test_defaults(self):
         o = AssemblyOptions()
-        assert o.num_threads == 0 and o.resolved_threads() == 1
+        assert [f.name for f in dataclasses.fields(o)] == [
+            "memory_budget",
+            "cache_pair_tables",
+        ]
         assert o.memory_budget == DEFAULT_MEMORY_BUDGET
         assert o.cache_pair_tables is None
 
     def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSEMBLY_THREADS", "4")
         monkeypatch.setenv("REPRO_ASSEMBLY_MEMORY_BUDGET", "1e6")
         monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_TABLES", "1")
         o = AssemblyOptions.from_env()
-        assert o.num_threads == 4 and o.resolved_threads() == 4
         assert o.memory_budget == 1_000_000
         assert o.cache_pair_tables is True
 
     def test_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSEMBLY_THREADS", "4")
-        assert AssemblyOptions.from_env(num_threads=2).num_threads == 2
+        monkeypatch.setenv("REPRO_ASSEMBLY_MEMORY_BUDGET", "4e6")
+        monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_TABLES", "0")
+        o = AssemblyOptions.from_env(memory_budget=2_000_000, cache_pair_tables=True)
+        assert o.memory_budget == 2_000_000 and o.cache_pair_tables is True
 
     def test_invalid_values_raise(self, monkeypatch):
-        with pytest.raises(ValueError):
-            AssemblyOptions(num_threads=-1)
         with pytest.raises(ValueError):
             AssemblyOptions(memory_budget=0)
         monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_TABLES", "maybe")
@@ -62,26 +65,25 @@ class TestOptionsParsing:
     @pytest.mark.parametrize(
         "name, raw, expected",
         [
-            ("REPRO_ASSEMBLY_THREADS", "3", 3),
-            ("REPRO_ASSEMBLY_THREADS", " 2 ", 2),
-            ("REPRO_ASSEMBLY_THREADS", "2.0", 2),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "3", 3),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", " 2 ", 2),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "2.0", 2),
             ("REPRO_ASSEMBLY_MEMORY_BUDGET", "2e9", 2_000_000_000),
             ("REPRO_ASSEMBLY_MEMORY_BUDGET", "123456789012345678", 123456789012345678),
         ],
     )
     def test_integral_env_values_accepted(self, monkeypatch, name, raw, expected):
         monkeypatch.setenv(name, raw)
-        field = "num_threads" if name.endswith("THREADS") else "memory_budget"
-        assert getattr(AssemblyOptions.from_env(), field) == expected
+        assert AssemblyOptions.from_env().memory_budget == expected
 
     @pytest.mark.parametrize(
         "name, raw",
         [
-            ("REPRO_ASSEMBLY_THREADS", "1.9"),
-            ("REPRO_ASSEMBLY_THREADS", "inf"),
-            ("REPRO_ASSEMBLY_THREADS", "-inf"),
-            ("REPRO_ASSEMBLY_THREADS", "nan"),
-            ("REPRO_ASSEMBLY_THREADS", "four"),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "1.9"),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "inf"),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "-inf"),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "nan"),
+            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "four"),
             ("REPRO_ASSEMBLY_MEMORY_BUDGET", "2.5e0"),
             ("REPRO_ASSEMBLY_MEMORY_BUDGET", "1e400"),
         ],
@@ -374,7 +376,6 @@ class TestBoundedNewtonStats:
             a.record_residual(float(i))
             b.record_residual(10.0 + i)
         a.structure_reuses, b.structure_reuses = 3, 4
-        a.parallel_builds, b.parallel_builds = 1, 2
         dropped_before = a.events_dropped + b.events_dropped
         a.merge(b)
         assert len(a.events) == 4
@@ -383,7 +384,7 @@ class TestBoundedNewtonStats:
         assert a.events_dropped == 12 - 4
         assert a.residuals_dropped == 12 - 4
         assert a.events_dropped >= dropped_before
-        assert a.structure_reuses == 7 and a.parallel_builds == 3
+        assert a.structure_reuses == 7
         # the survivors are the tail of the concatenation
         assert [e["kind"] for e in a.events] == ["retry"] * 4
         assert a.residual_history == [12.0, 13.0, 14.0, 15.0]
@@ -397,10 +398,10 @@ class TestBoundedNewtonStats:
     def test_report_shows_counters_and_drops(self):
         from repro.report import resilience_summary, solver_stats_table
 
-        stats = NewtonStats(max_events=4, structure_reuses=5, parallel_builds=2)
+        stats = NewtonStats(max_events=4, structure_reuses=5)
         for i in range(10):
             stats.record_event("fallback", step=i)
         table = solver_stats_table(stats)
-        assert "struct-reuse" in table and "par-builds" in table
+        assert "struct-reuse" in table
         summary = resilience_summary(stats, max_events=2)
         assert "last 2 of 10" in summary

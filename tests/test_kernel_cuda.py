@@ -85,7 +85,7 @@ class TestCounters:
         fs, spc, op, fields = setup
         m = CudaMachine(V100)
         CudaLandauJacobian(fs, spc, machine=m).build(fields)
-        from repro.core.kernel_cuda import TENSOR_FMA
+        from repro.backend.kernel_spec import TENSOR_FMA
 
         N = fs.n_integration_points
         expected_tensor_fma = TENSOR_FMA * N * N

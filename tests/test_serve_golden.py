@@ -1,14 +1,10 @@
-"""Golden-trace regression for the serve tier across execution backends.
+"""Golden-trace regression for the serve tier.
 
-A fixed, seeded drain workload is hashed bitwise per backend and pinned
-in ``tests/golden/serve_trace.json``:
-
-``numpy`` and ``threaded`` hashes must stay **bitwise-unchanged** — the
-backend seam refactors (pair-table hooks, contraction dispatch) must
-never perturb them.  The two hashes are stored *separately*: the
-threaded backend's block-split contractions may legally reassociate
-floating-point sums, so numpy == threaded bitwise is not asserted (only
-recorded).
+A fixed, seeded drain workload is hashed bitwise and pinned in
+``tests/golden/serve_trace.json`` under the key ``numpy``: refactors of
+the hot paths (pair-table builds, contraction dispatch) must never
+perturb it.  The file's ``threaded`` entry is the record of a deleted
+second executor; nothing reads it.
 
 Golden hashes are keyed to a platform fingerprint (arch + numpy
 version): on a different platform the recorded-hash comparison is
@@ -67,17 +63,11 @@ def workload(fs_q2):
     return states
 
 
-def _drain(fs, species, states, backend_name):
-    """Run the workload through a synchronous drain on one backend;
-    returns (sha256 hex digest, stacked result states)."""
+def _drain(fs, species, states):
+    """Run the workload through a synchronous drain; returns (sha256 hex
+    digest, stacked result states)."""
     plan = SolvePlan(
-        fs=fs,
-        species=species,
-        dt=0.3,
-        options=AssemblyOptions.from_env(
-            backend=backend_name,
-            num_threads=2 if backend_name != "numpy" else 0,
-        ),
+        fs=fs, species=species, dt=0.3, options=AssemblyOptions.from_env()
     )
     with CollisionSolveService(
         ServeOptions(executor="thread", num_shards=2, max_batch=4)
@@ -108,27 +98,23 @@ def _check_or_record(name: str, digest: str) -> None:
         _store_golden(golden)
         return
     assert entry["sha256"] == digest, (
-        f"golden serve trace for backend {name!r} changed on the recording "
+        f"golden serve trace {name!r} changed on the recording "
         f"platform ({fp}); if intentional, re-record with "
         "REPRO_GOLDEN_UPDATE=1"
     )
 
 
 class TestGoldenTrace:
-    @pytest.mark.parametrize("name", ["numpy", "threaded"])
-    def test_backend_trace_bitwise_stable(
-        self, fs_q2, electron_species, workload, name
-    ):
-        d1, s1 = _drain(fs_q2, electron_species, workload, name)
-        d2, s2 = _drain(fs_q2, electron_species, workload, name)
+    def test_trace_bitwise_stable(self, fs_q2, electron_species, workload):
+        d1, s1 = _drain(fs_q2, electron_species, workload)
+        d2, s2 = _drain(fs_q2, electron_species, workload)
         # run-to-run determinism holds on every platform
         assert d1 == d2 and np.array_equal(s1, s2)
-        _check_or_record(name, d1)
+        _check_or_record("numpy", d1)
 
     def test_golden_file_is_wellformed(self):
         golden = _load_golden()
-        # the numpy/threaded entries exist after the suite has run once
-        for name in ("numpy", "threaded"):
-            if name in golden:
-                assert set(golden[name]) >= {"fingerprint", "sha256"}
-                assert len(golden[name]["sha256"]) == 64
+        # the numpy entry exists after the suite has run once
+        if "numpy" in golden:
+            assert set(golden["numpy"]) >= {"fingerprint", "sha256"}
+            assert len(golden["numpy"]["sha256"]) == 64

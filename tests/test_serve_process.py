@@ -132,41 +132,6 @@ class TestBrokenWorkerRecovery:
             assert snap["jobs"]["worker_restarts"] == 1
 
 
-class TestRemovedProcessBackend:
-    def test_env_process_backend_fails_fast(
-        self, fs_q2, electron_species, monkeypatch
-    ):
-        """``REPRO_BACKEND=process`` names the deleted process-pool
-        execution backend; a plan built from that environment must fail
-        loudly with the valid choices, not fall back to another backend."""
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        with pytest.raises(ValueError, match="auto, numpy, threaded$"):
-            SolvePlan(fs=fs_q2, species=electron_species, dt=DT)
-
-    def test_threaded_backend_runs_in_process_workers(
-        self, fs_q2, electron_species, plan, states
-    ):
-        """Shard workers run a plan's backend as it is, threads included;
-        the service answers and closes (no pool nesting to clamp)."""
-        from repro.core.options import AssemblyOptions
-
-        threaded = SolvePlan(
-            fs=fs_q2,
-            species=electron_species,
-            dt=DT,
-            options=AssemblyOptions(backend="threaded", num_threads=2),
-        )
-        opts = dict(num_shards=1, max_batch=4)
-        with CollisionSolveService(ServeOptions(executor="thread", **opts)) as svc:
-            ref = svc.solve_many(plan, states[:4])
-        with CollisionSolveService(ServeOptions(executor="process", **opts)) as svc:
-            res = svc.solve_many(threaded, states[:4], timeout=60)
-        for r, rr in zip(res, ref):
-            assert r.status == STATUS_OK
-            scale = np.abs(rr.state).max()
-            assert np.abs(r.state - rr.state).max() <= 1e-12 * scale
-
-
 class TestShmBudgetFallback:
     def test_over_budget_states_ship_inline(self, plan, states, monkeypatch):
         """A state stack that does not fit the arena budget travels by

@@ -358,6 +358,56 @@ class TestServiceCheckpointFormat:
         assert ckpt.plans[plan.key].key == plan.key
         assert ckpt.pending[0].remaining_s == 1.5
 
+    def test_retired_assembly_fields_load_with_stable_keys(
+        self, tmp_path, fs_q2, electron_species
+    ):
+        """A checkpoint written while ``AssemblyOptions`` still carried
+        ``backend`` and ``num_threads`` pickles them in the options'
+        ``__dict__``: it loads, and its plans keep the keys plans built
+        today get, so their pending jobs route as before."""
+        from repro.core.options import AssemblyOptions
+
+        configs = [
+            {},
+            {"cache_pair_tables": True},
+            {"cache_pair_tables": False},
+            {"memory_budget": 1_000_000},
+        ]
+        fresh, old = [], []
+        for kw in configs:
+            fresh.append(
+                SolvePlan(
+                    fs=fs_q2,
+                    species=electron_species,
+                    dt=DT,
+                    options=AssemblyOptions(**kw),
+                )
+            )
+            options = AssemblyOptions(**kw)
+            object.__setattr__(options, "backend", "auto")
+            object.__setattr__(options, "num_threads", 0)
+            old.append(
+                SolvePlan(fs=fs_q2, species=electron_species, dt=DT, options=options)
+            )
+        assert "_key" not in old[0].__dict__  # loaded keys are recomputed
+        path = str(tmp_path / "svc.ckpt")
+        save_service_checkpoint(
+            path,
+            pending=[
+                PendingJob(p.key, f"job-{i}", np.zeros((1, fs_q2.ndofs)))
+                for i, p in enumerate(fresh)
+            ],
+            plans={p.key: o for p, o in zip(fresh, old)},
+            completed=[],
+        )
+        ckpt = load_service_checkpoint(path)
+        assert len(ckpt.plans) == len(configs)
+        for p in fresh:
+            loaded = ckpt.plans[p.key]
+            assert loaded.options.__dict__["num_threads"] == 0
+            assert loaded.options == p.options
+            assert loaded.key == p.key
+
     def test_missing_plan_rejected(self, tmp_path, plan):
         with pytest.raises(CheckpointError, match="plans absent"):
             save_service_checkpoint(
