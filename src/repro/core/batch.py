@@ -138,8 +138,8 @@ class BatchedVertexSolver:
         default ``2`` roughly halves the sweep count at identical fixed
         points — each vertex mixes its own flattened ``(S, ndofs)`` state).
     options:
-        assembly configuration of the shared operator (thread count,
-        table caching, memory budget, backend).
+        assembly configuration of the shared operator (table caching,
+        memory budget).
 
     After each :meth:`step`, ``last_converged`` holds the per-vertex
     convergence mask and ``last_sweeps`` the sweep count at which each

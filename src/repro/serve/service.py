@@ -20,9 +20,17 @@ key) and executes them at high throughput:
   submission order, giving identical batch composition (hence bitwise
   identical floating-point results) across reruns; dispatcher threads
   (:meth:`start`) trade that for latency.
+* **One compute turn per process** — thread shards share one CPython
+  process and its GIL, so each runs :meth:`ShardWorker.execute_batch`
+  only while holding the process-wide FIFO :data:`COMPUTE_TURN`: batches
+  from different shards (or services) run one at a time, in the order
+  their dispatchers asked, while queueing, coalescing, result delivery
+  and checkpoints stay concurrent.  Thread shards give per-shard queues,
+  admission and warm plan caches, not parallel compute.
 
-``executor="process"`` moves each shard into its own
-``ProcessPoolExecutor`` worker (one warm worker per shard).  Plans are
+Parallel compute is the process executor's job: ``executor="process"``
+moves each shard into its own ``ProcessPoolExecutor`` worker (one warm
+worker per shard), each running one batch at a time.  Plans are
 published to a shard's worker once; each batch then ships only job
 metadata plus the state stack through a shared-memory segment
 (:mod:`repro.backend.shm`), so the warm ``PlanRuntime`` tensors live
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import math
 import os
 import threading
 import time
@@ -94,6 +103,63 @@ _SUPERVISION_KEYS = (
 )
 
 
+class ComputeTurn:
+    """A FIFO mutex: threads get the turn in the order they asked for it.
+
+    Unlike a plain :class:`threading.Lock`, a releasing thread that asks
+    again at once queues behind every thread already waiting: the turn
+    is handed straight to the oldest waiter.  ``with turn as waited:``
+    binds the seconds spent waiting and hands the turn on however the
+    block exits.
+    """
+
+    def __init__(self):
+        self._mutex = threading.Lock()
+        self._held = False
+        self._waiters: deque = deque()
+
+    def acquire(self) -> float:
+        """Take the turn; returns the seconds spent waiting for it
+        (exactly 0.0 when it was free)."""
+        with self._mutex:
+            if not self._held:
+                self._held = True
+                return 0.0
+            gate = threading.Lock()
+            gate.acquire()
+            self._waiters.append(gate)
+        t0 = time.monotonic()
+        try:
+            gate.acquire()  # released by the holder handing the turn over
+        except BaseException:
+            with self._mutex:
+                handed = gate not in self._waiters
+                if not handed:
+                    self._waiters.remove(gate)
+            if handed:
+                self.release()
+            raise
+        return time.monotonic() - t0
+
+    def release(self) -> None:
+        with self._mutex:
+            if self._waiters:
+                self._waiters.popleft().release()
+            else:
+                self._held = False
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+#: one compute turn per process: thread shards (and the process
+#: executor's in-parent degraded tier) share one GIL, so their batches
+#: run one at a time instead of contending for it
+COMPUTE_TURN = ComputeTurn()
+
+
 @dataclass(frozen=True)
 class ServeOptions:
     """Service sizing knobs (see EXPERIMENTS.md for the env overrides)."""
@@ -119,17 +185,22 @@ class ServeOptions:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
+        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0):
+            raise ValueError(
+                f"max_wait_ms must be finite and >= 0, got {self.max_wait_ms}"
+            )
         if self.queue_bound < 1:
             raise ValueError(f"queue_bound must be >= 1, got {self.queue_bound}")
         if self.executor not in _EXECUTORS:
             raise ValueError(
                 f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
             )
-        if self.checkpoint_interval_s < 0:
+        if not (
+            math.isfinite(self.checkpoint_interval_s)
+            and self.checkpoint_interval_s >= 0
+        ):
             raise ValueError(
-                f"checkpoint_interval_s must be >= 0, got "
+                f"checkpoint_interval_s must be finite and >= 0, got "
                 f"{self.checkpoint_interval_s}"
             )
 
@@ -219,6 +290,8 @@ class CollisionSolveService:
         self._conds = [threading.Condition() for _ in range(n)]
         self._rejected = [0] * n
         self._max_depth = [0] * n
+        #: per shard: seconds its batches waited for the compute turn
+        self._turn_wait = [0.0] * n
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._started = False
@@ -394,10 +467,9 @@ class CollisionSolveService:
                 results = self._execute_process(shard, jobs)
             else:
                 assert self._workers is not None
-                results = [
-                    (job.job_id, res)
-                    for job, res in self._workers[shard].execute_batch(jobs)
-                ]
+                results = self._execute_in_turn(
+                    shard, self._workers[shard], jobs
+                )
             for job_id, res in results:
                 handles[job_id].set_result(res)
                 self._completed_ids.append(job_id)
@@ -405,6 +477,17 @@ class CollisionSolveService:
         finally:
             self._inflight[shard] = []
         self._maybe_checkpoint()
+
+    def _execute_in_turn(
+        self, shard: int, worker: ShardWorker, jobs: list[SolveJob]
+    ) -> list[tuple]:
+        """Run one batch on an in-process worker while holding the
+        process's compute turn; queueing, result delivery and checkpoints
+        stay outside it."""
+        with COMPUTE_TURN as waited:
+            self._turn_wait[shard] += waited
+            pairs = worker.execute_batch(jobs)
+        return [(job.job_id, res) for job, res in pairs]
 
     def _count_tag(self, tag: str, res: JobResult) -> None:
         """Parent-side per-tag outcome accounting (tags never ship to
@@ -549,9 +632,7 @@ class CollisionSolveService:
             with sup.lock:
                 sup.counters["degraded_batches"] += 1
                 sup.counters["degraded_jobs"] += len(jobs)
-        return [
-            (job.job_id, res) for job, res in worker.execute_batch(jobs)
-        ]
+        return self._execute_in_turn(shard, worker, jobs)
 
     def _execute_process(self, shard: int, jobs: list[SolveJob]) -> list[tuple]:
         """Supervised process-tier execution.
@@ -594,7 +675,9 @@ class CollisionSolveService:
         while True:
             with cond:
                 while not q and not self._stop.is_set():
-                    cond.wait(0.05)
+                    # submit() and stop() notify under this lock: no
+                    # wake-up is missed, so idle shards sleep until then
+                    cond.wait()
                 if not q and self._stop.is_set():
                     return
                 batch = self._take_batch(shard, q.popleft())
@@ -894,6 +977,7 @@ class CollisionSolveService:
             snap["worker_restarts"] = (
                 snap.get("worker_restarts", 0) + self._restarts[s]
             )
+            snap["turn_wait_s"] = self._turn_wait[s]
             if self._supervisors is not None:
                 self._merge_degraded(s, snap)
                 sup_snap = self._supervisors[s].snapshot()
@@ -982,6 +1066,7 @@ class CollisionSolveService:
                 "completed_jobs": len(self._completed_ids),
                 "resume": self._resume,
             },
+            "turn_wait_s": sum(s["turn_wait_s"] for s in shards),
             "batch_size_hist": merge_histograms(
                 [s["batch_size_hist"] for s in shards]
             ),

@@ -147,8 +147,9 @@ def execute_jobs(
 class ShardWorker:
     """One shard: metrics + plan cache + the batch pipeline.
 
-    The service's dispatcher (thread mode) or the process-pool worker
-    calls :meth:`execute_batch` with micro-batches of same-plan jobs.
+    The service's dispatcher (thread mode, holding the process's compute
+    turn) or the process-pool worker calls :meth:`execute_batch` with
+    micro-batches of same-plan jobs.
     """
 
     def __init__(

@@ -253,6 +253,19 @@ class TestServeOptions:
         with pytest.raises(ValueError):
             ServeOptions(executor="gpu")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["max_wait_ms", "checkpoint_interval_s"])
+    def test_rejects_non_finite_durations(self, name, value):
+        # NaN held the coalescing window open forever; inf overflowed
+        # Condition.wait and killed the dispatcher thread
+        with pytest.raises(ValueError, match=name):
+            ServeOptions(**{name: value})
+
+    def test_rejects_non_finite_duration_from_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "nan")
+        with pytest.raises(ValueError, match="max_wait_ms"):
+            ServeOptions.from_env()
+
 
 class TestAdmissionControl:
     def test_overload_rejected(self, fs_q2, electron_species, serve_states):
@@ -332,6 +345,25 @@ class TestService:
             svc.stop()
         assert all(r.ok for r in results)
         assert {r.job_id for r in results} == {h.job.job_id for h in handles}
+
+    def test_idle_dispatchers_wake_on_submit_and_stop(
+        self, fs_q2, electron_species, serve_states
+    ):
+        """Idle dispatchers sleep until notified: a job submitted after
+        an idle spell is served, and stop() wakes them promptly."""
+        plan = SolvePlan(fs=fs_q2, species=electron_species, dt=DT)
+        with CollisionSolveService(
+            ServeOptions(num_shards=2, max_batch=8)
+        ) as svc:
+            svc.start()
+            time.sleep(0.3)
+            assert svc.submit(plan, serve_states[0]).result(60.0).ok
+            time.sleep(0.1)
+            dispatchers = list(svc._threads)
+            t0 = time.monotonic()
+            svc.stop()
+            assert time.monotonic() - t0 < 1.0
+            assert not any(t.is_alive() for t in dispatchers)
 
     def test_drain_requires_stopped_service(self, fs_q2, electron_species):
         svc = CollisionSolveService(ServeOptions(num_shards=1))
