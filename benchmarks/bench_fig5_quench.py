@@ -68,7 +68,7 @@ def test_fig5_quench_profiles(benchmark):
     assert a["E"][0] == pytest.approx(0.5 * model.E_c)
 
 
-def test_density_conservation_against_source(benchmark):
+def test_density_conservation_against_source():
     """'The electron density is conserved exactly and thus ... the profile
     n_e is the prescribed sinusoidal source function' — measured density
     equals initial + analytic injected integral at every sample."""

@@ -6,16 +6,52 @@ the numbers a user of this library actually experiences:
 
 * pair-table construction (the O(N^2) elliptic-integral tensors),
 * the D/K field computation (seven dense matvecs on cached tables),
+* the on-the-fly field launch (the tensors re-evaluated every call, the
+  paper's regime),
 * the per-species Jacobian assembly,
 * the full CUDA-model kernel (recomputes tensors on the fly + counters),
 * one implicit time step.
 """
 
 import numpy as np
+import pytest
 
-from repro.core import AssemblyOptions, ImplicitLandauSolver, LandauOperator
+from repro.amr import landau_mesh
+from repro.core import (
+    AssemblyOptions,
+    ImplicitLandauSolver,
+    LandauOperator,
+    SpeciesSet,
+    deuterium,
+    electron,
+)
 from repro.core.kernel_cuda import CudaLandauJacobian
+from repro.core.maxwellian import maxwellian_rz
+from repro.fem import FunctionSpace
 from repro.gpu import CudaMachine
+
+
+@pytest.fixture(scope="module")
+def ed_q2_launch():
+    """An on-the-fly operator on the e+D Q2 space (N = 504) and 16
+    Maxwellian vertex states of spread temperatures."""
+    spc = SpeciesSet([electron(), deuterium()])
+    fs = FunctionSpace(landau_mesh([s.thermal_velocity for s in spc]), order=2)
+    op = LandauOperator(fs, spc, options=AssemblyOptions(cache_pair_tables=False))
+    states = np.stack(
+        [
+            [
+                fs.interpolate(
+                    lambda r, z, v=(0.8 + 0.025 * k) * s.thermal_velocity: (
+                        maxwellian_rz(r, z, 1.0, v)
+                    )
+                )
+                for s in spc
+            ]
+            for k in range(16)
+        ]
+    )
+    return op, states
 
 
 def test_pair_table_build(benchmark, ed_system):
@@ -29,6 +65,17 @@ def test_field_computation(benchmark, ed_system):
     fs, spc, op, fields = ed_system
     G_D, G_K = benchmark(op.fields, fields)
     assert G_D.shape == (fs.n_integration_points, 2, 2)
+
+
+def test_on_the_fly_launch(benchmark, ed_q2_launch):
+    """The launch an on-the-fly plan runs every sweep: 16 states' fields
+    with the pair tensors re-evaluated (``fields_batch``, the point
+    values given)."""
+    op, states = ed_q2_launch
+    values = op.point_values_batch(states)
+    G_D, G_K = benchmark(op.fields_batch, states, values)
+    assert not op.pair_tables_cached
+    assert G_D.shape == (16, op.N, 2, 2) and np.isfinite(G_K).all()
 
 
 def test_jacobian_build(benchmark, ed_system):

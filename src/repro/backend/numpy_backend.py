@@ -64,11 +64,14 @@ class NumpyBackend:
         cTKz: np.ndarray,
         i0: int,
         i1: int,
+        reflected: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """Row block ``[i0, i1)``'s share of the Algorithm-1 on-the-fly
         inner integral: evaluate the pair tensors, contract them against
-        the ``(N, B)`` column sources and *add* into ``G_D (B, N, 2, 2)``
-        / ``G_K (B, N, 2)`` (:func:`repro.core.landau_tensor.field_rows`).
+        the ``(N, C)`` column sources — and the ``reflected`` ones at the
+        points ``(r, -z)``, when given — and *add* into ``G_D (C, N, 2,
+        2)`` / ``G_K (C, N, 2)``
+        (:func:`repro.core.landau_tensor.field_rows`).
 
         The outputs arrive zero-initialised; calls over any partition of
         ``[0, N)`` leave them complete (including ``G_D[..., 1, 0] ==
@@ -77,7 +80,7 @@ class NumpyBackend:
         integrals."""
         from ..core.landau_tensor import field_rows
 
-        field_rows(G_D, G_K, r, z, cTD, cTKr, cTKz, i0, i1)
+        field_rows(G_D, G_K, r, z, cTD, cTKr, cTKz, i0, i1, reflected)
 
     # ------------------------------------------------------------------
     # dense contractions

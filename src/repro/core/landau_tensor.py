@@ -51,6 +51,35 @@ so these identities hold *bitwise* (``(r^2 + rp^2) + dz^2``, ``(2 r) rp``:
 every rounding is of a quantity symmetric in the pair), which is what lets
 :func:`pair_block_tensors` evaluate each unordered pair once and still
 reproduce :func:`landau_tensors_cyl` entry for entry.
+
+Reflection symmetry of the velocity mesh
+----------------------------------------
+The reflection ``x' = (r, -z)`` flips the sign of ``dz`` for a pair
+whose field and source are both reflected and leaves ``A`` and ``B``
+alone, so with ``S = diag(1, -1)``
+
+    U(x_a', x_b') = S U(x_a, x_b) S,    U(x_a', x_b) = S U(x_a, x_b') S
+
+for ``U^D`` and ``U^K`` alike: the rr and zz components stay, the rz
+and zr ones change sign.  On a point set that is its own reflection
+(:func:`reflection_map`; every ``landau_mesh`` space is, its root trees
+mirror each other about ``z = 0``) the fields of the lower half follow
+from the pairs of the upper half: for upper field points ``a`` and
+upper sources ``b`` the two orbits ``{(a, b), (a', b')}`` and ``{(a,
+b'), (a', b)}`` are each evaluated once, as ``(a, b)`` and ``(a,
+b')``, and the exchange symmetry above halves each of those again.  A
+launch evaluates about ``N^2 / 4`` pairs instead of ``N^2 / 2``.  In a
+contraction the reflected rows are the upper rows against sources with
+their z-gradient negated, the z / rz outputs negated after
+(:func:`field_rows`, ``reflected``).
+
+The identities are bitwise only if the lower point is exactly
+``(r, -z)`` of its partner.  A mesh's quadrature points pair up to about
+one ulp, so :class:`~repro.core.operator.LandauOperator` snaps its own
+kernel copy of ``z`` (each lower point takes ``-z`` of its partner) and
+runs both the response build and the launch on it, one geometry for
+both.  ``FunctionSpace.qpoints`` itself is left as it is: it is part of
+a space's fingerprint, the key of served plans and checkpoints.
 """
 
 from __future__ import annotations
@@ -66,6 +95,7 @@ __all__ = [
     "azimuthal_integrals",
     "landau_tensors_cyl",
     "pair_block_tensors",
+    "reflection_map",
     "shared_block_scratch",
     "field_rows",
 ]
@@ -73,6 +103,10 @@ __all__ = [
 #: relative tolerance below which a pair is considered coincident and masked
 #: (the self-interaction term, dropped exactly as PETSc's ``mask`` does).
 SINGULAR_REL_TOL = 1e-14
+
+#: ulps of ``max |z|`` within which a point's reflection must land on
+#: another point for :func:`reflection_map` (mesh points pair up to 1)
+REFLECTION_ULPS = 4
 
 #: parameter below which the cancellation-prone combinations of ``K`` and
 #: ``E`` switch to their Maclaurin series (see :func:`azimuthal_integrals`)
@@ -244,6 +278,31 @@ def landau_tensors_cyl(
     return UD, UK
 
 
+def reflection_map(r: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """The partner of each point under the reflection ``z -> -z``, or
+    ``None`` when the points do not pair up.
+
+    ``p[a]`` has bitwise the same ``r`` as ``a`` and a ``z`` within
+    :data:`REFLECTION_ULPS` ulps of ``max |z|`` of ``-z[a]``, on the
+    other side of ``z = 0``: ``p`` is an involution without fixed
+    points, so a point on ``z = 0`` rules the reflection out.  Within
+    one ``r``, the points sorted by ``z`` pair with the same points
+    sorted by ``-z``.
+    """
+    N = r.size
+    p = np.empty(N, dtype=np.intp)
+    p[np.lexsort((z, r))] = np.lexsort((-z, r))
+    tol = REFLECTION_ULPS * np.spacing(np.abs(z).max())
+    if (
+        np.array_equal(r[p], r)
+        and np.all(np.abs(z + z[p]) <= tol)
+        and np.all(z * z[p] < 0.0)
+        and np.array_equal(p[p], np.arange(N))
+    ):
+        return p
+    return None
+
+
 # ----------------------------------------------------------------------
 # The row-block kernel behind the two O(N^2) hot loops of Algorithm 1 —
 # the field-response build (:meth:`repro.core.operator.LandauOperator.
@@ -289,11 +348,13 @@ def _scratch_planes(R: int, W: int) -> list[np.ndarray]:
 
 
 def pair_block_tensors(
-    r: np.ndarray, z: np.ndarray, i0: int, i1: int
+    r: np.ndarray, z: np.ndarray, i0: int, i1: int, reflect: bool = False
 ) -> tuple[np.ndarray, ...]:
     """The packed tensor components of field points ``[i0, i1)`` against
-    source points ``[i0, N)``: ``(Drr, Drz, Dzz, Krr, Kzr, DrrT)``, each
-    ``(i1 - i0, N - i0)``.
+    source points ``[i0, N)`` and, with ``reflect``, then against their
+    reflections ``(r, -z)``: ``(Drr, Drz, Dzz, Krr, Kzr, DrrT)``, each
+    ``(i1 - i0, N - i0)``, or ``(i1 - i0, 2 (N - i0))`` with the reflected
+    sources in the second half of the columns.
 
     The first five are entry for entry what :func:`landau_tensors_cyl`
     gives for those pairs (same expression trees, so ``np.array_equal``;
@@ -301,7 +362,8 @@ def pair_block_tensors(
     and source exchanged, ``Drr(x_j, x_i)`` — together with ``Dzz``,
     ``Krr`` (unchanged under exchange) and ``Drz``/``Kzr`` (which swap)
     it gives the tensors of the pairs below the block without evaluating
-    their integrals again, see "Pair symmetry" in the module docstring.
+    their integrals again, see "Pair symmetry" in the module docstring
+    (and "Reflection symmetry" for the reflected half).
 
     Every intermediate is formed in place in ``PAIR_BLOCK_PLANES``
     planes of scratch, and the results are views into it: inside a
@@ -311,16 +373,20 @@ def pair_block_tensors(
     """
     add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     R = i1 - i0
-    r_j = r[None, i0:]
+    r_src, z_src = r[i0:], z[i0:]
+    if reflect:
+        r_src = np.concatenate([r_src, r_src])
+        z_src = np.concatenate([z_src, -z_src])
+    r_j = r_src[None, :]
     r_i = r[i0:i1, None]
-    r2 = r[i0:] * r[i0:]
+    r2 = r_src * r_src
     r2_j = r2[None, :]
     r2_i = r2[:R, None]
     free = _scratch_planes(R, r_j.shape[1])
     take, drop = free.pop, free.append
 
     # geometry: A = r^2 + rp^2 + dz^2, B = 2 r rp
-    dz = sub(z[i0:i1, None], z[None, i0:], out=take())
+    dz = sub(z[i0:i1, None], z_src[None, :], out=take())
     dz2 = mul(dz, dz, out=take())
     rr = add(r2_i, r2_j, out=take())
     A = add(rr, dz2, out=take())
@@ -436,21 +502,33 @@ def field_rows(
     cTKz: np.ndarray,
     i0: int,
     i1: int,
+    reflected: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> None:
     """On-the-fly Algorithm-1 inner integral, the share of row block
     ``[i0, i1)``: evaluate the block's tensors and contract them against
-    the ``(N, B)`` column sources, *adding* into ``G_D (B, N, 2, 2)`` /
-    ``G_K (B, N, 2)`` the sums over sources ``[i0, N)`` for field rows
+    the ``(N, C)`` column sources, *adding* into ``G_D (C, N, 2, 2)`` /
+    ``G_K (C, N, 2)`` the sums over sources ``[i0, N)`` for field rows
     ``[i0, i1)`` and, through the mirror, the sums over sources
     ``[i0, i1)`` for field rows ``[i1, N)``.
+
+    ``reflected``, when given, is ``(rTD, rTKr, rTKz)``: ``(N, C)``
+    column sources sitting at the reflected points ``(r, -z)``, whose
+    pairs the block evaluates alongside (``pair_block_tensors(...,
+    reflect=True)``) and adds into the same outputs.  Their mirror images
+    are the exchanged tensors conjugated by ``S = diag(1, -1)``: the rz
+    components change sign ("Reflection symmetry" in the module
+    docstring).
 
     Calls over any partition of ``[0, N)`` turn zero-initialised outputs
     into the complete fields.  A call writes rows beyond its own block,
     so concurrent calls need separate outputs (summed by the caller).
     """
-    Drr, Drz, Dzz, Krr, Kzr, DrrT = pair_block_tensors(r, z, i0, i1)
+    sets = [(cTD, cTKr, cTKz)] + ([] if reflected is None else [reflected])
+    Drr, Drz, Dzz, Krr, Kzr, DrrT = pair_block_tensors(
+        r, z, i0, i1, reflect=reflected is not None
+    )
     rows = slice(i0, i1)
-    sD, sKr, sKz = cTD[i0:], cTKr[i0:], cTKz[i0:]
+    sD, sKr, sKz = (np.concatenate([s[k][i0:] for s in sets]) for k in range(3))
     Grz = (Drz @ sD).T
     G_D[:, rows, 0, 0] += (Drr @ sD).T
     G_D[:, rows, 0, 1] += Grz
@@ -458,20 +536,26 @@ def field_rows(
     G_D[:, rows, 1, 1] += (Dzz @ sD).T
     G_K[:, rows, 0] += (Krr @ sKr + Drz @ sKz).T
     G_K[:, rows, 1] += (Kzr @ sKr + Dzz @ sKz).T
-    R = i1 - i0
-    if R == Drr.shape[1]:
+    R, W = i1 - i0, r.size - i0
+    if R == W:
         return
     # rows below the block: U(x_j, x_i) from the integrals of (x_i, x_j)
-    # — Drr from DrrT, Drz and Kzr exchanged, Dzz and Krr as they are
+    # — Drr from DrrT, Drz and Kzr exchanged, Dzz and Krr as they are;
+    # for a reflected source S U S, the exchanged Drz and Kzr negated.
+    # Products are formed (rows, C), as above, and added transposed: the
+    # operator's launch keeps C the fastest axis of its outputs
     below = slice(i1, None)
-    DrrT, Drz, Dzz, Krr, Kzr = (
-        comp[:, R:] for comp in (DrrT, Drz, Dzz, Krr, Kzr)
-    )
-    sD, sKr, sKz = cTD[rows].T, cTKr[rows].T, cTKz[rows].T
-    Grz = sD @ Kzr
-    G_D[:, below, 0, 0] += sD @ DrrT
-    G_D[:, below, 0, 1] += Grz
-    G_D[:, below, 1, 0] += Grz
-    G_D[:, below, 1, 1] += sD @ Dzz
-    G_K[:, below, 0] += sKr @ Krr + sKz @ Kzr
-    G_K[:, below, 1] += sKr @ Drz + sKz @ Dzz
+    for k, (tD, tKr, tKz) in enumerate(sets):
+        cols = slice(k * W + R, (k + 1) * W)
+        dDrrT, dDrz, dDzz, dKrr, dKzr = (
+            comp[:, cols] for comp in (DrrT, Drz, Dzz, Krr, Kzr)
+        )
+        sD, sKr, sKz = tD[rows], tKr[rows], tKz[rows]
+        xD, xKr, xKz = (sD, sKr, sKz) if k == 0 else (-sD, -sKr, -sKz)
+        Grz = (dKzr.T @ xD).T
+        G_D[:, below, 0, 0] += (dDrrT.T @ sD).T
+        G_D[:, below, 0, 1] += Grz
+        G_D[:, below, 1, 0] += Grz
+        G_D[:, below, 1, 1] += (dDzz.T @ sD).T
+        G_K[:, below, 0] += (dKrr.T @ sKr + dKzr.T @ xKz).T
+        G_K[:, below, 1] += (dDrz.T @ xKr + dDzz.T @ sKz).T

@@ -44,8 +44,15 @@ Both the response build and the operator's own on-the-fly launch
 :meth:`repro.backend.NumpyBackend.field_rows`): a block of field rows
 evaluates the azimuthal integrals against the sources at or after its
 first row only and serves the pairs below it through the exchange
-symmetry of the tensors, so a launch evaluates about ``N^2 / 2`` pairs.
-Blocks are cut by pair count (:meth:`LandauOperator._row_blocks`).
+symmetry of the tensors.  On a space that is its own reflection ``z ->
+-z`` (every ``landau_mesh`` space) the launch also uses the reflection
+symmetry of the tensors: its blocks run over the upper half of the
+points only, against the upper sources and their reflections, and the
+lower half's fields follow by ``S = diag(1, -1)`` conjugation, so a
+launch evaluates about ``N^2 / 4`` pairs instead of ``N^2 / 2``.  The
+operator snaps its own copy of the point ``z`` so the reflection is
+exact, and the response build reads the same copy.  Blocks are cut by
+pair count (:meth:`LandauOperator._row_blocks`).
 
 The response tables depend on the space's quadrature geometry alone, so
 they are built once per space and shared, read-only, by every cached
@@ -62,6 +69,7 @@ records structure reuses for :class:`repro.core.solver.NewtonStats`.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import weakref
@@ -73,7 +81,7 @@ import scipy.sparse as sp
 from ..backend.numpy_backend import NumpyBackend
 from ..fem.assembly import element_mass_blocks, get_scatter_map
 from ..fem.function_space import FunctionSpace
-from .landau_tensor import pair_block_tensors, shared_block_scratch
+from .landau_tensor import pair_block_tensors, reflection_map, shared_block_scratch
 from .options import ONTHEFLY_BYTES_PER_PAIR, AssemblyOptions, PairTableMemoryError
 from .species import SpeciesSet
 
@@ -171,8 +179,24 @@ class LandauOperator:
         N = fs.n_integration_points
         self.N = N
         self.r = fs.qpoints[:, :, 0].reshape(N)
-        self.z = fs.qpoints[:, :, 1].reshape(N)
+        self.z = fs.qpoints[:, :, 1].reshape(N).copy()
         self.w = fs.qweights.reshape(N)
+        # the launch's field rows: the points above z = 0 and, in the
+        # same order, their reflections; on a space without a
+        # reflection every point and none.  The operator's own copy of z
+        # is snapped so the reflection is exact ("Reflection symmetry" in
+        # repro.core.landau_tensor); fs.qpoints, hashed into plan and
+        # checkpoint keys, is left alone.
+        partner = reflection_map(self.r, self.z)
+        if partner is None:
+            self._upper, self._lower = np.arange(N), np.arange(0)
+        else:
+            self._upper = np.flatnonzero(self.z > 0.0)
+            self._lower = partner[self._upper]
+            self.z[self._lower] = -self.z[self._upper]
+        #: the stacked reference tabulation ``[B | dB/dxi | dB/deta]``
+        #: of :meth:`point_values_batch`
+        self._tab = np.concatenate([fs.B, fs.Dref[:, :, 0], fs.Dref[:, :, 1]])
 
         cache_pair_tables = self.options.cache_pair_tables
         build_bytes = self.options.cached_build_bytes(N, fs.ndofs)
@@ -207,7 +231,9 @@ class LandauOperator:
         self._fac_d = -self.nu0 * z2 / species.masses**2
 
     # ------------------------------------------------------------------
-    def _row_blocks(self, N: int, step: int = 1) -> list[tuple[int, int]]:
+    def _row_blocks(
+        self, N: int, step: int = 1, sets: int = 1
+    ) -> list[tuple[int, int]]:
         """Row blocks ``[i0, i1)`` covering ``[0, N)`` for the O(N^2)
         response build and field launch.  Block ``[i0, i1)`` evaluates the
         pairs ``[i0, i1) x [i0, N)`` (the rest of its rows comes from
@@ -215,15 +241,25 @@ class LandauOperator:
         later ones taking more rows: as many pairs as keep the kernel's
         scratch within :data:`ROW_BLOCK_BYTES` (and the memory budget, when
         that is smaller).  Blocks start on multiples of ``step`` and take
-        at least ``step`` rows."""
+        at least ``step`` rows.
+
+        With ``sets = 2`` a block evaluates its rows against the sources
+        and against their reflections.  Each row then costs twice the
+        pairs, over half as many points, and the pair budget alone would
+        end the launch on one square block whose lower triangle (pairs
+        the mirror serves anyway) is a large share of the whole launch;
+        so such a block also takes no more than ``sqrt(pairs) / 2`` rows.
+        """
         pairs = min(
             ROW_BLOCK_BYTES // ONTHEFLY_BYTES_PER_PAIR,
-            self.options.row_chunk(N) * N,
+            self.options.row_chunk(self.N) * self.N,
         )
+        most = pairs if sets == 1 else max(1, math.isqrt(pairs) // 2)
         blocks = []
         i0 = 0
         while i0 < N:
-            i1 = min(N, i0 + max(step, pairs // (N - i0) // step * step))
+            rows = min(most, pairs // (sets * (N - i0)))
+            i1 = min(N, i0 + max(step, rows // step * step))
             blocks.append((i0, i1))
             i0 = i1
         return blocks
@@ -361,21 +397,53 @@ class LandauOperator:
         """The on-the-fly field launch for weighted point sources of shape
         ``(B, N)``: the tensors are re-evaluated in cache-sized row blocks
         (:meth:`_row_blocks`), each adding into its own rows and, through
-        the mirror, into the rows below it."""
-        N = self.N
-        B = wTD.shape[0]
-        # (N, B) column sources for the per-block contractions
-        cTD = np.ascontiguousarray(wTD.T)
-        cTKr = np.ascontiguousarray(wTKr.T)
-        cTKz = np.ascontiguousarray(wTKz.T)
-        G_D = np.zeros((B, N, 2, 2))
-        G_K = np.zeros((B, N, 2))
-        with shared_block_scratch():
-            for i0, i1 in self._row_blocks(N):
-                self.backend.field_rows(
-                    G_D, G_K, self.r, self.z, cTD, cTKr, cTKz, i0, i1
+        the mirror, into the rows below it.
+
+        On a space with a reflection the blocks run over the upper
+        points only, against the upper points and their reflections
+        ("Reflection symmetry" in :mod:`repro.core.landau_tensor`), with
+        ``2B`` columns: ``[:B]`` add up the fields at the upper points,
+        ``[B:]`` those at the lower points conjugated by ``S = diag(1,
+        -1)``.  So the columns against the upper points hold ``(s_up | S
+        s_low)`` and those against the reflections ``(s_low | S s_up)``,
+        ``S`` negating the z-gradient source."""
+        N, B = self.N, wTD.shape[0]
+        up, low = self._upper, self._lower
+        sources = (wTD, wTKr, wTKz)
+        # (n, C) column sources for the per-block contractions
+        if low.size:
+            flipped = (wTD, wTKr, -wTKz)  # S times the sources
+
+            def columns(a, b):
+                """The sources at points ``a``, then ``S`` times those at
+                ``b``."""
+                return tuple(
+                    np.concatenate([s[:, a], t[:, b]]).T.copy()
+                    for s, t in zip(sources, flipped)
                 )
-        return G_D, G_K
+
+            (cTD, cTKr, cTKz), reflected = columns(up, low), columns(low, up)
+        else:
+            cTD, cTKr, cTKz = (np.ascontiguousarray(s.T) for s in sources)
+            reflected = None
+        C, n = cTD.shape[1], up.size
+        # C fastest in memory: every block adds (rows, C) products
+        G_D = np.zeros((n, 2, 2, C)).transpose(3, 0, 1, 2)
+        G_K = np.zeros((n, 2, C)).transpose(2, 0, 1)
+        r, z = self.r[up], self.z[up]
+        with shared_block_scratch():
+            for i0, i1 in self._row_blocks(n, sets=1 if reflected is None else 2):
+                self.backend.field_rows(
+                    G_D, G_K, r, z, cTD, cTKr, cTKz, i0, i1, reflected
+                )
+        if not low.size:
+            return np.ascontiguousarray(G_D), np.ascontiguousarray(G_K)
+        out_D = np.empty((B, N, 2, 2))
+        out_K = np.empty((B, N, 2))
+        out_D[:, up], out_K[:, up] = G_D[:B], G_K[:B]
+        out_D[:, low] = G_D[B:] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        out_K[:, low] = G_K[B:] * np.array([1.0, -1.0])
+        return out_D, out_K
 
     def fields(
         self, fields: list[np.ndarray]
@@ -405,8 +473,7 @@ class LandauOperator:
         nq = fs.nq
         full = (fs.dofmap.P @ states.reshape(X * S, n).T).T
         cd = full[:, fs.dofmap.cell_nodes]  # (X*S, ne, nb)
-        tab = np.concatenate([fs.B, fs.Dref[:, :, 0], fs.Dref[:, :, 1]])
-        q = (cd.reshape(-1, fs.nb) @ tab.T).reshape(X, S, fs.nelem, 3 * nq)
+        q = (cd.reshape(-1, fs.nb) @ self._tab.T).reshape(X, S, fs.nelem, 3 * nq)
         inv_jac = fs.inv_jac
         return (
             q[..., :nq].reshape(X, S, -1),
