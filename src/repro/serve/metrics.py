@@ -55,21 +55,17 @@ class LatencyRing:
 
 @dataclass
 class ShardMetrics:
-    """Work and latency accounting for one shard."""
+    """Work and latency accounting for one shard (its queue depth,
+    rejected submissions and worker restarts are counted by the service,
+    which admits jobs and restarts workers)."""
 
     shard: int = 0
     jobs_ok: int = 0
     jobs_failed: int = 0
     jobs_shed: int = 0
     jobs_retried: int = 0
-    rejected_submissions: int = 0
     batches: int = 0
     batch_size_hist: dict = field(default_factory=dict)
-    max_queue_depth: int = 0
-    #: times this shard's worker process died and was re-initialized
-    #: (thread-mode shards never restart; the service adds its parent-side
-    #: count for process-mode shards, whose in-worker counters reset)
-    worker_restarts: int = 0
     # ---- failure taxonomy (ISSUE-7) -------------------------------------
     #: solver faults fired by the (plan-driven or ad-hoc) injector
     injected_faults: int = 0
@@ -92,10 +88,6 @@ class ShardMetrics:
         self.batches += 1
         self.batch_size_hist[size] = self.batch_size_hist.get(size, 0) + 1
 
-    def record_queue_depth(self, depth: int) -> None:
-        if depth > self.max_queue_depth:
-            self.max_queue_depth = depth
-
     @property
     def jobs_done(self) -> int:
         return self.jobs_ok + self.jobs_failed + self.jobs_shed
@@ -107,13 +99,10 @@ class ShardMetrics:
             "jobs_failed": self.jobs_failed,
             "jobs_shed": self.jobs_shed,
             "jobs_retried": self.jobs_retried,
-            "rejected_submissions": self.rejected_submissions,
             "batches": self.batches,
             "batch_size_hist": {
                 str(k): v for k, v in sorted(self.batch_size_hist.items())
             },
-            "max_queue_depth": self.max_queue_depth,
-            "worker_restarts": self.worker_restarts,
             "injected_faults": self.injected_faults,
             "worker_crashes": self.worker_crashes,
             "worker_hangs": self.worker_hangs,

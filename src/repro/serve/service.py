@@ -8,7 +8,7 @@ key) and executes them at high throughput:
 * **Routing** — a consistent-hash ring maps each plan key to one shard,
   so a plan's pair tables and band symbolics are built once and stay
   warm; adding a shard remaps only ``~1/num_shards`` of the key space.
-* **Micro-batching** — each shard's dispatcher pops the queue head and
+* **Micro-batching** — a dispatcher pops the oldest queue head and
   coalesces jobs sharing its plan, waiting up to ``max_wait_ms`` for the
   batch to fill to ``max_batch``, then advances the whole batch with one
   :meth:`BatchedVertexSolver.step` (one field launch and one batched
@@ -20,21 +20,20 @@ key) and executes them at high throughput:
   submission order, giving identical batch composition (hence bitwise
   identical floating-point results) across reruns; dispatcher threads
   (:meth:`start`) trade that for latency.
-* **One compute turn per process** — thread shards share one CPython
-  process and its GIL, so each runs :meth:`ShardWorker.execute_batch`
-  only while holding the process-wide FIFO :data:`COMPUTE_TURN`: batches
-  from different shards (or services) run one at a time, in the order
-  their dispatchers asked, while queueing, coalescing, result delivery
-  and checkpoints stay concurrent.  Thread shards give per-shard queues,
-  admission and warm plan caches, not parallel compute.
+* **One dispatcher for the thread shards** — thread shards share one
+  CPython process and its GIL, so one dispatcher thread serves them
+  all: it takes the shard whose queue head was submitted first,
+  coalesces that head's batch and runs it, one batch at a time.  Thread
+  shards give per-shard queues, admission and warm plan caches, not
+  parallel compute.
 
 Parallel compute is the process executor's job: ``executor="process"``
 moves each shard into its own ``ProcessPoolExecutor`` worker (one warm
-worker per shard), each running one batch at a time.  Plans are
-published to a shard's worker once; each batch then ships only job
-metadata plus the state stack through a shared-memory segment
-(:mod:`repro.backend.shm`), so the warm ``PlanRuntime`` tensors live
-exactly once per machine.  A worker killed mid-flight
+worker and one dispatcher thread per shard), each running one batch at
+a time.  Plans are published to a shard's worker once; each batch then
+ships only job metadata plus the state stack through a shared-memory
+segment (:mod:`repro.backend.shm`), so the warm ``PlanRuntime`` tensors
+live exactly once per machine.  A worker killed mid-flight
 (``BrokenProcessPool``) is re-initialized and the batch retried once —
 ``drain()`` never crashes on a dead worker — with the restart surfaced
 as ``worker_restarts`` in shard snapshots.
@@ -103,63 +102,6 @@ _SUPERVISION_KEYS = (
 )
 
 
-class ComputeTurn:
-    """A FIFO mutex: threads get the turn in the order they asked for it.
-
-    Unlike a plain :class:`threading.Lock`, a releasing thread that asks
-    again at once queues behind every thread already waiting: the turn
-    is handed straight to the oldest waiter.  ``with turn as waited:``
-    binds the seconds spent waiting and hands the turn on however the
-    block exits.
-    """
-
-    def __init__(self):
-        self._mutex = threading.Lock()
-        self._held = False
-        self._waiters: deque = deque()
-
-    def acquire(self) -> float:
-        """Take the turn; returns the seconds spent waiting for it
-        (exactly 0.0 when it was free)."""
-        with self._mutex:
-            if not self._held:
-                self._held = True
-                return 0.0
-            gate = threading.Lock()
-            gate.acquire()
-            self._waiters.append(gate)
-        t0 = time.monotonic()
-        try:
-            gate.acquire()  # released by the holder handing the turn over
-        except BaseException:
-            with self._mutex:
-                handed = gate not in self._waiters
-                if not handed:
-                    self._waiters.remove(gate)
-            if handed:
-                self.release()
-            raise
-        return time.monotonic() - t0
-
-    def release(self) -> None:
-        with self._mutex:
-            if self._waiters:
-                self._waiters.popleft().release()
-            else:
-                self._held = False
-
-    __enter__ = acquire
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
-#: one compute turn per process: thread shards (and the process
-#: executor's in-parent degraded tier) share one GIL, so their batches
-#: run one at a time instead of contending for it
-COMPUTE_TURN = ComputeTurn()
-
-
 @dataclass(frozen=True)
 class ServeOptions:
     """Service sizing knobs (see EXPERIMENTS.md for the env overrides)."""
@@ -170,7 +112,6 @@ class ServeOptions:
     queue_bound: int = 256
     executor: str = "thread"
     plan_budget: int | None = None  # bytes per shard's PlanCache; None = env
-    vnodes: int = 32
     #: watchdog / circuit-breaker / backoff knobs (REPRO_SERVE_HEARTBEAT_S,
     #: REPRO_SERVE_BATCH_DEADLINE_S, REPRO_SERVE_BREAKER_*)
     supervision: SupervisorOptions = field(default_factory=SupervisorOptions.from_env)
@@ -255,13 +196,19 @@ class HashRing:
         return self._shards[i]
 
 
+def _job_results(worker: ShardWorker, jobs: list[SolveJob]) -> list[tuple]:
+    """Run one batch on an in-process worker: ``(job_id, result)`` pairs."""
+    return [(job.job_id, res) for job, res in worker.execute_batch(jobs)]
+
+
 class CollisionSolveService:
     """Accepts per-vertex collision solve jobs; batches, shards, caches.
 
     Two execution styles:
 
-    * ``start()`` + ``submit()``: dispatcher threads micro-batch each
-      shard's queue with the ``max_wait_ms`` coalescing window.
+    * ``start()`` + ``submit()``: dispatcher threads (one for all thread
+      shards, one per process shard) micro-batch the shard queues with
+      the ``max_wait_ms`` coalescing window.
     * ``submit()`` + ``drain()``: synchronous, deterministic — queues are
       processed in submission order with reproducible batch composition
       (the mode the chaos tests rerun for bitwise stability).
@@ -285,13 +232,10 @@ class CollisionSolveService:
             fault_plan = FaultPlan.from_env()
         self._fault_plan = fault_plan
         n = self.options.num_shards
-        self.ring = HashRing(n, vnodes=self.options.vnodes)
+        self.ring = HashRing(n)
         self._queues: list[deque] = [deque() for _ in range(n)]
-        self._conds = [threading.Condition() for _ in range(n)]
         self._rejected = [0] * n
         self._max_depth = [0] * n
-        #: per shard: seconds its batches waited for the compute turn
-        self._turn_wait = [0.0] * n
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._started = False
@@ -305,6 +249,9 @@ class CollisionSolveService:
         #: per shard: times its worker process died and was re-initialized
         self._restarts = [0] * n
         self._arena: SharedArena | None = None
+        #: serialises the in-parent degraded tier: shards degraded at once
+        #: share one GIL, so their batches run one at a time
+        self._degraded_lock = threading.Lock()
         #: per shard: watchdog/breaker/failure-taxonomy state (process mode)
         self._supervisors: list[ShardSupervisor] | None = None
         #: per shard: lazily built in-parent workers for the degraded tier
@@ -327,6 +274,10 @@ class CollisionSolveService:
             ]
             self._pools = [self._make_pool(s) for s in range(n)]
             self._arena = SharedArena(tag="serve")
+            # one dispatcher per shard: each worker process computes in
+            # parallel with the others
+            self._groups = [[s] for s in range(n)]
+            self._conds = [threading.Condition() for _ in range(n)]
         else:
             self._workers = [
                 ShardWorker(
@@ -336,6 +287,11 @@ class CollisionSolveService:
                 )
                 for s in range(n)
             ]
+            # one dispatcher for every thread shard, waiting on one
+            # condition: the shards share one GIL, so a second dispatcher
+            # would add a hand-off and no compute
+            self._groups = [list(range(n))]
+            self._conds = [threading.Condition()] * n
 
     def _make_pool(self, shard: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -406,18 +362,12 @@ class CollisionSolveService:
             q = self._queues[shard]
             if len(q) >= self.options.queue_bound:
                 self._rejected[shard] += 1
-                if self._workers is not None:
-                    self._workers[shard].metrics.rejected_submissions += 1
                 raise ServiceOverloaded(
                     f"shard {shard} queue full "
                     f"({len(q)}/{self.options.queue_bound} jobs)"
                 )
             q.append((job, handle))
-            depth = len(q)
-            if depth > self._max_depth[shard]:
-                self._max_depth[shard] = depth
-            if self._workers is not None:
-                self._workers[shard].metrics.record_queue_depth(depth)
+            self._max_depth[shard] = max(self._max_depth[shard], len(q))
             cond.notify()
         return handle
 
@@ -442,11 +392,11 @@ class CollisionSolveService:
 
     # ------------------------------------------------------------------
     # batching + execution
-    def _take_batch(self, shard: int, head: tuple) -> list[tuple]:
-        """Coalesce queued jobs sharing the head job's plan (caller holds
-        the shard condition lock)."""
-        batch = [head]
-        key = head[0].plan.key
+    def _take_batch(self, shard: int, batch: list[tuple]) -> list[tuple]:
+        """Extend ``batch`` with the shard's queued jobs that share its
+        head's plan, up to ``max_batch`` (caller holds the shard condition
+        lock); returns ``batch``."""
+        key = batch[0][0].plan.key
         q = self._queues[shard]
         i = 0
         while i < len(q) and len(batch) < self.options.max_batch:
@@ -467,9 +417,7 @@ class CollisionSolveService:
                 results = self._execute_process(shard, jobs)
             else:
                 assert self._workers is not None
-                results = self._execute_in_turn(
-                    shard, self._workers[shard], jobs
-                )
+                results = _job_results(self._workers[shard], jobs)
             for job_id, res in results:
                 handles[job_id].set_result(res)
                 self._completed_ids.append(job_id)
@@ -477,17 +425,6 @@ class CollisionSolveService:
         finally:
             self._inflight[shard] = []
         self._maybe_checkpoint()
-
-    def _execute_in_turn(
-        self, shard: int, worker: ShardWorker, jobs: list[SolveJob]
-    ) -> list[tuple]:
-        """Run one batch on an in-process worker while holding the
-        process's compute turn; queueing, result delivery and checkpoints
-        stay outside it."""
-        with COMPUTE_TURN as waited:
-            self._turn_wait[shard] += waited
-            pairs = worker.execute_batch(jobs)
-        return [(job.job_id, res) for job, res in pairs]
 
     def _count_tag(self, tag: str, res: JobResult) -> None:
         """Parent-side per-tag outcome accounting (tags never ship to
@@ -632,7 +569,8 @@ class CollisionSolveService:
             with sup.lock:
                 sup.counters["degraded_batches"] += 1
                 sup.counters["degraded_jobs"] += len(jobs)
-        return self._execute_in_turn(shard, worker, jobs)
+        with self._degraded_lock:
+            return _job_results(worker, jobs)
 
     def _execute_process(self, shard: int, jobs: list[SolveJob]) -> list[tuple]:
         """Supervised process-tier execution.
@@ -668,19 +606,26 @@ class CollisionSolveService:
             # crash/hang on every attempt this batch: serve it degraded
             return self._execute_degraded(shard, jobs)
 
-    def _dispatch_loop(self, shard: int) -> None:
-        cond = self._conds[shard]
-        q = self._queues[shard]
+    def _dispatch_loop(self, shards: list[int]) -> None:
+        """Serve ``shards`` (which share one condition) one batch at a
+        time: the shard whose queue head was submitted first goes next,
+        so no shard starves behind a busier one."""
+        cond = self._conds[shards[0]]
+        queues = self._queues
         wait_s = self.options.max_wait_ms / 1e3
         while True:
             with cond:
-                while not q and not self._stop.is_set():
+                while not any(queues[s] for s in shards):
+                    if self._stop.is_set():
+                        return
                     # submit() and stop() notify under this lock: no
-                    # wake-up is missed, so idle shards sleep until then
+                    # wake-up is missed, so idle dispatchers sleep until then
                     cond.wait()
-                if not q and self._stop.is_set():
-                    return
-                batch = self._take_batch(shard, q.popleft())
+                shard = min(
+                    (s for s in shards if queues[s]),
+                    key=lambda s: queues[s][0][0].submitted,
+                )
+                batch = self._take_batch(shard, [queues[shard].popleft()])
                 # hold the coalescing window open while the batch fills
                 deadline = time.monotonic() + wait_s
                 while len(batch) < self.options.max_batch:
@@ -688,14 +633,7 @@ class CollisionSolveService:
                     if remaining <= 0:
                         break
                     cond.wait(remaining)
-                    key = batch[0][0].plan.key
-                    i = 0
-                    while i < len(q) and len(batch) < self.options.max_batch:
-                        if q[i][0].plan.key == key:
-                            batch.append(q[i])
-                            del q[i]
-                        else:
-                            i += 1
+                    self._take_batch(shard, batch)
             self._execute(shard, batch)
 
     # ------------------------------------------------------------------
@@ -739,11 +677,11 @@ class CollisionSolveService:
         self._threads = [
             threading.Thread(
                 target=self._dispatch_loop,
-                args=(s,),
-                name=f"serve-shard-{s}",
+                args=(shards,),
+                name=f"serve-shard-{shards[0]}",
                 daemon=True,
             )
-            for s in range(self.options.num_shards)
+            for shards in self._groups
         ]
         for t in self._threads:
             t.start()
@@ -808,7 +746,7 @@ class CollisionSolveService:
                 if max_batches is not None and batches >= max_batches:
                     return done
                 with self._conds[shard]:
-                    batch = self._take_batch(shard, q.popleft())
+                    batch = self._take_batch(shard, [q.popleft()])
                 self._execute(shard, batch)
                 done += len(batch)
                 batches += 1
@@ -968,16 +906,10 @@ class CollisionSolveService:
             assert self._workers is not None
             snaps = [w.snapshot() for w in self._workers]
         for s, snap in enumerate(snaps):
+            # admission and restarts happen in the parent: it owns them
             snap["rejected_submissions"] = self._rejected[s]
-            snap["max_queue_depth"] = max(
-                snap.get("max_queue_depth", 0), self._max_depth[s]
-            )
-            # worker-side counters reset with the process; the parent's
-            # restart count is authoritative and additive
-            snap["worker_restarts"] = (
-                snap.get("worker_restarts", 0) + self._restarts[s]
-            )
-            snap["turn_wait_s"] = self._turn_wait[s]
+            snap["max_queue_depth"] = self._max_depth[s]
+            snap["worker_restarts"] = self._restarts[s]
             if self._supervisors is not None:
                 self._merge_degraded(s, snap)
                 sup_snap = self._supervisors[s].snapshot()
@@ -1066,7 +998,6 @@ class CollisionSolveService:
                 "completed_jobs": len(self._completed_ids),
                 "resume": self._resume,
             },
-            "turn_wait_s": sum(s["turn_wait_s"] for s in shards),
             "batch_size_hist": merge_histograms(
                 [s["batch_size_hist"] for s in shards]
             ),

@@ -147,8 +147,8 @@ def execute_jobs(
 class ShardWorker:
     """One shard: metrics + plan cache + the batch pipeline.
 
-    The service's dispatcher (thread mode, holding the process's compute
-    turn) or the process-pool worker calls :meth:`execute_batch` with
+    The service's dispatcher (thread mode: one for every thread shard)
+    or the process-pool worker calls :meth:`execute_batch` with
     micro-batches of same-plan jobs.
     """
 

@@ -1,9 +1,11 @@
 """Collision solve service: plan keys, routing, admission control,
-micro-batching, the operator-plan cache, and chaos behavior under
-injected faults."""
+micro-batching, the operator-plan cache, dispatch order, and chaos
+behavior under injected faults."""
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.serve import (
     SolveJob,
     SolvePlan,
 )
+from repro.serve.shard import ShardWorker
 
 DT = 0.3
 
@@ -415,3 +418,249 @@ class TestChaos:
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a.state, b.state)
         assert snap1["batch_size_hist"] == snap2["batch_size_hist"]
+
+
+def _one_plan_per_shard(svc, fs, species):
+    plans = {}
+    for k in range(64):
+        plan = SolvePlan(fs=fs, species=species, dt=DT * (1 + k / 100))
+        plans.setdefault(svc.ring.route(plan.key), plan)
+    assert len(plans) == svc.options.num_shards
+    return [plans[s] for s in range(svc.options.num_shards)]
+
+
+def _wait_for(predicate, timeout=5.0):
+    end = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < end, "condition not reached in time"
+        time.sleep(0.001)
+
+
+@pytest.fixture
+def in_flight(monkeypatch):
+    """Wrap ``ShardWorker.execute_batch`` to record how many batches are
+    inside it at once and which shard and jobs each call ran (each call
+    is held open briefly, so two batches that could overlap do)."""
+    lock = threading.Lock()
+    record = {"now": 0, "max": 0, "calls": []}
+    original = ShardWorker.execute_batch
+
+    def wrapped(self, jobs):
+        with lock:
+            record["now"] += 1
+            record["calls"].append((self.shard_id, [j.job_id for j in jobs]))
+            record["max"] = max(record["max"], record["now"])
+        try:
+            time.sleep(0.02)
+            return original(self, jobs)
+        finally:
+            with lock:
+                record["now"] -= 1
+
+    monkeypatch.setattr(ShardWorker, "execute_batch", wrapped)
+    return record
+
+
+class TestOneDispatcher:
+    """Thread shards share one GIL, so one dispatcher serves them all;
+    process shards compute in parallel, one dispatcher each."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_thread_service_runs_one_dispatcher(self, num_shards):
+        with CollisionSolveService(ServeOptions(num_shards=num_shards)) as svc:
+            svc.start()
+            dispatchers = list(svc._threads)
+            assert [t.name for t in dispatchers] == ["serve-shard-0"]
+            assert all(t.is_alive() for t in dispatchers)
+            svc.stop()
+        assert not any(t.is_alive() for t in dispatchers)
+
+    def test_process_service_runs_one_dispatcher_per_shard(self):
+        with CollisionSolveService(
+            ServeOptions(num_shards=2, executor="process")
+        ) as svc:
+            svc.start()
+            dispatchers = list(svc._threads)
+            assert [t.name for t in dispatchers] == [
+                "serve-shard-0",
+                "serve-shard-1",
+            ]
+            assert all(t.is_alive() for t in dispatchers)
+            svc.stop()
+        assert not any(t.is_alive() for t in dispatchers)
+
+    @pytest.mark.parametrize("num_shards", [2, 3])
+    def test_ring_reaches_every_thread_shard(
+        self, fs_q2, electron_species, num_shards
+    ):
+        svc = CollisionSolveService(ServeOptions(num_shards=num_shards))
+        plans = _one_plan_per_shard(svc, fs_q2, electron_species)
+        assert [svc.ring.route(p.key) for p in plans] == list(range(num_shards))
+
+    def test_oldest_queue_head_runs_first(
+        self, fs_q2, electron_species, serve_states, in_flight
+    ):
+        """Batches queued on two shards run one at a time, in the order
+        of their shards' oldest queue heads."""
+        svc = CollisionSolveService(
+            ServeOptions(num_shards=2, max_batch=4, max_wait_ms=1.0)
+        )
+        plans = _one_plan_per_shard(svc, fs_q2, electron_species)
+        expected = []
+        for k, shard in enumerate((1, 0, 1, 0)):
+            ids = [f"{k}-{i}" for i in range(4)]
+            for job_id, state in zip(ids, serve_states[:4]):
+                svc.submit(plans[shard], state, job_id=job_id)
+            expected.append((shard, ids))
+        with svc:
+            svc.start()
+            _wait_for(lambda: len(in_flight["calls"]) == 4, timeout=120.0)
+            svc.stop()
+        assert in_flight["calls"] == expected
+        assert in_flight["max"] == 1
+
+    def test_many_submitters_one_dispatcher(
+        self, fs_q2, electron_species, serve_states
+    ):
+        """More submitting threads than cores, switching as often as the
+        interpreter allows, on three shards behind one condition: every
+        job is answered once and counted once."""
+        svc = CollisionSolveService(
+            ServeOptions(num_shards=3, max_batch=8, max_wait_ms=0.5)
+        )
+        plans = _one_plan_per_shard(svc, fs_q2, electron_species)
+        n_threads, per_thread = 8, 6
+        handles = [[] for _ in range(n_threads)]
+
+        def submit(t):
+            for i in range(per_thread):
+                plan = plans[(t + i) % len(plans)]
+                handles[t].append(
+                    svc.submit(plan, serve_states[i], job_id=f"{t}-{i}")
+                )
+
+        interval = sys.getswitchinterval()
+        with svc:
+            svc.start()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=submit, args=(t,))
+                    for t in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            results = [h.result(120.0) for hs in handles for h in hs]
+            svc.stop()
+            snap = svc.snapshot()
+        n_jobs = n_threads * per_thread
+        assert all(r.ok for r in results)
+        assert len({r.job_id for r in results}) == n_jobs
+        assert snap["jobs"]["total"] == n_jobs
+        assert sum(
+            int(size) * count for size, count in snap["batch_size_hist"].items()
+        ) == n_jobs
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_shard_snapshot_keys_and_admission_counts(
+        self, fs_q2, electron_species, serve_states, executor
+    ):
+        """The service owns the admission and restart counters; every
+        shard snapshot still carries them, next to the worker's keys."""
+        keys = {
+            "batch_size_hist", "batches", "breaker_trips", "deadline_timeouts",
+            "degraded_batches", "injected_faults", "jobs_failed", "jobs_ok",
+            "jobs_retried", "jobs_shed", "latency", "max_queue_depth",
+            "plan_cache", "rejected_submissions", "shard", "shm_attach_faults",
+            "solver", "warm_calls", "warm_seconds", "worker_crashes",
+            "worker_hangs", "worker_restarts",
+        }
+        if executor == "process":
+            keys |= {
+                "breaker", "degraded_jobs", "heartbeat_misses",
+                "mean_recovery_s", "recoveries", "restart_backoff_sleep_s",
+            }
+        plan = SolvePlan(fs=fs_q2, species=electron_species, dt=DT)
+        with CollisionSolveService(
+            ServeOptions(num_shards=1, queue_bound=2, executor=executor)
+        ) as svc:
+            svc.submit(plan, serve_states[0])
+            svc.submit(plan, serve_states[1])
+            with pytest.raises(ServiceOverloaded):
+                svc.submit(plan, serve_states[2])
+            (shard,) = svc.shard_snapshots()
+        assert set(shard) == keys
+        assert shard["rejected_submissions"] == 1
+        assert shard["max_queue_depth"] == 2
+        assert shard["worker_restarts"] == 0
+
+
+class TestServiceTakesTurns:
+    def test_started_thread_shards_never_overlap(
+        self, fs_q2, electron_species, serve_states, in_flight
+    ):
+        svc = CollisionSolveService(
+            ServeOptions(num_shards=2, max_batch=4, max_wait_ms=1.0)
+        )
+        plans = _one_plan_per_shard(svc, fs_q2, electron_species)
+        # two full batches queued on each shard before the dispatcher runs
+        handles = [
+            svc.submit(plan, s) for plan in plans for s in serve_states[:8]
+        ]
+        with svc:
+            svc.start()
+            results = [h.result(120.0) for h in handles]
+            svc.stop()
+            snap = svc.snapshot()
+        assert all(r.ok for r in results)
+        assert len(in_flight["calls"]) == 4
+        assert in_flight["max"] == 1
+        assert snap["batch_size_hist"] == {"4": 4}
+
+    def test_drain_serves_shards_in_order(
+        self, fs_q2, electron_species, serve_states, in_flight
+    ):
+        svc = CollisionSolveService(ServeOptions(num_shards=2, max_batch=4))
+        plans = _one_plan_per_shard(svc, fs_q2, electron_species)
+        handles = [
+            svc.submit(p, s) for p in reversed(plans) for s in serve_states[:4]
+        ]
+        assert svc.drain() == len(handles)
+        assert all(h.result(1.0).ok for h in handles)
+        assert [shard for shard, _ in in_flight["calls"]] == [0, 1]
+
+    def test_degraded_tier_never_overlaps(
+        self, fs_q2, electron_species, serve_states, in_flight
+    ):
+        """Process-executor shards served in the parent share its GIL, so
+        two shards degraded at once run their batches one at a time."""
+        with CollisionSolveService(
+            ServeOptions(num_shards=2, executor="process")
+        ) as svc:
+            plans = _one_plan_per_shard(svc, fs_q2, electron_species)
+            start = threading.Barrier(2)
+            out = {}
+
+            def degraded(shard):
+                jobs = [
+                    SolveJob(plan=plans[shard], state=s, job_id=f"{shard}-{i}")
+                    for i, s in enumerate(serve_states[:4])
+                ]
+                start.wait()
+                out[shard] = svc._execute_degraded(shard, jobs)
+
+            threads = [
+                threading.Thread(target=degraded, args=(s,)) for s in (0, 1)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+            assert not any(t.is_alive() for t in threads)
+            assert in_flight["max"] == 1 and len(in_flight["calls"]) == 2
+            assert all(res.ok for s in (0, 1) for _, res in out[s])
