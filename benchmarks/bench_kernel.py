@@ -8,6 +8,8 @@ the numbers a user of this library actually experiences:
 * the D/K field computation (seven dense matvecs on cached tables),
 * the on-the-fly field launch (the tensors re-evaluated every call, the
   paper's regime),
+* the cached field GEMMs and the response build on the campaign's
+  space (N = 666, the upper half's tables read through the z-reflection),
 * the per-species Jacobian assembly,
 * the full CUDA-model kernel (recomputes tensors on the fly + counters),
 * one implicit time step.
@@ -27,6 +29,7 @@ from repro.core import (
 )
 from repro.core.kernel_cuda import CudaLandauJacobian
 from repro.core.maxwellian import maxwellian_rz
+from repro.ensemble import CampaignDriver, CampaignOptions, ScenarioDesign
 from repro.fem import FunctionSpace
 from repro.gpu import CudaMachine
 
@@ -76,6 +79,38 @@ def test_on_the_fly_launch(benchmark, ed_q2_launch):
     G_D, G_K = benchmark(op.fields_batch, states, values)
     assert not op.pair_tables_cached
     assert G_D.shape == (16, op.N, 2, 2) and np.isfinite(G_K).all()
+
+
+@pytest.fixture(scope="module")
+def campaign_space():
+    """The space and Z = 1 species of the tracked 16-member campaign:
+    N = 666 integration points, n = 287 dofs."""
+    driver = CampaignDriver(
+        ScenarioDesign(members=16, Z_choices=(1.0, 2.0), injection_total=(2.0, 4.0)),
+        CampaignOptions(order=2, dt=0.5),
+    )
+    assert driver.fs.n_integration_points == 666
+    return driver.fs, driver.species_for(1.0)
+
+
+@pytest.mark.parametrize("X", [4, 8, 64])
+def test_cached_fields(benchmark, campaign_space, X):
+    """The field GEMMs a cached plan runs every sweep, for ``X`` vertex
+    states (the campaign's batches are 8 columns wide)."""
+    fs, spc = campaign_space
+    op = LandauOperator(fs, spc, options=AssemblyOptions(cache_pair_tables=True))
+    states = np.random.default_rng(X).standard_normal((X, len(spc), fs.ndofs))
+    G_D, G_K = benchmark(op.fields_batch, states)
+    assert op._mirror is not None
+    assert G_D.shape == (X, op.N, 2, 2) and np.isfinite(G_K).all()
+
+
+def test_response_build(benchmark, campaign_space):
+    """One field-response build (the upper half's tables)."""
+    fs, spc = campaign_space
+    op = LandauOperator(fs, spc, options=AssemblyOptions(cache_pair_tables=True))
+    R_D, R_K = benchmark(op._build_response)
+    assert R_D.shape == (fs.ndofs, 3 * op.N // 2) and np.isfinite(R_K).all()
 
 
 def test_jacobian_build(benchmark, ed_system):

@@ -50,9 +50,13 @@ symmetry of the tensors: its blocks run over the upper half of the
 points only, against the upper sources and their reflections, and the
 lower half's fields follow by ``S = diag(1, -1)`` conjugation, so a
 launch evaluates about ``N^2 / 4`` pairs instead of ``N^2 / 2``.  The
-operator snaps its own copy of the point ``z`` so the reflection is
-exact, and the response build reads the same copy.  Blocks are cut by
-pair count (:meth:`LandauOperator._row_blocks`).
+cached path uses it too, when the space's free dofs reflect
+(:func:`dof_reflection`): the response build evaluates the same pairs
+and keeps the upper points' columns only, ``(n, 3N/2)`` and ``(n,
+N)``, and the lower points' fields are those columns read with the
+reflected dofs.  The operator snaps its own copy of the point ``z`` so
+the reflection is exact, and the response build reads the same copy.
+Blocks are cut by pair count (:meth:`LandauOperator._row_blocks`).
 
 The response tables depend on the space's quadrature geometry alone, so
 they are built once per space and shared, read-only, by every cached
@@ -98,11 +102,69 @@ ROW_BLOCK_BYTES = 2 * 1024 * 1024
 #: the per-cell GEMM calls cost more than the copy)
 DIRECT_PIECES = 4
 
+#: relative deviation within which :func:`dof_reflection` requires the
+#: reflected dofs' point values and gradients, and the weights, to
+#: reflect (they agree to a few ulps on every ``landau_mesh`` space)
+DOF_REFLECTION_TOL = 1e-12
+
 #: space -> (pid, build lock, [weak refs to the response tables]); the
 #: operators hold the tables, this only finds them
 _RESPONSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _RESPONSES_LOCK = threading.Lock()
 _RESPONSES_PID = os.getpid()
+
+#: space -> its free-dof reflection or None (:func:`dof_reflection`)
+_DOF_REFLECTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def dof_reflection(fs: FunctionSpace) -> np.ndarray | None:
+    """The free-dof reflection ``Pi`` of ``fs`` under ``z -> -z``: when
+    ``u`` holds the free dofs of ``f``, ``u[Pi]`` holds those of ``f(r,
+    -z)``.  ``None`` unless the space is the reflection the response
+    tables can use: the quadrature points pair up
+    (:func:`~repro.core.landau_tensor.reflection_map`), every cell lies
+    on one side of ``z = 0`` with its points' partners in one mirror
+    cell, the free nodes pair up (nodes on ``z = 0`` are their own
+    partners), and under ``Pi`` the point values reflect, the
+    z-gradient negated, as do the weights (within
+    :data:`DOF_REFLECTION_TOL`).  Built once per space."""
+    if fs not in _DOF_REFLECTIONS:
+        _DOF_REFLECTIONS[fs] = _free_dof_reflection(fs)
+    return _DOF_REFLECTIONS[fs]
+
+
+def _free_dof_reflection(fs: FunctionSpace) -> np.ndarray | None:
+    N, ne, nq = fs.n_integration_points, fs.nelem, fs.nq
+    z = fs.qpoints[:, :, 1].reshape(N)
+    partner = reflection_map(fs.qpoints[:, :, 0].reshape(N), z)
+    if partner is None:
+        return None
+    mirror = partner.reshape(ne, nq) // nq
+    sides = z.reshape(ne, nq) > 0.0
+    if not ((mirror == mirror[:, :1]).all() and (sides == sides[:, :1]).all()):
+        return None
+    dm = fs.dofmap
+    xy = dm.node_coords[dm.free_nodes]
+    kr, kz = np.round(xy / (1e-9 * np.abs(xy).max())).astype(np.int64).T
+    pi = np.empty(kr.size, dtype=np.intp)
+    pi[np.lexsort((kz, kr))] = np.lexsort((-kz, kr))
+    if not (np.array_equal(kr[pi], kr) and np.array_equal(kz[pi], -kz)):
+        return None
+
+    def reflects(a: np.ndarray, b: np.ndarray) -> bool:
+        return bool(np.abs(a - b).max() <= DOF_REFLECTION_TOL * np.abs(b).max())
+
+    w = fs.qweights.reshape(N)
+    u = np.random.default_rng(0).standard_normal(kr.size)
+    g, g_pi = (fs.eval_grad(x).reshape(N, 2) for x in (u, u[pi]))
+    if not (
+        np.array_equal(pi[pi], np.arange(kr.size))
+        and reflects(w[partner], w)
+        and reflects(fs.eval(u[pi]).reshape(N), fs.eval(u).reshape(N)[partner])
+        and reflects(g_pi, g[partner] * np.array([1.0, -1.0]))
+    ):
+        return None
+    return pi
 
 
 def _space_entry(fs: FunctionSpace) -> tuple:
@@ -194,18 +256,38 @@ class LandauOperator:
             self._upper = np.flatnonzero(self.z > 0.0)
             self._lower = partner[self._upper]
             self.z[self._lower] = -self.z[self._upper]
+        #: the free-dof reflection the response tables are read through
+        #: (:func:`dof_reflection`); None builds and reads them whole
+        self._mirror = (
+            None
+            if partner is None or self.options.cache_pair_tables is False
+            else dof_reflection(fs)
+        )
+        if self._mirror is not None:
+            # where each point's field sits in a state's reflected GEMM
+            # output rows (upper | lower, (3, M) of R_D and (M, 2) of R_K)
+            M = self._upper.size
+            h, a = np.divmod(np.argsort(np.r_[self._upper, self._lower]), M)
+            #: flat positions of ``G_D``'s ``(N, 2, 2)`` and ``G_K``'s
+            #: ``(N, 2)`` entries in them (:meth:`_reflected_fields`)
+            self._field_index = (
+                (3 * M * h[:, None] + M * np.array([0, 1, 1, 2]) + a[:, None]).ravel(),
+                (2 * M * h[:, None] + 2 * a[:, None] + np.arange(2)).ravel(),
+            )
         #: the stacked reference tabulation ``[B | dB/dxi | dB/deta]``
         #: of :meth:`point_values_batch`
         self._tab = np.concatenate([fs.B, fs.Dref[:, :, 0], fs.Dref[:, :, 1]])
 
         cache_pair_tables = self.options.cache_pair_tables
-        build_bytes = self.options.cached_build_bytes(N, fs.ndofs)
+        reflected = self._mirror is not None
+        build_bytes = self.options.cached_build_bytes(N, fs.ndofs, reflected)
         if cache_pair_tables is None:
             cache_pair_tables = build_bytes <= self.options.memory_budget
         elif cache_pair_tables and build_bytes > self.options.memory_budget:
+            held = "the upper half's tables" if reflected else "the tables"
             raise PairTableMemoryError(
                 f"building the field-response tables needs {build_bytes / 1e6:.2f} "
-                f"MB at its peak (the tables, the pair-tensor mirror images "
+                f"MB at its peak ({held}, the pair-tensor mirror images "
                 f"still owed and one row block) for N={N} integration points "
                 f"and n={fs.ndofs} dofs, above the assembly memory budget "
                 f"of {self.options.memory_budget / 1e6:.2f} MB; raise "
@@ -227,6 +309,7 @@ class LandauOperator:
         z2 = species.charges**2
         self._z2 = z2
         self._z2om = z2 / species.masses
+        self._z2_both = np.stack([z2, self._z2om])
         self._fac_k = self.nu0 * z2 / species.masses
         self._fac_d = -self.nu0 * z2 / species.masses**2
 
@@ -284,33 +367,72 @@ class LandauOperator:
         the pieces it owes the later blocks.  The build holds the
         response, the pieces still owed (at most ``5 N^2 / 4`` entries,
         halfway through) and one block — what
-        :meth:`AssemblyOptions.cached_build_bytes` counts."""
+        :meth:`AssemblyOptions.cached_build_bytes` counts.
+
+        On a space with a free-dof reflection (:func:`dof_reflection`)
+        the rows are the ``N / 2`` upper points only, so the tables are
+        ``(n, 3 N / 2)`` and ``(n, N)``: the lower points' fields are the
+        upper rows read through the reflection (:meth:`fields_batch`).
+        The contraction then runs over the points in the order ``upper |
+        lower`` — the lower points of a cell are those of its mirror
+        cell — with each cell's tabulations and gather columns taken in
+        that order; a block evaluates its rows against the upper sources
+        and their reflections (``pair_block_tensors(..., reflect=True)``)
+        and owes the later blocks two pieces, the second the exchanged
+        tensors conjugated by ``S = diag(1, -1)``: about ``N^2 / 4``
+        pair evaluations, half the rows contracted and half the pieces
+        owed."""
         fs = self.fs
         sm = self._scatter
-        N, n = self.N, fs.ndofs
-        ne, nq, nb = fs.nelem, fs.nq, fs.nb
+        n, ne, nq, nb = fs.ndofs, fs.nelem, fs.nq, fs.nb
         w = fs.qweights[:, None, :]
-        wB = w * fs.B.T  # (ne, nb, nq)
-        wEr = w * fs.Dref[:, :, 0].T * fs.inv_jac[:, 0, None, None]
-        wEz = w * fs.Dref[:, :, 1].T * fs.inv_jac[:, 1, None, None]
-        R_D = np.empty((n, 3, N))
-        R_K = np.empty((n, N, 2))
-        blocks = self._row_blocks(N, step=nq)
+        tabs = (
+            w * fs.B.T,  # (ne, nb, nq)
+            w * fs.Dref[:, :, 0].T * fs.inv_jac[:, 0, None, None],
+            w * fs.Dref[:, :, 1].T * fs.inv_jac[:, 1, None, None],
+        )
+        gather, gather_pair = sm.gather, sm.gather_pair
+        if self._mirror is None:
+            halves, r, z = 1, self.r, self.z
+        else:
+            up = self._upper
+            halves, r, z = 2, self.r[up], self.z[up]
+            order = np.concatenate([up, self._lower]).reshape(ne, nq)
+            cell = order[:, 0] // nq
+            q = (order % nq)[:, None, :]
+            tabs = tuple(
+                t[cell[:, None, None], np.arange(nb)[:, None], q] for t in tabs
+            )
+            gather = gather[:, (cell[:, None] * nb + np.arange(nb)).ravel()]
+            gather_pair = sp.hstack([gather, gather], format="csc")
+        wB, wEr, wEz = tabs
+        M = r.size  # table rows; columns [h M, (h + 1) M) are half h
+        R_D = np.empty((n, 3, M))
+        R_K = np.empty((n, M, 2))
+        blocks = self._row_blocks(M, step=nq, sets=halves)
         # owed[b]: block b's rows at the columns [k0, k1) of an earlier
         # block, as (k0, k1, (5, rows, k1 - k0)) pieces
         owed: list = [[] for _ in blocks]
         with shared_block_scratch():
             for b, (i0, i1) in enumerate(blocks):
-                R = i1 - i0
-                comps = pair_block_tensors(self.r, self.z, i0, i1)
+                R, W = i1 - i0, M - i0
+                comps = pair_block_tensors(r, z, i0, i1, reflect=halves == 2)
+                # the block's components against half h of the sources
+                by_half = [
+                    [comp[:, h * W : (h + 1) * W] for comp in comps]
+                    for h in range(halves)
+                ]
                 parts, owed[b] = owed[b], None
-                if len(parts) > DIRECT_PIECES:
-                    lower = np.empty((5, R, i0))
+                if len(parts) > halves * DIRECT_PIECES:
+                    lower = np.empty((halves, 5, R, i0))
                     for k0, k1, piece in parts:
-                        lower[:, :, k0:k1] = piece
-                    parts = [(0, i0, lower)]
+                        h = k0 // M
+                        lower[h, :, :, k0 - h * M : k1 - h * M] = piece
+                    parts = [(h * M, h * M + i0, lower[h]) for h in range(halves)]
                     del lower, piece
-                parts.append((i0, N, comps))
+                parts += [
+                    (h * M + i0, (h + 1) * M, by_half[h]) for h in range(halves)
+                ]
                 Y = np.empty((2, ne, nb, R))
 
                 def contract(W: np.ndarray, c: int, out: np.ndarray) -> None:
@@ -322,22 +444,25 @@ class LandauOperator:
 
                 for c in range(3):
                     contract(wB, c, Y[0])
-                    R_D[:, c, i0:i1] = sm.gather @ Y[0].reshape(ne * nb, -1)
+                    R_D[:, c, i0:i1] = gather @ Y[0].reshape(ne * nb, -1)
                 # Krz == Drz and Kzz == Dzz
                 for d, (k_r, k_z) in enumerate(((3, 1), (4, 2))):
                     contract(wEr, k_r, Y[0])
                     contract(wEz, k_z, Y[1])
-                    R_K[:, i0:i1, d] = sm.gather_pair @ Y.reshape(2 * ne * nb, -1)
+                    R_K[:, i0:i1, d] = gather_pair @ Y.reshape(2 * ne * nb, -1)
                 del parts, Y
                 # U(x_j, x_i) from the integrals of (x_i, x_j): Drr from
                 # DrrT, Drz and Kzr exchanged, Dzz and Krr as they are
                 for m, (m0, m1) in enumerate(blocks[b + 1 :], b + 1):
-                    piece = np.empty((5, m1 - m0, R))
-                    for c, k in enumerate((5, 4, 2, 3, 1)):
-                        piece[c] = comps[k][:, m0 - i0 : m1 - i0].T
-                    owed[m].append((i0, i1, piece))
-                del comps  # the scratch may grow for the next block
-        return R_D.reshape(n, 3 * N), R_K.reshape(n, 2 * N)
+                    for h in range(halves):
+                        piece = np.empty((5, m1 - m0, R))
+                        for c, k in enumerate((5, 4, 2, 3, 1)):
+                            piece[c] = by_half[h][k][:, m0 - i0 : m1 - i0].T
+                        if h:  # S U S: the exchanged Kzr and Drz negated
+                            piece[[1, 4]] *= -1.0
+                        owed[m].append((h * M + i0, h * M + i1, piece))
+                del comps, by_half  # the scratch may grow for the next block
+        return R_D.reshape(n, 3 * M), R_K.reshape(n, 2 * M)
 
     @property
     def pair_tables_cached(self) -> bool:
@@ -348,9 +473,10 @@ class LandauOperator:
 
     @property
     def response_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The resident ``(R_D (n, 3N), R_K (n, 2N))``, or ``None``
-        (tables not cached); read-only, shared by every cached operator
-        on the space."""
+        """The resident ``(R_D (n, 3N), R_K (n, 2N))`` — ``(n, 3N/2)``
+        and ``(n, N)``, the upper points' columns, on a space with a
+        free-dof reflection — or ``None`` (tables not cached); read-only,
+        shared by every cached operator on the space."""
         return self._response
 
     # ------------------------------------------------------------------
@@ -366,13 +492,16 @@ class LandauOperator:
         is its ``X = 1`` slice.  With cached tables the species-summed
         dof vectors ``u_D``/``u_K`` go through the response tables, one
         GEMM each for the whole batch (the
-        :class:`~repro.core.batch.BatchedVertexSolver` hot path), and
+        :class:`~repro.core.batch.BatchedVertexSolver` hot path; on
+        the upper half's tables, :meth:`_reflected_fields`), and
         ``values`` is not used.  Without them the sources of eq. (10) are
         formed from ``values``, the states' :meth:`point_values_batch`
         (evaluated here when not given), and the tensors are re-evaluated
         on the fly (:meth:`_launch`).
         """
         if self._response is not None:
+            if self._mirror is not None:
+                return self._reflected_fields(states)
             R_D, R_K = self._response
             mm = self.backend.matmul
             X, N = states.shape[0], self.N
@@ -390,6 +519,36 @@ class LandauOperator:
             w * np.einsum("s,xsn->xn", self._z2om, gr),
             w * np.einsum("s,xsn->xn", self._z2om, gz),
         )
+
+    def _reflected_fields(
+        self, states: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`fields_batch` on the upper half's tables: each state's
+        ``u`` and its reflection ``u[Pi]`` are adjacent GEMM rows, so the
+        output rows of state ``x`` hold the upper points' fields and the
+        lower points' conjugated by ``S = diag(1, -1)`` (``U(x_a', x_b) =
+        S U(x_a, x_b') S``, the sources reflected with it); the rz and z
+        components of the second are negated and one gather per table
+        (:attr:`_field_index`) puts every point's field in place."""
+        R_D, R_K = self._response
+        mm = self.backend.matmul
+        X, N, n, M = states.shape[0], self.N, self.fs.ndofs, self._upper.size
+        u = np.empty((2, X, 2, n))  # (table, state, reflected, dof)
+        np.matmul(self._z2_both, states, out=u[:, :, 0].transpose(1, 0, 2))
+        u[:, :, 1] = u[:, :, 0][..., self._mirror]
+        D = mm(u[0].reshape(2 * X, n), R_D).reshape(X, 2, 3, M)
+        K = mm(u[1].reshape(2 * X, n), R_K).reshape(X, 2, M, 2)
+        # each temporary is freed as soon as it is read: with all of them
+        # alive glibc's allocator returned and re-faulted ~4 MB a call
+        # (X = 64, N = 666), which cost more than the GEMMs
+        del u
+        D[:, 1, 1] *= -1.0
+        K[:, 1, :, 1] *= -1.0
+        at_D, at_K = self._field_index
+        G_D = np.take(D.reshape(X, 6 * M), at_D, axis=1, mode="wrap")
+        del D
+        G_K = np.take(K.reshape(X, 4 * M), at_K, axis=1, mode="wrap")
+        return G_D.reshape(X, N, 2, 2), G_K.reshape(X, N, 2)
 
     def _launch(
         self, wTD: np.ndarray, wTKr: np.ndarray, wTKz: np.ndarray

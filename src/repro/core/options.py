@@ -134,7 +134,9 @@ class AssemblyOptions:
         return cls(**values)
 
     # ------------------------------------------------------------------
-    def cached_build_bytes(self, n_ip: int, n_dofs: int) -> int:
+    def cached_build_bytes(
+        self, n_ip: int, n_dofs: int, reflected: bool = False
+    ) -> int:
         """Peak bytes of a cached build, what ``memory_budget`` guards:
         the five ``(n_dofs, N)`` float64 response tables, the mirror
         images still owed to later row blocks (at most ``5 N^2 / 4``
@@ -143,7 +145,12 @@ class AssemblyOptions:
         :meth:`~repro.core.operator.LandauOperator._build_response`: its
         kernel scratch and, per row, eight ``N``-wide float64 rows of
         contraction operands (five assembled components, two per-cell
-        products over ``ne * nb <= N`` entries, one gathered row)."""
+        products over ``ne * nb <= N`` entries, one gathered row).
+
+        A ``reflected`` build (a space with a free-dof reflection,
+        :func:`~repro.core.operator.dof_reflection`) holds the tables of
+        the ``N / 2`` upper points only and owes half the mirror images
+        (``2 x 5 (N / 2)^2 / 4`` entries); its blocks are as wide."""
         from .operator import ROW_BLOCK_BYTES
 
         pairs = ROW_BLOCK_BYTES // ONTHEFLY_BYTES_PER_PAIR
@@ -152,7 +159,9 @@ class AssemblyOptions:
         # up to 54 points) holds no more than this block charges.
         rows = math.isqrt(pairs)
         block = ONTHEFLY_BYTES_PER_PAIR * pairs + 8 * 8 * rows * n_ip
-        return 8 * (5 * n_ip * n_dofs + 5 * n_ip * n_ip // 4) + block
+        halves = 2 if reflected else 1
+        M = n_ip // halves  # table rows
+        return 8 * (5 * M * n_dofs + 5 * halves * M * M // 4) + block
 
     def row_chunk(self, n_ip: int) -> int:
         """On-the-fly evaluation row-chunk size within the memory budget."""

@@ -35,9 +35,17 @@ from ..backend.numpy_backend import NumpyBackend
 
 
 def rcm_permutation(A: sp.spmatrix) -> np.ndarray:
-    """Reverse Cuthill-McKee ordering of the symmetrized pattern."""
+    """Reverse Cuthill-McKee ordering of the symmetrized pattern.
+
+    The pattern is every *stored* entry, explicit zeros included: a mass
+    matrix stores exact zeros where ``M - dt L`` will not have them, and
+    the band must hold those too.  So the ordering runs on the pattern
+    with its data set to one (the symmetrizing sum ``A + A^T`` drops
+    entries that cancel, and an explicit zero always does)."""
+    pattern = sp.csr_matrix(A, dtype=float, copy=True)
+    pattern.data[:] = 1.0
     return np.asarray(
-        reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=False), dtype=np.int64
+        reverse_cuthill_mckee(pattern, symmetric_mode=False), dtype=np.int64
     )
 
 

@@ -135,6 +135,12 @@ class TestMemoryBudget:
             assert o.cached_build_bytes(N, n) == (
                 5 * N * n * 8 + 5 * N * N * 8 // 4 + block
             )
+            # the upper half's tables and half the mirror images owed:
+            # 2 halves x 5 (N/2)^2 / 4 entries
+            M = N // 2
+            assert o.cached_build_bytes(N, n, reflected=True) == (
+                8 * (5 * M * n + 2 * 5 * M * M // 4) + block
+            )
         # at scale the (5, N, N) pair tables the build no longer holds
         # are what it saves
         N, n = 2_000, 1_000
@@ -143,16 +149,18 @@ class TestMemoryBudget:
     def test_budget_covers_the_build_peak(self, fs_q3, electron_species):
         """The budget guards the build's peak, not the response alone: a
         budget that fits the response but not the build leaves the
-        operator on the fly (auto) or raises (forced)."""
+        operator on the fly (auto) or raises (forced).  The space has a
+        z-reflection, so the tables and the build charged are the upper
+        half's."""
         N, n = fs_q3.n_integration_points, fs_q3.ndofs
-        peak = AssemblyOptions().cached_build_bytes(N, n)
+        peak = AssemblyOptions().cached_build_bytes(N, n, reflected=True)
         op = LandauOperator(
             fs_q3, electron_species, options=AssemblyOptions(memory_budget=peak)
         )
         assert op.pair_tables_cached
         R_D, R_K = op.response_tables
         response = R_D.nbytes + R_K.nbytes
-        assert response == 5 * N * n * 8 < peak
+        assert response == 5 * (N // 2) * n * 8 < peak
         # no (N, N) table stays resident
         assert not any(
             tuple(getattr(v, "shape", ()))[-2:] == (N, N) for v in vars(op).values()
@@ -161,7 +169,7 @@ class TestMemoryBudget:
         op = LandauOperator(fs_q3, electron_species, options=over)
         assert not op.pair_tables_cached
         forced = AssemblyOptions(memory_budget=peak - 1, cache_pair_tables=True)
-        with pytest.raises(PairTableMemoryError, match="field-response"):
+        with pytest.raises(PairTableMemoryError, match="field-response.*upper half"):
             LandauOperator(fs_q3, electron_species, options=forced)
 
     def test_tables_off_ignores_an_existing_build(

@@ -6,10 +6,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.amr import landau_mesh
+from repro.core import AssemblyOptions, LandauOperator, SpeciesSet, deuterium, electron
+from repro.fem import FunctionSpace
 from repro.sparse.band import (
     BandMatrix,
     BandSolver,
     BlockDiagonalBandSolver,
+    CachedBandSolverFactory,
     band_factor,
     band_solve,
     bandwidth,
@@ -106,6 +110,35 @@ class TestRcmSolver:
         p = rcm_permutation(A_scrambled)
         Ap = A_scrambled[p][:, p]
         assert bandwidth(Ap) < bandwidth(A_scrambled)
+
+    def test_rcm_orders_the_stored_pattern(self):
+        """Explicit zeros are part of the pattern (a later matrix on it
+        fills them): the ordering is the one of the same pattern with
+        nonzero values, and the band holds every stored entry."""
+        rng = np.random.default_rng(5)
+        perm0 = rng.permutation(60)
+        A = random_banded(60, 3, seed=5)[perm0][:, perm0].tocsr()
+        Z = A.copy()
+        row = np.repeat(np.arange(60), np.diff(Z.indptr))
+        Z.data[(row != Z.indices) & ((row + Z.indices) % 2 == 0)] = 0.0
+        assert Z.nnz == A.nnz and np.count_nonzero(Z.data == 0.0) > 20
+        assert (Z + Z.T).nnz < Z.nnz  # the symmetrizing sum drops them
+        p = rcm_permutation(Z)
+        assert np.array_equal(p, rcm_permutation(A))
+        assert bandwidth(Z[p][:, p]) == bandwidth(A[p][:, p])
+
+    def test_ed_q2_step_half_bandwidth(self):
+        """The e+D Q2 mass matrix stores 156 exact zeros that ``M - dt
+        L`` fills; ordered on its stored pattern the step's band is 45
+        wide (67 when the zeros were dropped before ordering)."""
+        spc = SpeciesSet([electron(), deuterium()])
+        fs = FunctionSpace(landau_mesh([s.thermal_velocity for s in spc]), order=2)
+        op = LandauOperator(fs, spc, options=AssemblyOptions(cache_pair_tables=False))
+        M = op.mass_matrix
+        assert (M.nnz, np.count_nonzero(M.data == 0.0)) == (3313, 156)
+        p = rcm_permutation(M)
+        assert bandwidth(M[p][:, p]) == 45
+        assert CachedBandSolverFactory()._structure(M).B == 45
 
     def test_solver_correct(self):
         A = random_banded(80, 5, seed=6)

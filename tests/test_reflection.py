@@ -1,5 +1,5 @@
-"""The z-reflection of the velocity mesh and the on-the-fly launch that
-uses it.
+"""The z-reflection of the velocity mesh, the on-the-fly launch that
+uses it and the cached path's half tables.
 
 A ``landau_mesh`` space is its own reflection ``(r, z) -> (r, -z)``, so
 the launch evaluates the pairs of the upper half against the upper
@@ -7,8 +7,9 @@ sources and their reflections and serves the lower rows through ``U(x_a',
 x_b') = S U(x_a, x_b) S`` ("Reflection symmetry" in
 :mod:`repro.core.landau_tensor`).  Everything here is checked against
 code that does not use the reflection: the plain launch over every point
-of the same snapped geometry, and :func:`landau_tensors_cyl` at the
-operator's own coordinates.
+of the same snapped geometry, :func:`landau_tensors_cyl` at the
+operator's own coordinates, and the full response tables contracted
+from those tensors.
 """
 
 import copy
@@ -19,10 +20,14 @@ import pytest
 from repro.amr import landau_mesh
 from repro.core import LandauOperator, SpeciesSet, deuterium, electron
 from repro.core import landau_tensor as lt
+from repro.core.operator import dof_reflection
 from repro.core.options import AssemblyOptions
+from repro.ensemble import CampaignDriver, CampaignOptions, ScenarioDesign
 from repro.fem import FunctionSpace, Mesh
 
 from .test_factor_once import _states
+from .test_pair_symmetry import reference_tables
+from .test_response_build import full_table_response
 
 SPECIES = {
     "e": SpeciesSet([electron()]),
@@ -215,3 +220,104 @@ class TestReflectedLaunch:
         N = op.N
         plain = sum((i1 - i0) * (N - i0) for i0, i1 in op._row_blocks(N))
         assert sum(evaluated) <= 0.55 * plain
+
+
+# ----------------------------------------------------------------------
+STRUCTURED = [
+    (Mesh.structured(3, 4, 2.0, -2.0, 1.0), 3),  # not symmetric
+    (Mesh.structured(3, 3, 2.0, -2.0, 2.0), 2),  # points on z = 0
+]
+
+
+class TestDofReflection:
+    @pytest.mark.parametrize("species,order,h_factor", LANDAU_SPACES)
+    def test_landau_mesh_spaces_reflect(self, species, order, h_factor):
+        """``Pi`` is an involution of the free dofs, and under it the
+        point values and r-gradients reflect and the z-gradients flip."""
+        fs, _ = _space(species, order, h_factor)
+        pi = dof_reflection(fs)
+        assert pi is not None and dof_reflection(fs) is pi  # once per space
+        assert np.array_equal(pi[pi], np.arange(fs.ndofs))
+        on_axis = np.abs(fs.dofmap.node_coords[fs.dofmap.free_nodes, 1]) < 1e-12
+        assert np.array_equal(pi == np.arange(fs.ndofs), on_axis)
+        N = fs.n_integration_points
+        p = lt.reflection_map(
+            fs.qpoints[:, :, 0].reshape(N), fs.qpoints[:, :, 1].reshape(N)
+        )
+        u = np.random.default_rng(order).standard_normal((3, fs.ndofs))
+        for x in u:
+            v, v_pi = (fs.eval(y).reshape(N) for y in (x, x[pi]))
+            g, g_pi = (fs.eval_grad(y).reshape(N, 2) for y in (x, x[pi]))
+            assert np.abs(v_pi - v[p]).max() <= 1e-14 * np.abs(v).max()
+            flipped = g[p] * np.array([1.0, -1.0])
+            assert np.abs(g_pi - flipped).max() <= 1e-14 * np.abs(g).max()
+
+    @pytest.mark.parametrize("mesh,order", STRUCTURED)
+    def test_structured_meshes_have_none(self, mesh, order):
+        fs = FunctionSpace(mesh, order=order)
+        assert dof_reflection(fs) is None
+        op = LandauOperator(fs, SPECIES["e"], options=AssemblyOptions())
+        assert op.pair_tables_cached and op._mirror is None
+        assert op.response_tables[0].shape == (fs.ndofs, 3 * op.N)
+
+    def test_cells_across_z0_have_none(self):
+        """Quadrature points pair up, but the middle cells straddle z = 0:
+        the half tables need every cell on one side."""
+        fs = FunctionSpace(Mesh.structured(3, 3, 2.0, -2.0, 2.0), order=3)
+        N = fs.n_integration_points
+        r, z = fs.qpoints[:, :, 0].reshape(N), fs.qpoints[:, :, 1].reshape(N)
+        assert lt.reflection_map(r, z) is not None
+        assert dof_reflection(fs) is None
+
+
+@pytest.fixture(scope="module")
+def cached_spaces(ed_q2, fs_q2, fs_q3, electron_species):
+    driver = CampaignDriver(
+        ScenarioDesign(members=16, Z_choices=(1.0, 2.0), injection_total=(2.0, 4.0)),
+        CampaignOptions(order=2, dt=0.5),
+    )
+    assert (driver.fs.n_integration_points, driver.fs.ndofs) == (666, 287)
+    return {
+        "e_q2": (fs_q2, electron_species),
+        "e_q3": (fs_q3, electron_species),
+        "ed_q2": ed_q2,
+        "campaign": (driver.fs, driver.species_for(1.0)),
+    }
+
+
+class TestCachedReflection:
+    @pytest.mark.parametrize("B", [1, 8, 64])
+    @pytest.mark.parametrize("space", ["e_q2", "e_q3", "ed_q2", "campaign"])
+    def test_half_tables_match_full_tables(self, cached_spaces, space, B):
+        """Fields read from the upper half's tables against the two full
+        GEMMs on the full tables, contracted here from
+        :func:`landau_tensors_cyl` at the operator's coordinates."""
+        fs, spc = cached_spaces[space]
+        op = LandauOperator(fs, spc, options=AssemblyOptions())
+        N, n = op.N, fs.ndofs
+        assert op._mirror is not None
+        assert [R.shape for R in op.response_tables] == [(n, 3 * N // 2), (n, N)]
+        R_D, R_K = full_table_response(op, reference_tables(op.r, op.z))
+        states = _states(fs, spc, B, seed=B)
+        D = (op._z2 @ states @ R_D).reshape(B, 3, N)
+        ref_D = np.stack([D[:, 0], D[:, 1], D[:, 1], D[:, 2]], -1).reshape(B, N, 2, 2)
+        ref_K = (op._z2om @ states @ R_K).reshape(B, N, 2)
+        G_D, G_K = op.fields_batch(states)
+        assert np.abs(G_D - ref_D).max() <= 1e-14 * np.abs(ref_D).max()
+        assert np.abs(G_K - ref_K).max() <= 1e-14 * np.abs(ref_K).max()
+        assert np.array_equal(G_D[..., 1, 0], G_D[..., 0, 1])
+        # the batch's columns are its states'
+        one_D, one_K = op.fields_batch(states[-1:])
+        assert np.abs(one_D[0] - G_D[-1]).max() <= 1e-14 * np.abs(ref_D).max()
+        assert np.abs(one_K[0] - G_K[-1]).max() <= 1e-14 * np.abs(ref_K).max()
+
+    def test_agrees_with_the_reflected_launch(self, ed_q2):
+        """The cached and on-the-fly paths, each using the reflection its
+        own way, give the same fields."""
+        fs, spc = ed_q2
+        cached = LandauOperator(fs, spc, options=AssemblyOptions())
+        states = _states(fs, spc, 4, seed=3)
+        G_D, G_K = cached.fields_batch(states)
+        ref_D, ref_K = _otf(fs, spc).fields_batch(states)
+        assert np.abs(G_D - ref_D).max() <= 1e-13 * np.abs(ref_D).max()
+        assert np.abs(G_K - ref_K).max() <= 1e-13 * np.abs(ref_K).max()

@@ -202,6 +202,8 @@ class TestPlanCache:
         tail = T.data.nbytes + T.indices.nbytes + T.indptr.nbytes
         assert rt.bytes == R_D.nbytes + R_K.nbytes + tail
         assert rt.bytes < 5 * op.N * op.N * 8  # the pair tables' size
+        # the space has a z-reflection: the upper half's tables only
+        assert R_D.nbytes + R_K.nbytes == 5 * (op.N // 2) * fs_q2.ndofs * 8
         other = cache.get(SolvePlan(fs=fs_q2, species=electron_species, dt=2 * DT))
         assert other.op.response_tables[0] is R_D
         assert other.bytes == rt.bytes == cache.bytes

@@ -75,6 +75,19 @@ class TestOneBuildPerSpace:
         for op in ops[1:]:
             assert op.response_tables[0] is R_D and op.response_tables[1] is R_K
 
+    def test_the_shared_build_is_the_upper_half(
+        self, fresh_fs, electron_species, ed_species, builds
+    ):
+        """The space has a z-reflection: every operator on it reads the
+        one build of the upper half's tables."""
+        a = LandauOperator(fresh_fs, electron_species, options=AssemblyOptions())
+        b = LandauOperator(fresh_fs, ed_species, options=AssemblyOptions())
+        assert len(builds) == 1
+        n, N = fresh_fs.ndofs, a.N
+        assert [R.shape for R in a.response_tables] == [(n, 3 * N // 2), (n, N)]
+        assert b.response_tables[0] is a.response_tables[0]
+        assert a._mirror is b._mirror is operator_module.dof_reflection(fresh_fs)
+
     def test_on_the_fly_operators_build_nothing(
         self, fresh_fs, electron_species, builds
     ):
