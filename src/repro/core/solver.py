@@ -107,8 +107,12 @@ class ImplicitLandauSolver:
     operator:
         the Landau collision operator (holds the species and the space).
     linear_solver:
-        ``"splu"`` (scipy sparse LU) or ``"band"`` (the custom RCM band
-        solver of section III-G), or a ``factory(A) -> solve(b)`` callable.
+        a ``factory(A) -> solve(b)`` callable, called once per species
+        and quasi-Newton iteration; the default is SuperLU.  The batched
+        engine (:class:`~repro.core.batch.BatchedVertexSolver`) owns the
+        paper's band LU; this sequential solver is its oracle, and the
+        plug is the seam where faults are injected
+        (:meth:`~repro.resilience.FaultInjector.wrap_factory`).
     rtol, atol, max_newton:
         quasi-Newton stopping controls (``rtol > 0``, ``max_newton >= 1``).
     """
@@ -116,11 +120,17 @@ class ImplicitLandauSolver:
     def __init__(
         self,
         operator: LandauOperator,
-        linear_solver: str | Callable = "splu",
+        linear_solver: Callable = _splu_factory,
         rtol: float = 1e-9,
         atol: float = 1e-14,
         max_newton: int = 50,
     ):
+        if not callable(linear_solver):
+            raise TypeError(
+                f"linear_solver must be a factory(A) -> solve(b) callable, got "
+                f"{linear_solver!r}; the 'splu' and 'band' strings are retired "
+                "(SuperLU is the default)"
+            )
         if rtol <= 0:
             raise ValueError(f"rtol must be positive, got {rtol}")
         if max_newton < 1:
@@ -133,23 +143,7 @@ class ImplicitLandauSolver:
         self.max_newton = int(max_newton)
         self.stats = NewtonStats()
         self._last_step_newton = 0
-
-        if callable(linear_solver):
-            self._factor = linear_solver
-        elif linear_solver == "splu":
-            self._factor = _splu_factory
-        elif linear_solver == "band":
-            # reuse the RCM ordering and band symbolic setup between
-            # refactorizations — the Jacobian sparsity is fixed
-            from ..sparse.band import CachedBandSolverFactory
-
-            self._factor = CachedBandSolverFactory()
-        else:
-            raise ValueError(
-                f"unknown linear solver {linear_solver!r}: expected 'splu', "
-                "'band' or a factory(A) -> solve(b) callable"
-            )
-
+        self._factor = linear_solver
         self.M = operator.mass_matrix
         self._A_adv: sp.csr_matrix | None = None
 

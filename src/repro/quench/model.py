@@ -29,7 +29,7 @@ from ..core.maxwellian import species_maxwellian
 from ..core.moments import Moments
 from ..core.operator import LandauOperator
 from ..core.options import AssemblyOptions
-from ..core.solver import ImplicitLandauSolver
+from ..core.solver import ImplicitLandauSolver, _splu_factory
 from ..core.species import Species, SpeciesSet, electron
 from ..resilience import (
     CheckpointError,
@@ -279,7 +279,7 @@ def measure_resistivity(
     mesh_kwargs: dict | None = None,
     units: UnitSystem = DEFAULT_UNITS,
     rtol: float = 1e-6,
-    linear_solver="splu",
+    linear_solver=_splu_factory,
     max_newton: int = 50,
     controller: TimeStepController | None = None,
     guard: StepGuard | GuardConfig | bool = True,
@@ -296,10 +296,9 @@ def measure_resistivity(
     :meth:`~repro.core.solver.ImplicitLandauSolver.advance` under a
     :class:`~repro.resilience.guards.StepGuard` (density conservation,
     finiteness, positivity — momentum/energy are driven by the field and
-    therefore not checked).  ``linear_solver`` accepts the usual plugs
-    (``"splu"``, ``"band"`` or a ``factory(A) -> solve(b)`` callable,
-    e.g. a fault-injected one), so the whole recovery stack can be
-    exercised on this ramp.
+    therefore not checked).  ``linear_solver`` is the solver's
+    ``factory(A) -> solve(b)`` plug, SuperLU by default; a fault-injected
+    one exercises the whole recovery stack on this ramp.
     """
     _validate_stepping(dt, max_steps, "measure_resistivity")
     if not np.isfinite(efield):
@@ -384,7 +383,7 @@ class ThermalQuenchModel:
         source: ColdPlasmaSource | None = None,
         mesh_kwargs: dict | None = None,
         rtol: float = 1e-6,
-        linear_solver="splu",
+        linear_solver=_splu_factory,
         max_newton: int = 50,
         controller: TimeStepController | None = None,
         guard: StepGuard | GuardConfig | bool = True,

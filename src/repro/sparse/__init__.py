@@ -1,6 +1,14 @@
 """Sparse matrix substrate: a PETSc-style CSR matrix with ``MatSetValues``
 semantics, a GPU-style COO assembly path, graph-coloring contention-free
-assembly, and the custom RCM-ordered band LU solver of section III-G.
+assembly, and the RCM-ordered band LU of section III-G.
+
+The band LU the solvers run is the batched one,
+:meth:`CachedBandSolverFactory.factor_batch`: resident LAPACK factors of
+many same-pattern systems.  The pure-Python :class:`BandSolver`,
+:class:`BlockDiagonalBandSolver` and :class:`GpuBandSolver` reproduce the
+paper's own kernel for the performance model and its generators.  The
+§VI iterative solver was measured on the paper problem and deleted
+(EXPERIMENTS.md, "GMRES on the paper problem").
 """
 
 from .csr import PetscLikeMat
@@ -12,17 +20,11 @@ from .band import (
     CachedBandSolverFactory,
     band_factor,
     band_solve,
-    band_solver_factory,
     BlockDiagonalBandSolver,
     rcm_permutation,
     bandwidth,
 )
 from .band_gpu import GpuBandSolver
-from .iterative import (
-    BlockJacobiPreconditioner,
-    gmres,
-    landau_iterative_solver_factory,
-)
 
 __all__ = [
     "PetscLikeMat",
@@ -34,12 +36,8 @@ __all__ = [
     "CachedBandSolverFactory",
     "band_factor",
     "band_solve",
-    "band_solver_factory",
     "BlockDiagonalBandSolver",
     "rcm_permutation",
     "bandwidth",
     "GpuBandSolver",
-    "BlockJacobiPreconditioner",
-    "gmres",
-    "landau_iterative_solver_factory",
 ]

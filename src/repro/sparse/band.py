@@ -24,6 +24,7 @@ and of the batched LU in the artifact repository.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,35 +97,23 @@ class BandMatrix:
         return out
 
 
-def band_factor(
-    bm: BandMatrix, work_counter: dict | None = None, pivot_tol: float = 0.0
-) -> BandMatrix:
+def band_factor(bm: BandMatrix, work_counter: dict | None = None) -> BandMatrix:
     """In-place outer-product banded LU (GVL Alg. 4.3.1), no pivoting.
 
     After return ``W`` holds ``U`` on and above the diagonal and the unit-
     lower-triangular multipliers below it.  ``work_counter`` (optional dict)
-    accumulates ``flops`` for the performance model.
-
-    Without pivoting a tiny (not just zero) pivot silently amplifies
-    rounding error through the whole factorization; ``pivot_tol > 0``
-    raises :class:`numpy.linalg.LinAlgError` when a pivot falls below
-    ``pivot_tol`` times the largest in-band magnitude, so the caller can
-    hand the system to a pivoted solver instead.
+    accumulates ``flops`` for the performance model.  A zero pivot raises
+    :class:`ZeroDivisionError`; the pivoted LU is the batched path's
+    (:meth:`CachedBandSolverFactory.factor_batch`).
     """
     W, B = bm.W, bm.B
     n = W.shape[0]
     flops = 0
     s0, s1 = W.strides
-    amax = float(np.max(np.abs(W))) if W.size else 0.0
     for k in range(n - 1):
         piv = W[k, B]
         if piv == 0.0:
             raise ZeroDivisionError(f"zero pivot at step {k} (no pivoting)")
-        if pivot_tol > 0.0 and abs(piv) <= pivot_tol * amax:
-            raise np.linalg.LinAlgError(
-                f"near-zero pivot {piv:.3e} at step {k} "
-                f"(|piv| <= {pivot_tol:g} * {amax:.3e}; needs pivoting)"
-            )
         m = min(B, n - 1 - k)  # active sub-column length
         if m == 0:
             continue
@@ -170,20 +159,13 @@ def band_solve(bm: BandMatrix, b: np.ndarray) -> np.ndarray:
 class BandSolver:
     """RCM-permuted band LU solver for one sparse matrix."""
 
-    def __init__(
-        self,
-        A: sp.spmatrix,
-        work_counter: dict | None = None,
-        pivot_tol: float = 0.0,
-    ):
+    def __init__(self, A: sp.spmatrix, work_counter: dict | None = None):
         A = sp.csr_matrix(A)
         self.n = A.shape[0]
         self.perm = rcm_permutation(A)
         Ap = A[self.perm][:, self.perm]
         self.B = bandwidth(Ap)
-        self.bm = band_factor(
-            BandMatrix.from_sparse(Ap, self.B), work_counter, pivot_tol=pivot_tol
-        )
+        self.bm = band_factor(BandMatrix.from_sparse(Ap, self.B), work_counter)
         self.iperm = np.empty_like(self.perm)
         self.iperm[self.perm] = np.arange(self.n)
 
@@ -193,12 +175,6 @@ class BandSolver:
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         return self.solve(b)
-
-
-def band_solver_factory(A: sp.spmatrix, pivot_tol: float = 0.0):
-    """Factory with the solver-plug signature used by
-    :class:`repro.core.solver.ImplicitLandauSolver`."""
-    return BandSolver(A, pivot_tol=pivot_tol)
 
 
 @dataclass
@@ -381,21 +357,6 @@ class _Condensation:
         )
 
 
-class _CachedBandSolver:
-    """Solve plug returned by :class:`CachedBandSolverFactory`."""
-
-    def __init__(self, bm: BandMatrix, st: _BandStructure):
-        self.bm = bm
-        self._st = st
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        y = band_solve(self.bm, np.asarray(b, dtype=float)[self._st.perm])
-        return y[self._st.iperm]
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        return self.solve(b)
-
-
 class BatchedBandSolver:
     """Resident LU factors of many same-pattern matrices sharing one band
     symbolic.
@@ -533,28 +494,27 @@ def _invert_interiors(a: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return inv
 
 
+#: sparsity patterns (and condensations) one factory keeps symbolics for
+MAX_PATTERNS = 8
+
+
 class CachedBandSolverFactory:
-    """Band-solver factory that reuses the RCM ordering and band symbolic
-    setup between refactorizations.
+    """Batched band factorization that reuses the RCM ordering and band
+    symbolic setup between refactorizations.
 
     Newton iterations refactor matrices whose sparsity never changes (and
     the per-species blocks of the multi-species Jacobian share a pattern
     too), so the RCM ordering, the bandwidth and the CSR→band scatter are
     computed once per pattern and only the numeric band fill + LU run per
-    call.  A small LRU keyed on the CSR pattern holds the structures;
-    results are identical to :class:`BandSolver`.
-
-    :meth:`factor_batch` extends the reuse across a *batch*: ``X`` matrices
-    sharing one pattern (the batched-vertex / serve hot path) are factored
-    against a single symbolic setup — the batched analogue of the paper
-    follow-up's batched band solvers.
+    call.  An LRU of :data:`MAX_PATTERNS` entries keyed on the CSR pattern
+    holds the structures.  :meth:`factor_batch` factors ``X`` matrices
+    sharing one pattern (the batched-vertex / serve hot path) against a
+    single symbolic setup — the batched analogue of the paper follow-up's
+    batched band solvers.
     """
 
-    def __init__(self, pivot_tol: float = 0.0, max_patterns: int = 8):
-        self.pivot_tol = float(pivot_tol)
-        self.max_patterns = int(max_patterns)
-        self._cache: dict = {}
-        self._order: list = []
+    def __init__(self):
+        self._cache: OrderedDict = OrderedDict()
         self.symbolic_setups = 0
         self.symbolic_reuses = 0
 
@@ -563,13 +523,13 @@ class CachedBandSolverFactory:
         a setup."""
         entry = self._cache.get(key)
         if entry is not None and matches(entry):
+            self._cache.move_to_end(key)
             self.symbolic_reuses += 1
             return entry
-        entry = build()
-        self._cache[key] = entry
-        self._order.append(key)
-        if len(self._order) > self.max_patterns:
-            self._cache.pop(self._order.pop(0), None)
+        entry = self._cache[key] = build()
+        self._cache.move_to_end(key)
+        if len(self._cache) > MAX_PATTERNS:
+            self._cache.popitem(last=False)
         self.symbolic_setups += 1
         return entry
 
@@ -594,17 +554,6 @@ class CachedBandSolverFactory:
             lambda: _Condensation.build(A, interior),
         )
 
-    def __call__(self, A: sp.spmatrix) -> _CachedBandSolver:
-        A = sp.csr_matrix(A)
-        A.sum_duplicates()
-        A.sort_indices()
-        st = self._structure(A)
-        n = A.shape[0]
-        W = np.zeros((n, 2 * st.B + 1))
-        W.ravel()[st.pos] = A.data  # pattern entries are unique: direct fill
-        bm = band_factor(BandMatrix(W=W, B=st.B), pivot_tol=self.pivot_tol)
-        return _CachedBandSolver(bm, st)
-
     # ------------------------------------------------------------------
     def factor_batch(
         self,
@@ -625,7 +574,7 @@ class CachedBandSolverFactory:
         *once* for the whole batch; each additional matrix counts as a
         symbolic reuse.  The numeric factorizations
         (:meth:`NumpyBackend.banded_factor_many`) are LAPACK's partial-
-        pivoting band LU, so ``pivot_tol`` does not apply to them.
+        pivoting band LU.
 
         The factors are *resident*: they are written into slots ``rows``
         (default ``0..X``) of the returned solver.  A new solver with

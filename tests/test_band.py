@@ -13,6 +13,7 @@ from repro.sparse.band import (
     BandMatrix,
     BandSolver,
     BlockDiagonalBandSolver,
+    MAX_PATTERNS,
     CachedBandSolverFactory,
     band_factor,
     band_solve,
@@ -236,6 +237,33 @@ class TestFactorMany:
         factory.factor_batch(A, data)  # second batch reuses across calls
         assert factory.symbolic_setups == 1
         assert factory.symbolic_reuses == 11
+
+    def test_two_patterns_two_symbolic_setups(self):
+        A, data = self._batch(n=20)
+        C, data_c = self._batch(n=30)
+        factory = CachedBandSolverFactory()
+        factory.factor_batch(A, data)
+        factory.factor_batch(C, data_c)
+        assert factory.symbolic_setups == 2
+        factory.factor_batch(A, data)
+        assert factory.symbolic_setups == 2  # both still cached
+
+    def test_symbolics_lru_holds_max_patterns(self):
+        """One factory keeps the symbolics of at most ``MAX_PATTERNS``
+        patterns, evicting the least recently used."""
+        batches = [self._batch(n=10 + k, X=1) for k in range(MAX_PATTERNS + 1)]
+        factory = CachedBandSolverFactory()
+        for A, data in batches[:MAX_PATTERNS]:
+            factory.factor_batch(A, data)
+        factory.factor_batch(*batches[0])  # now the most recently used
+        factory.factor_batch(*batches[MAX_PATTERNS])  # evicts batches[1]
+        assert len(factory._cache) == MAX_PATTERNS
+        assert factory.symbolic_setups == MAX_PATTERNS + 1
+        factory.factor_batch(*batches[0])
+        assert factory.symbolic_setups == MAX_PATTERNS + 1
+        factory.factor_batch(*batches[1])
+        assert factory.symbolic_setups == MAX_PATTERNS + 2
+        assert len(factory._cache) == MAX_PATTERNS
 
     def test_resident_slots_filled_blockwise_and_solved_by_subset(self):
         from repro.sparse.band import CachedBandSolverFactory

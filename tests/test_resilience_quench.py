@@ -7,6 +7,7 @@ physics is not under test, the recovery machinery is."""
 import numpy as np
 import pytest
 
+from repro.core.solver import _splu_factory
 from repro.quench import ThermalQuenchModel, measure_resistivity
 from repro.report import resilience_summary
 from repro.resilience import (
@@ -15,7 +16,6 @@ from repro.resilience import (
     FaultPlan,
     TimeStepController,
 )
-from repro.sparse.band import CachedBandSolverFactory
 
 QUICK = dict(dt=0.5, rtol=1e-6, mesh_kwargs={"h_factor": 1.6})
 
@@ -38,7 +38,7 @@ class TestFaultedSpitzerRamp:
             max_steps=8,
             settle_tol=0.005,
             mesh_kwargs={"h_factor": 1.6},
-            linear_solver=inj.wrap_factory(CachedBandSolverFactory(), name="band"),
+            linear_solver=inj.wrap_factory(_splu_factory),
         )
         stats = res["stats"]
         assert res["converged_last"]
@@ -57,8 +57,6 @@ class TestFaultedSpitzerRamp:
         """A NaN corruption on the raw splu plug (no chain) must be caught
         by the guard and recovered by dt backoff; density — the only
         invariant under E-field drive — survives to guard tolerance."""
-        from repro.core.solver import _splu_factory
-
         inj = FaultInjector(FaultPlan(nan_solve_indices=(3,)))
         res = measure_resistivity(
             Z=1.0,
@@ -162,3 +160,17 @@ class TestValidation:
         custom = TimeStepController(dt_init=0.5, dt_min=0.01)
         m2 = ThermalQuenchModel(**QUICK, controller=custom)
         assert m2.controller is custom
+
+    def test_drivers_pass_the_solver_plug_through(self):
+        """Both drivers default to the SuperLU factory and hand any plug
+        to the solver unchanged; a retired string fails at construction."""
+        import inspect
+
+        for driver in (measure_resistivity, ThermalQuenchModel):
+            default = inspect.signature(driver).parameters["linear_solver"].default
+            assert default is _splu_factory
+        assert ThermalQuenchModel(**QUICK).solver._factor is _splu_factory
+        plug = FaultInjector(FaultPlan()).wrap_factory(_splu_factory)
+        assert ThermalQuenchModel(**QUICK, linear_solver=plug).solver._factor is plug
+        with pytest.raises(TypeError, match="'band'"):
+            ThermalQuenchModel(**QUICK, linear_solver="band")

@@ -114,13 +114,6 @@ class TestStep:
         ratios = [hist[k + 1] / hist[k] for k in range(1, min(len(hist), 8) - 1)]
         assert all(r < 0.9 for r in ratios)
 
-    def test_band_solver_matches_splu(self, electron_operator, aniso_state):
-        s1 = ImplicitLandauSolver(electron_operator, rtol=1e-9)
-        s2 = ImplicitLandauSolver(electron_operator, linear_solver="band", rtol=1e-9)
-        f1 = s1.step([aniso_state], dt=0.5)
-        f2 = s2.step([aniso_state], dt=0.5)
-        assert np.allclose(f1[0], f2[0], atol=1e-11)
-
     def test_callable_plug_matches_splu(self, electron_operator, aniso_state):
         """A ``factory(A) -> solve(b)`` callable is called once per
         factorization and, wrapping the same LU, gives the same state."""
@@ -160,8 +153,13 @@ class TestStep:
             solver.step([aniso_state], dt=-0.1)
         with pytest.raises(ValueError):
             solver.step([aniso_state, aniso_state], dt=0.1)
-        for plug in ("magic", "fallback"):
-            with pytest.raises(ValueError) as exc:
+
+    def test_rejects_a_non_callable_plug(self, electron_operator):
+        """The retired ``"splu"``/``"band"`` strings, and anything else
+        that is not a ``factory(A) -> solve(b)`` callable, fail at
+        construction with a message naming the retirement."""
+        for plug in ("splu", "band", "magic", None):
+            with pytest.raises(TypeError) as exc:
                 ImplicitLandauSolver(electron_operator, linear_solver=plug)
             msg = str(exc.value)
             assert "'splu'" in msg and "'band'" in msg and "callable" in msg
