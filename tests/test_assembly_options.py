@@ -327,6 +327,32 @@ class TestCachedBandFactory:
         ref = BandSolver(A)(b)
         assert np.allclose(x, ref, atol=1e-12)
 
+    def test_symbolic_setup_reused_for_same_pattern(self):
+        A = self._random_banded(seed=3)
+        B = self._random_banded(seed=4)  # same pattern, different values
+        fac = CachedBandSolverFactory()
+        b = np.ones(A.shape[0])
+        fac.factor_batch(A, A.data[None])
+        x = fac.factor_batch(B, B.data[None]).solve(0, b)
+        assert fac.symbolic_setups == 1
+        assert fac.symbolic_reuses == 1
+        assert np.allclose(x, BandSolver(B)(b), atol=1e-12)
+
+    def test_pattern_change_triggers_new_setup(self):
+        """Same size, one more stored diagonal: a new pattern, so a new
+        RCM ordering and band scatter, and both solve."""
+        A = self._random_banded(n=30)
+        C = (A + sp.diags(np.full(28, 0.05), 2)).tocsr()
+        assert C.shape == A.shape and C.nnz > A.nnz
+        fac = CachedBandSolverFactory()
+        b = np.ones(30)
+        xa = fac.factor_batch(A, A.data[None]).solve(0, b)
+        xc = fac.factor_batch(C, C.data[None]).solve(0, b)
+        assert fac.symbolic_setups == 2
+        assert fac.symbolic_reuses == 0
+        assert np.allclose(xa, BandSolver(A)(b), atol=1e-12)
+        assert np.allclose(xc, BandSolver(C)(b), atol=1e-12)
+
 
 class TestBoundedNewtonStats:
     def test_events_ring_keeps_last_k(self):

@@ -78,6 +78,17 @@ class TestFactorization:
         with pytest.raises(ZeroDivisionError):
             band_factor(BandMatrix.from_sparse(A))
 
+    def test_only_an_exact_zero_pivot_raises(self):
+        """No pivot threshold: a tiny nonzero pivot factors (with the
+        growth an unpivoted LU allows) and L U still reproduces A."""
+        a = np.array([[1e-14, 1.0], [1.0, 1.0]])
+        bm = band_factor(BandMatrix.from_sparse(sp.csr_matrix(a)))
+        dense = bm.to_dense()
+        L = np.tril(dense, -1) + np.eye(2)
+        U = np.triu(dense)
+        assert abs(U[1, 1]) > 1e13
+        assert np.allclose(L @ U, a, rtol=0, atol=1e-12)
+
     @settings(max_examples=15, deadline=None)
     @given(
         n=st.integers(min_value=3, max_value=40),
@@ -362,6 +373,27 @@ class TestFactorMany:
             assert np.linalg.norm(Ak @ x[k] - rhs[k]) <= 1e-12 * (
                 abs(Ak).max() * np.abs(x[k]).sum()
             )
+
+    def test_landau_step_systems_match_splu(self, electron_operator, electron_maxwellian):
+        """Backward-Euler systems ``M - dt J`` of the real electron Q3
+        operator at three step sizes, factored as one batch on their
+        shared pattern, solve as SuperLU does."""
+        import scipy.sparse.linalg as spla
+
+        op = electron_operator
+        J = op.jacobian([electron_maxwellian])[0]
+        systems = [(op.mass_matrix - dt * J).tocsr() for dt in (0.05, 0.5, 5.0)]
+        for A in systems:
+            A.sort_indices()
+            assert np.array_equal(A.indices, systems[0].indices)
+            assert np.array_equal(A.indptr, systems[0].indptr)
+        data = np.stack([A.data for A in systems])
+        solver = CachedBandSolverFactory().factor_batch(systems[0], data)
+        rhs = np.random.default_rng(21).normal(size=(len(systems), systems[0].shape[0]))
+        x = solver.solve_many(rhs)
+        for k, A in enumerate(systems):
+            ref = spla.splu(A.tocsc()).solve(rhs[k])
+            np.testing.assert_allclose(x[k], ref, rtol=1e-8, atol=1e-12 * np.abs(ref).max())
 
     def test_zero_diagonal_needs_the_pivoted_lu(self):
         """The batched factors are LAPACK's partially pivoted LU: a zero

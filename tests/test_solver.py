@@ -11,6 +11,7 @@ from repro.core import ImplicitLandauSolver, LandauOperator, NewtonStats
 from repro.core.maxwellian import maxwellian_rz, shifted_maxwellian_rz
 from repro.fem import FunctionSpace
 from repro.fem.assembly import assemble_z_advection
+from repro.sparse import CachedBandSolverFactory
 
 
 class TestNewtonStatsMerge:
@@ -113,6 +114,24 @@ class TestStep:
         assert len(hist) >= 4
         ratios = [hist[k + 1] / hist[k] for k in range(1, min(len(hist), 8) - 1)]
         assert all(r < 0.9 for r in ratios)
+
+    def test_band_solver_matches_splu(self, electron_operator, aniso_state):
+        """The batched engine's band factors, plugged in one matrix at a
+        time, give SuperLU's step; every Newton refactorization after the
+        first reuses the one symbolic setup."""
+        fac = CachedBandSolverFactory()
+
+        def band_plug(A):
+            return lambda b, f=fac.factor_batch(A, A.data[None]): f.solve(0, b)
+
+        s1 = ImplicitLandauSolver(electron_operator, rtol=1e-9)
+        s2 = ImplicitLandauSolver(electron_operator, linear_solver=band_plug, rtol=1e-9)
+        f1 = s1.step([aniso_state], dt=0.5)
+        f2 = s2.step([aniso_state], dt=0.5)
+        assert np.allclose(f1[0], f2[0], atol=1e-11)
+        assert s2.stats.factorizations >= 2
+        assert fac.symbolic_setups == 1
+        assert fac.symbolic_reuses == s2.stats.factorizations - 1
 
     def test_callable_plug_matches_splu(self, electron_operator, aniso_state):
         """A ``factory(A) -> solve(b)`` callable is called once per
