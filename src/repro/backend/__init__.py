@@ -1,12 +1,10 @@
-"""The executor of the hot paths, and the serve tier's shared memory.
+"""The executor of the hot paths.
 
 :class:`NumpyBackend` runs every kernel of the batched step — the
 on-the-fly Algorithm-1 field rows, the response-table field GEMMs, the
 batched einsum assembly, the CSR scatter-apply and the batched band
 factor/solve — serially in numpy/scipy; parallelism lives one level up,
-in the serve tier's shards.  The shared-memory arena
-(:mod:`repro.backend.shm`) carries the serve tier's process executor
-traffic.
+in the serve tier's shards.
 
 The shared Algorithm-1 kernel specification lives in
 ``repro.backend.kernel_spec`` and is imported directly by the CUDA and
@@ -15,11 +13,5 @@ core/gpu imports).
 """
 
 from .numpy_backend import NumpyBackend
-from .shm import SharedArena, ShmBudgetExceeded, ShmHandle
 
-__all__ = [
-    "NumpyBackend",
-    "SharedArena",
-    "ShmBudgetExceeded",
-    "ShmHandle",
-]
+__all__ = ["NumpyBackend"]

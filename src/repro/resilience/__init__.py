@@ -16,7 +16,6 @@ from .exceptions import (
     RECOVERABLE_ERRORS,
     ResilienceError,
     ServiceOverloaded,
-    ShmAttachFault,
     SolveFailure,
     StepRejected,
     WorkerHang,
@@ -44,7 +43,6 @@ __all__ = [
     "StepRejected",
     "SolveFailure",
     "InjectedFault",
-    "ShmAttachFault",
     "WorkerHang",
     "ServiceOverloaded",
     "CheckpointError",

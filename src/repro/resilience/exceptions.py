@@ -46,13 +46,6 @@ class InjectedFault(SolveFailure):
     so every production recovery path treats it as the real thing."""
 
 
-class ShmAttachFault(InjectedFault):
-    """An injected shared-memory attach failure (:mod:`.faults`):
-    the worker pretends the per-batch state segment is corrupted or
-    already unlinked.  The service retries the batch with an inline
-    (pickled) payload, exactly as it would for a real attach error."""
-
-
 class WorkerHang(ResilienceError):
     """A shard worker process missed its per-batch deadline or a
     heartbeat probe (:mod:`.supervisor`).  The supervisor kills the

@@ -3,7 +3,7 @@
 The recovery paths of the resilience layer are only trustworthy if tests
 can make each one fire on demand.  :class:`FaultPlan` declares what
 fails and when; :class:`FaultInjector` interprets one plan with
-deterministic counters.  Four fault families:
+deterministic counters.  Three fault families:
 
 * **solver faults**, through :meth:`FaultInjector.wrap_factory` around a
   ``factory(A) -> solve(b)`` linear-solver plug: ``fail_first_solves=k``
@@ -24,12 +24,8 @@ deterministic counters.  Four fault families:
   ``hang_s`` at the start of its ``i``-th batch.  Unlike a crash this
   raises nothing — only a batch deadline or heartbeat watchdog
   (:mod:`.supervisor`) can detect it.
-* **shm attach failures** — ``shm_attach_failures=(i, ...)``: the
-  worker raises :class:`~repro.resilience.exceptions.ShmAttachFault`
-  instead of attaching the ``i``-th shared-memory state payload; the
-  service falls back to an inline (pickled) payload for that batch.
 
-The last three run through :meth:`FaultInjector.on_dispatch` in serve
+The last two run through :meth:`FaultInjector.on_dispatch` in serve
 shard worker processes.  A plan is a frozen dataclass of primitives, so
 it pickles into every worker, which builds its own injector at startup:
 batch indices count each worker process's *own* dispatches and reset
@@ -55,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import InjectedFault, ShmAttachFault
+from .exceptions import InjectedFault
 
 __all__ = ["FaultPlan", "FaultInjector"]
 
@@ -65,7 +61,6 @@ _INDEX_FIELDS = (
     "nan_solve_indices",
     "crash_batches",
     "hang_batches",
-    "shm_attach_failures",
 )
 
 
@@ -101,7 +96,6 @@ class FaultPlan:
     crash_batches: tuple = ()
     hang_batches: tuple = ()
     hang_s: float = 30.0
-    shm_attach_failures: tuple = ()
     #: shard ids the plan applies to; None = every shard
     shards: tuple | None = None
 
@@ -225,12 +219,11 @@ class FaultInjector:
 
         return faulty_factory
 
-    def on_dispatch(self, payload_kind: str) -> None:
+    def on_dispatch(self) -> None:
         """Run the process-tier schedule for one dispatched batch.
 
-        Called at the top of the worker's batch entry point, *before*
-        the state payload is attached.  May never return (crash), may
-        stall (hang), may raise :class:`ShmAttachFault`.
+        Called at the top of the worker's batch entry point, before the
+        batch is touched.  May never return (crash) or may stall (hang).
         """
         if not self.active:
             return
@@ -241,8 +234,3 @@ class FaultInjector:
             os._exit(17)
         if index in self.plan.hang_batches:
             time.sleep(self.plan.hang_s)
-        if payload_kind == "shm" and index in self.plan.shm_attach_failures:
-            raise ShmAttachFault(
-                "injected shared-memory attach failure",
-                diagnostics={"shard": self.shard_id, "dispatch": index},
-            )

@@ -55,7 +55,6 @@ FAILURE_KINDS = (
     "worker_hangs",
     "deadline_timeouts",
     "heartbeat_misses",
-    "shm_attach_faults",
     "breaker_trips",
     "degraded_batches",
     "degraded_jobs",

@@ -70,10 +70,6 @@ class ServiceCheckpoint:
     completed: tuple = ()  # job ids answered since service start/resume
     version: int = SERVICE_CHECKPOINT_VERSION
 
-    @property
-    def pending_ids(self) -> set:
-        return {p.job_id for p in self.pending}
-
 
 def save_service_checkpoint(
     path: str, *, pending, plans, completed

@@ -80,8 +80,6 @@ class ShardMetrics:
     #: batches served by the degraded in-parent tier while the breaker
     #: was open (or after repeated worker deaths on one batch)
     degraded_batches: int = 0
-    #: shared-memory attach failures retried with inline payloads
-    shm_attach_faults: int = 0
     latency: LatencyRing = field(default_factory=LatencyRing)
 
     def record_batch(self, size: int) -> None:
@@ -109,7 +107,6 @@ class ShardMetrics:
             "deadline_timeouts": self.deadline_timeouts,
             "breaker_trips": self.breaker_trips,
             "degraded_batches": self.degraded_batches,
-            "shm_attach_faults": self.shm_attach_faults,
             "latency": self.latency.percentiles() | {"samples": len(self.latency)},
         }
 

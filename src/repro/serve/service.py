@@ -31,12 +31,11 @@ Parallel compute is the process executor's job: ``executor="process"``
 moves each shard into its own ``ProcessPoolExecutor`` worker (one warm
 worker and one dispatcher thread per shard), each running one batch at
 a time.  Plans are published to a shard's worker once; each batch then
-ships only job metadata plus the state stack through a shared-memory
-segment (:mod:`repro.backend.shm`), so the warm ``PlanRuntime`` tensors
-live exactly once per machine.  A worker killed mid-flight
-(``BrokenProcessPool``) is re-initialized and the batch retried once —
-``drain()`` never crashes on a dead worker — with the restart surfaced
-as ``worker_restarts`` in shard snapshots.
+ships only job metadata plus the ``(B, S, n)`` state stack, by value,
+and the warm ``PlanRuntime`` tensors never cross the pipe.  A worker
+killed mid-flight (``BrokenProcessPool``) is re-initialized and the
+batch retried once — ``drain()`` never crashes on a dead worker — with
+the restart surfaced as ``worker_restarts`` in shard snapshots.
 """
 
 from __future__ import annotations
@@ -56,12 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend.shm import (
-    SharedArena,
-    ShmBudgetExceeded,
-    reclaim_dead_owner_segments,
-)
-from ..resilience.exceptions import ServiceOverloaded, ShmAttachFault, WorkerHang
+from ..resilience.exceptions import ServiceOverloaded, WorkerHang
 from ..resilience.faults import FaultInjector, FaultPlan
 from ..resilience.supervisor import ShardSupervisor, SupervisorOptions, WorkerWatchdog
 from .checkpoint import (
@@ -98,7 +92,6 @@ _SUPERVISION_KEYS = (
     "deadline_timeouts",
     "breaker_trips",
     "degraded_batches",
-    "shm_attach_faults",
 )
 
 
@@ -217,9 +210,8 @@ class CollisionSolveService:
     ``REPRO_FAULT_PLAN`` in the environment) injects faults on purpose:
     each shard interprets it with its own seeded
     :class:`~repro.resilience.FaultInjector` — solver faults on either
-    executor; worker crashes, hangs and shm-attach failures on
-    ``executor="process"``, whose workers build their injector at
-    startup.
+    executor; worker crashes and hangs on ``executor="process"``, whose
+    workers build their injector at startup.
     """
 
     def __init__(
@@ -248,7 +240,6 @@ class CollisionSolveService:
         self._warmed_plans: list[set] = [set() for _ in range(n)]
         #: per shard: times its worker process died and was re-initialized
         self._restarts = [0] * n
-        self._arena: SharedArena | None = None
         #: serialises the in-parent degraded tier: shards degraded at once
         #: share one GIL, so their batches run one at a time
         self._degraded_lock = threading.Lock()
@@ -273,7 +264,6 @@ class CollisionSolveService:
                 ShardSupervisor(self.options.supervision) for _ in range(n)
             ]
             self._pools = [self._make_pool(s) for s in range(n)]
-            self._arena = SharedArena(tag="serve")
             # one dispatcher per shard: each worker process computes in
             # parallel with the others
             self._groups = [[s] for s in range(n)]
@@ -440,8 +430,8 @@ class CollisionSolveService:
                 c["retried"] += 1
 
     # ------------------------------------------------------------------
-    # process-executor dispatch: publish-once plans, shm state shipping,
-    # BrokenProcessPool self-healing
+    # process-executor dispatch: publish-once plans, by-value state
+    # stacks, BrokenProcessPool self-healing
     def _publish_plan(self, shard: int, plan: SolvePlan) -> None:
         assert self._pools is not None
         if plan.key not in self._published_plans[shard]:
@@ -497,60 +487,27 @@ class CollisionSolveService:
 
     def _process_round(self, shard: int, jobs: list[SolveJob]) -> list[tuple]:
         """One publish-if-needed + execute round against a shard worker."""
-        assert self._pools is not None and self._arena is not None
+        assert self._pools is not None
         plan = jobs[0].plan
         self._publish_plan(shard, plan)
         self._warm_worker(shard, plan)
         states = np.stack([j.state for j in jobs])
         meta = [(j.job_id, j.deadline, j.submitted) for j in jobs]
-        seg = handle = None
+        pool = self._pools[shard]
         try:
-            seg = self._arena.alloc(states.shape, states.dtype)
-            seg[...] = states
-            handle = self._arena.handle_of(seg)
-            payload = ("shm", handle)
-        except (ShmBudgetExceeded, OSError):
-            payload = ("inline", states)
-        try:
-            pool = self._pools[shard]
-            try:
-                return self._await_worker(
-                    shard,
-                    pool.submit(_process_execute, plan.key, meta, payload),
-                )
-            except PlanNotPublished:
-                # defensive: the worker lost its store without breaking
-                # the pool — republish and retry once
-                self._published_plans[shard].discard(plan.key)
-                self._warmed_plans[shard].discard(plan.key)
-                self._publish_plan(shard, plan)
-                self._warm_worker(shard, plan)
-                return self._await_worker(
-                    shard,
-                    pool.submit(_process_execute, plan.key, meta, payload),
-                )
-            except (ShmAttachFault, FileNotFoundError):
-                # the worker could not map the segment (injected fault or
-                # a genuinely vanished /dev/shm entry): the states are
-                # still in hand, so retry once with an inline payload
-                if payload[0] != "shm":
-                    raise
-                sup = self._supervisors[shard] if self._supervisors else None
-                if sup is not None:
-                    # taxonomy only: the batch is re-sent inline and (if
-                    # that succeeds) the worker is healthy — no breaker
-                    with sup.lock:
-                        sup.counters["shm_attach_faults"] += 1
-                return self._await_worker(
-                    shard,
-                    pool.submit(
-                        _process_execute, plan.key, meta, ("inline", states)
-                    ),
-                )
-        finally:
-            if handle is not None:
-                del seg
-                self._arena.free(handle.name)
+            return self._await_worker(
+                shard, pool.submit(_process_execute, plan.key, meta, states)
+            )
+        except PlanNotPublished:
+            # defensive: the worker lost its store without breaking the
+            # pool — republish and retry once
+            self._published_plans[shard].discard(plan.key)
+            self._warmed_plans[shard].discard(plan.key)
+            self._publish_plan(shard, plan)
+            self._warm_worker(shard, plan)
+            return self._await_worker(
+                shard, pool.submit(_process_execute, plan.key, meta, states)
+            )
 
     def _execute_degraded(self, shard: int, jobs: list[SolveJob]) -> list[tuple]:
         """Serve a batch on the in-parent degraded tier.
@@ -716,9 +673,6 @@ class CollisionSolveService:
                 with suppress(Exception):
                     pool.shutdown(wait=True)
             self._pools = None
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
 
     def __enter__(self) -> "CollisionSolveService":
         return self
@@ -819,10 +773,9 @@ class CollisionSolveService:
         """Resubmit the unfinished work recorded in a service checkpoint.
 
         Intended for a *fresh* service standing in for one that was
-        killed (SIGKILL, OOM, node loss): dead-owner ``/dev/shm``
-        segments the old service leaked are swept first, then every
-        pending job is re-admitted under its original job id with its
-        deadline re-anchored from the stored remaining seconds.  Jobs
+        killed (SIGKILL, OOM, node loss): every pending job is
+        re-admitted under its original job id with its deadline
+        re-anchored from the stored remaining seconds.  Jobs
         the checkpoint records as completed are **not** re-run
         (at-least-once semantics — see the module docstring of
         :mod:`repro.serve.checkpoint`).  Returns the new handles; raises
@@ -837,7 +790,6 @@ class CollisionSolveService:
                     "(REPRO_SERVE_CHECKPOINT_DIR)"
                 )
             path = checkpoint_path(directory)
-        swept = reclaim_dead_owner_segments()
         ckpt = load_service_checkpoint(path)
         handles = []
         for p in ckpt.pending:
@@ -856,7 +808,6 @@ class CollisionSolveService:
             "path": path,
             "resumed_jobs": len(handles),
             "skipped_completed": len(ckpt.completed),
-            "swept_shm_segments": swept,
         }
         return handles
 

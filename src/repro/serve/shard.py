@@ -21,10 +21,9 @@ With ``executor="process"`` the same pipeline runs inside a
 ``concurrent.futures.ProcessPoolExecutor`` worker (one per shard), with a
 module-global plan cache warmed per process.  Plans are **published**
 once per worker (:func:`_process_publish_plan`) so per-batch dispatch
-ships only the plan key, job metadata and the state stack — the states
-ride a shared-memory segment (:mod:`repro.backend.shm`), and the warm
-``PlanRuntime`` tensors never cross the pipe at all.  A worker that has
-lost its plans (fresh or restarted process) raises
+ships only the plan key, job metadata and the state stack, by value —
+the warm ``PlanRuntime`` tensors never cross the pipe at all.  A worker
+that has lost its plans (fresh or restarted process) raises
 :class:`PlanNotPublished` and the service republishes and retries.
 """
 
@@ -281,10 +280,9 @@ class ShardWorker:
 #
 # Publication protocol: the service ships each SolvePlan to a shard's
 # worker exactly once (_process_publish_plan); per-batch calls carry only
-# (plan key, job metadata, state payload).  The state stack travels in a
-# shared-memory segment owned by the service's arena — the worker copies
-# it out and the service frees the segment when the call returns — so the
-# per-batch pickle traffic is O(job ids), not O(plan runtime).
+# (plan key, job metadata, state stack), pickled by value like the
+# results that come back — the per-batch traffic is O(B * S * n), not
+# O(plan runtime).
 
 _PROCESS_WORKER: ShardWorker | None = None
 
@@ -321,9 +319,9 @@ def _process_init(shard_id: int, plan_budget: int | None, fault_plan=None) -> No
     (:func:`_exit_with_parent`).
 
     A :class:`~repro.resilience.faults.FaultPlan` becomes one worker-local
-    injector that serves both the per-dispatch faults (crash, hang,
-    shm attach) and the per-job solver faults — deterministic for a
-    fixed batch order, whichever process runs it.
+    injector that serves both the per-dispatch faults (crash, hang) and
+    the per-job solver faults — deterministic for a fixed batch order,
+    whichever process runs it.
     """
     global _PROCESS_WORKER, _FAULT_INJECTOR
     threading.Thread(
@@ -365,30 +363,22 @@ def _process_warm(plan_key: str) -> float:
 
 
 def _process_execute(
-    plan_key: str, meta: list[tuple], payload
+    plan_key: str, meta: list[tuple], states: np.ndarray
 ) -> list[tuple[str, JobResult]]:
     """Run one micro-batch against a previously published plan.
 
-    ``meta`` is ``[(job_id, deadline, submitted), ...]``; ``payload`` is
-    ``("shm", ShmHandle)`` for a shared-memory ``(B, S, n)`` state stack
-    or ``("inline", ndarray)`` when the arena declined the segment.
+    ``meta`` is ``[(job_id, deadline, submitted), ...]``; ``states`` is
+    the ``(B, S, n)`` state stack, one row per job.
     """
     assert _PROCESS_WORKER is not None, "process worker not initialized"
     plan = _PLAN_STORE.get(plan_key)
     if plan is None:
         raise PlanNotPublished(plan_key)
-    kind, data = payload
     if _FAULT_INJECTOR is not None:
-        # chaos schedule runs before the payload is touched: a crash or
+        # chaos schedule runs before the batch is touched: a crash or
         # hang here models a worker dying/stalling with the batch state
         # still owned by the service (which must retry or degrade)
-        _FAULT_INJECTOR.on_dispatch(kind)
-    if kind == "shm":
-        from ..backend.shm import attach_copy
-
-        states = attach_copy(data)
-    else:
-        states = np.asarray(data)
+        _FAULT_INJECTOR.on_dispatch()
     jobs = [
         SolveJob(
             plan=plan,

@@ -40,7 +40,6 @@ KNOBS = (
     "REPRO_SERVE_QUEUE_BOUND",
     "REPRO_SERVE_SHARDS",
     "REPRO_SERVE_WARM_DEADLINE_S",
-    "REPRO_SHM_BUDGET",
 )
 
 _NAME = re.compile(r"REPRO_[A-Z0-9_]*\Z")
@@ -91,16 +90,6 @@ def _campaign(field):
     return lambda: getattr(CampaignOptions.from_env(), field)
 
 
-def _shm_budget():
-    from repro.backend.shm import SharedArena
-
-    arena = SharedArena("knob-test")
-    try:
-        return arena.budget
-    finally:
-        arena.close()
-
-
 def _fault_seed():
     from repro.resilience.faults import FaultPlan
 
@@ -137,7 +126,6 @@ READS = {
     "REPRO_SERVE_QUEUE_BOUND": ("99", _serve("queue_bound"), 99),
     "REPRO_SERVE_SHARDS": ("3", _serve("num_shards"), 3),
     "REPRO_SERVE_WARM_DEADLINE_S": ("8.5", _supervisor("warm_deadline_s"), 8.5),
-    "REPRO_SHM_BUDGET": ("65536", _shm_budget, 65536),
 }
 
 

@@ -578,9 +578,9 @@ class TestOneDispatcher:
             "batch_size_hist", "batches", "breaker_trips", "deadline_timeouts",
             "degraded_batches", "injected_faults", "jobs_failed", "jobs_ok",
             "jobs_retried", "jobs_shed", "latency", "max_queue_depth",
-            "plan_cache", "rejected_submissions", "shard", "shm_attach_faults",
-            "solver", "warm_calls", "warm_seconds", "worker_crashes",
-            "worker_hangs", "worker_restarts",
+            "plan_cache", "rejected_submissions", "shard", "solver",
+            "warm_calls", "warm_seconds", "worker_crashes", "worker_hangs",
+            "worker_restarts",
         }
         if executor == "process":
             keys |= {
