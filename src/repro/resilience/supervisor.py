@@ -49,13 +49,13 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
-#: taxonomy keys every supervisor tracks (mirrored in ShardMetrics)
+#: taxonomy counts every supervisor keeps; its snapshot adds the
+#: breaker's trips, and the service's shard snapshots read both from it
 FAILURE_KINDS = (
     "worker_crashes",
     "worker_hangs",
     "deadline_timeouts",
     "heartbeat_misses",
-    "breaker_trips",
     "degraded_batches",
     "degraded_jobs",
 )
@@ -160,13 +160,11 @@ class RestartBackoff:
         self.base_s = float(base_s)
         self.max_s = float(max_s)
         self.consecutive = 0
-        self.restarts = 0
         self.total_sleep_s = 0.0
 
     def next_delay(self) -> float:
         delay = min(self.base_s * (2.0 ** self.consecutive), self.max_s)
         self.consecutive += 1
-        self.restarts += 1
         return delay
 
     def sleep(self) -> float:
@@ -290,13 +288,10 @@ class ShardSupervisor:
         self.recoveries += 1
 
     def snapshot(self) -> dict:
-        counters = dict(self.counters)
-        # the breaker is authoritative for its own trip count
-        counters["breaker_trips"] = self.breaker.trips
         return dict(
-            counters,
+            self.counters,
+            breaker_trips=self.breaker.trips,
             breaker=self.breaker.snapshot(),
-            worker_restarts=self.backoff.restarts,
             restart_backoff_sleep_s=round(self.backoff.total_sleep_s, 6),
             recovery_s_total=round(self.recovery_s_total, 6),
             recoveries=self.recoveries,

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .jobs import STATUS_OK, STATUS_SHED
+
 __all__ = ["LatencyRing", "ShardMetrics", "percentile"]
 
 
@@ -53,11 +55,36 @@ class LatencyRing:
         return {f"p{int(p)}_ms": percentile(ordered, p) * 1e3 for p in ps}
 
 
+#: the batched step's ``BatchStats`` counters a shard accumulates ...
+BATCH_KEYS = (
+    "field_launches",
+    "equivalent_unbatched_launches",
+    "factorizations",
+    "refactorizations",
+    "newton_sweeps",
+    "symbolic_setups",
+    "symbolic_reuses",
+    "accelerated_sweeps",
+)
+
+#: ... and the solver counters with the retry path's steps and backoffs
+SOLVER_KEYS = (*BATCH_KEYS, "retry_steps", "retry_backoffs")
+
+#: the plan cache's running counts (its ``plans`` and ``bytes`` are levels)
+CACHE_COUNTS = ("hits", "misses", "evictions")
+
+
 @dataclass
 class ShardMetrics:
-    """Work and latency accounting for one shard (its queue depth,
-    rejected submissions and worker restarts are counted by the service,
-    which admits jobs and restarts workers)."""
+    """One shard's books, kept by the service in its own process.
+
+    Job outcomes, the batch-size histogram and latencies are counted
+    from the results the service delivers; solver, plan-cache and
+    injected-fault counts are added from each batch's counter delta
+    (:meth:`repro.serve.shard.ShardWorker.execute_batch`), whichever
+    worker ran it.  So the books outlive worker restarts and plan
+    evictions, and reading them sends nothing to a worker.
+    """
 
     shard: int = 0
     jobs_ok: int = 0
@@ -66,31 +93,47 @@ class ShardMetrics:
     jobs_retried: int = 0
     batches: int = 0
     batch_size_hist: dict = field(default_factory=dict)
-    # ---- failure taxonomy (ISSUE-7) -------------------------------------
-    #: solver faults fired by the (plan-driven or ad-hoc) injector
+    #: solver faults fired by the injector
     injected_faults: int = 0
-    #: worker process deaths observed as BrokenProcessPool
-    worker_crashes: int = 0
-    #: hung workers killed by the supervisor (deadline or heartbeat)
-    worker_hangs: int = 0
-    #: per-batch deadlines that expired on the process tier
-    deadline_timeouts: int = 0
-    #: circuit-breaker closed->open transitions for this shard
-    breaker_trips: int = 0
-    #: batches served by the degraded in-parent tier while the breaker
-    #: was open (or after repeated worker deaths on one batch)
-    degraded_batches: int = 0
+    solver: dict = field(default_factory=lambda: dict.fromkeys(SOLVER_KEYS, 0))
+    cache: dict = field(default_factory=lambda: dict.fromkeys(CACHE_COUNTS, 0))
+    #: per worker tier: its plan cache's latest ``(plans, bytes)``
+    cache_levels: dict = field(default_factory=dict)
+    #: untimed plan builds in process workers, outside any batch
+    warm_calls: int = 0
+    warm_seconds: float = 0.0
     latency: LatencyRing = field(default_factory=LatencyRing)
 
-    def record_batch(self, size: int) -> None:
-        self.batches += 1
-        self.batch_size_hist[size] = self.batch_size_hist.get(size, 0) + 1
-
-    @property
-    def jobs_done(self) -> int:
-        return self.jobs_ok + self.jobs_failed + self.jobs_shed
+    def record(self, results: list, delta: dict) -> None:
+        """Count one batch's delivered ``JobResult`` s and add its delta."""
+        executed = 0
+        for res in results:
+            if res.status == STATUS_SHED:
+                self.jobs_shed += 1
+                continue
+            executed += 1
+            if res.status == STATUS_OK:
+                self.jobs_ok += 1
+            else:
+                self.jobs_failed += 1
+            if res.retried:
+                self.jobs_retried += 1
+            self.latency.add(res.latency_s)
+        if executed:
+            self.batches += 1
+            hist = self.batch_size_hist
+            hist[executed] = hist.get(executed, 0) + 1
+        for k in SOLVER_KEYS:
+            self.solver[k] += delta["solver"][k]
+        pc = delta["plan_cache"]
+        for k in CACHE_COUNTS:
+            self.cache[k] += pc[k]
+        self.cache_levels[delta["tier"]] = (pc["plans"], pc["bytes"])
+        self.injected_faults += delta["injected_faults"]
 
     def snapshot(self) -> dict:
+        hits, misses = self.cache["hits"], self.cache["misses"]
+        launches = self.solver["field_launches"]
         return {
             "shard": self.shard,
             "jobs_ok": self.jobs_ok,
@@ -102,12 +145,25 @@ class ShardMetrics:
                 str(k): v for k, v in sorted(self.batch_size_hist.items())
             },
             "injected_faults": self.injected_faults,
-            "worker_crashes": self.worker_crashes,
-            "worker_hangs": self.worker_hangs,
-            "deadline_timeouts": self.deadline_timeouts,
-            "breaker_trips": self.breaker_trips,
-            "degraded_batches": self.degraded_batches,
             "latency": self.latency.percentiles() | {"samples": len(self.latency)},
+            "plan_cache": {
+                "plans": sum(p for p, _ in self.cache_levels.values()),
+                "bytes": sum(b for _, b in self.cache_levels.values()),
+                **self.cache,
+                "hit_rate": hits / max(1, hits + misses),
+            },
+            # 0.0, not 1.0: a shard whose batches all shed before
+            # launching did no batched work and reports no reduction
+            "solver": dict(
+                self.solver,
+                launch_reduction=(
+                    self.solver["equivalent_unbatched_launches"] / launches
+                    if launches
+                    else 0.0
+                ),
+            ),
+            "warm_calls": self.warm_calls,
+            "warm_seconds": round(self.warm_seconds, 6),
         }
 
 

@@ -176,7 +176,8 @@ class PlanCache:
 
     One instance lives in every shard worker, so each shard keeps its own
     warm operators (response tables, band symbolics) for the plans routed to
-    it by consistent hashing.  Counters feed the serve metrics.
+    it by consistent hashing.  Its counters feed each batch's delta
+    (:meth:`~repro.serve.shard.ShardWorker.execute_batch`).
     """
 
     def __init__(self, budget: int | None = None):
@@ -222,13 +223,3 @@ class PlanCache:
                 break
             self.evictions += 1
         return rt
-
-    def counters(self) -> dict:
-        return {
-            "plans": len(self._entries),
-            "bytes": self.bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / max(1, self.hits + self.misses),
-        }

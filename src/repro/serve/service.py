@@ -36,6 +36,11 @@ and the warm ``PlanRuntime`` tensors never cross the pipe.  A worker
 killed mid-flight (``BrokenProcessPool``) is re-initialized and the
 batch retried once — ``drain()`` never crashes on a dead worker — with
 the restart surfaced as ``worker_restarts`` in shard snapshots.
+
+The service keeps every shard's books (:class:`ShardMetrics`): each
+batch's results and counter delta come back to :meth:`_execute`, which
+adds them under one lock, so counts survive worker restarts and plan
+evictions, and :meth:`snapshot` reads parent state only.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ from .checkpoint import (
     load_service_checkpoint,
     save_service_checkpoint,
 )
-from .jobs import STATUS_FAILED, JobHandle, JobResult, SolveJob
-from .metrics import merge_histograms
+from .jobs import JobHandle, JobResult, SolveJob
+from .metrics import ShardMetrics, merge_histograms
 from .plan import SolvePlan, resident_bytes
 from .shard import (
     PlanNotPublished,
@@ -74,7 +79,6 @@ from .shard import (
     _process_heartbeat,
     _process_init,
     _process_publish_plan,
-    _process_snapshot,
     _process_warm,
 )
 
@@ -85,7 +89,8 @@ _EXECUTORS = ("thread", "process")
 #: parent-side exceptions meaning "the worker process is gone or stuck"
 _WORKER_FAILURES = (BrokenProcessPool, WorkerHang)
 
-#: taxonomy keys merged additively from supervisors into shard snapshots
+#: failure-taxonomy keys every shard snapshot takes from its supervisor
+#: (zero on the thread executor, which has none)
 _SUPERVISION_KEYS = (
     "worker_crashes",
     "worker_hangs",
@@ -189,11 +194,6 @@ class HashRing:
         return self._shards[i]
 
 
-def _job_results(worker: ShardWorker, jobs: list[SolveJob]) -> list[tuple]:
-    """Run one batch on an in-process worker: ``(job_id, result)`` pairs."""
-    return [(job.job_id, res) for job, res in worker.execute_batch(jobs)]
-
-
 class CollisionSolveService:
     """Accepts per-vertex collision solve jobs; batches, shards, caches.
 
@@ -255,10 +255,13 @@ class CollisionSolveService:
         #: per shard: jobs popped from the queue but not yet answered
         self._inflight: list[list] = [[] for _ in range(n)]
         self._resume: dict | None = None
-        #: per job tag: outcome counters (campaign-aware accounting);
-        #: guarded by _tag_lock — _execute runs on every dispatcher thread
-        self._tag_lock = threading.Lock()
+        #: per shard: its books, fed by _execute and the warm calls
+        self._books = [ShardMetrics(shard=s) for s in range(n)]
+        #: per job tag: outcome counters (campaign-aware accounting)
         self._tag_counts: dict[str, dict[str, int]] = {}
+        #: guards the books and the tag counts: _execute runs on every
+        #: dispatcher thread
+        self._books_lock = threading.Lock()
         if self.options.executor == "process":
             self._supervisors = [
                 ShardSupervisor(self.options.supervision) for _ in range(n)
@@ -309,6 +312,8 @@ class CollisionSolveService:
         self._published_plans[shard].clear()
         self._warmed_plans[shard].clear()
         self._restarts[shard] += 1
+        with self._books_lock:  # the new worker's plan cache is empty
+            self._books[shard].cache_levels.pop("primary", None)
         if sup is not None:
             sup.record_recovery(time.monotonic() - t0)
 
@@ -404,30 +409,28 @@ class CollisionSolveService:
         self._inflight[shard] = list(jobs)
         try:
             if self._pools is not None:
-                results = self._execute_process(shard, jobs)
+                results, delta = self._execute_process(shard, jobs)
             else:
                 assert self._workers is not None
-                results = _job_results(self._workers[shard], jobs)
-            for job_id, res in results:
-                handles[job_id].set_result(res)
-                self._completed_ids.append(job_id)
-                self._count_tag(tags.get(job_id, ""), res)
+                results, delta = self._workers[shard].execute_batch(jobs)
+            # the books are fed here, whichever worker ran the batch, and
+            # before any caller sees a result
+            with self._books_lock:
+                self._books[shard].record(results, delta)
+                for res in results:
+                    if tags[res.job_id]:  # tags never ship to workers
+                        c = self._tag_counts.setdefault(
+                            tags[res.job_id],
+                            {"ok": 0, "failed": 0, "shed": 0, "retried": 0},
+                        )
+                        c[res.status] += 1
+                        c["retried"] += res.retried
+            for res in results:
+                handles[res.job_id].set_result(res)
+                self._completed_ids.append(res.job_id)
         finally:
             self._inflight[shard] = []
         self._maybe_checkpoint()
-
-    def _count_tag(self, tag: str, res: JobResult) -> None:
-        """Parent-side per-tag outcome accounting (tags never ship to
-        workers, so the process protocol is unchanged)."""
-        if not tag:
-            return
-        with self._tag_lock:
-            c = self._tag_counts.setdefault(
-                tag, {"ok": 0, "failed": 0, "shed": 0, "retried": 0}
-            )
-            c[res.status] = c.get(res.status, 0) + 1
-            if res.retried:
-                c["retried"] += 1
 
     # ------------------------------------------------------------------
     # process-executor dispatch: publish-once plans, by-value state
@@ -452,7 +455,7 @@ class CollisionSolveService:
         deadline = self.options.supervision.warm_deadline_s
         future = self._pools[shard].submit(_process_warm, plan.key)
         try:
-            future.result(deadline if deadline > 0 else None)
+            spent = future.result(deadline if deadline > 0 else None)
         except FuturesTimeout:
             self._kill_worker(shard)
             with suppress(Exception):
@@ -462,8 +465,11 @@ class CollisionSolveService:
                 "deadline; the process was killed"
             ) from None
         self._warmed_plans[shard].add(plan.key)
+        with self._books_lock:
+            self._books[shard].warm_calls += 1
+            self._books[shard].warm_seconds += spent
 
-    def _await_worker(self, shard: int, future) -> list[tuple]:
+    def _await_worker(self, shard: int, future) -> tuple[list, dict]:
         """Wait for a worker-side result under the batch deadline; a
         deadline miss kills the worker (hung processes never return) and
         surfaces as :class:`WorkerHang` for the supervisor to classify."""
@@ -485,7 +491,7 @@ class CollisionSolveService:
                 "deadline; the process was killed"
             ) from None
 
-    def _process_round(self, shard: int, jobs: list[SolveJob]) -> list[tuple]:
+    def _process_round(self, shard: int, jobs: list[SolveJob]) -> tuple[list, dict]:
         """One publish-if-needed + execute round against a shard worker."""
         assert self._pools is not None
         plan = jobs[0].plan
@@ -509,7 +515,7 @@ class CollisionSolveService:
                 shard, pool.submit(_process_execute, plan.key, meta, states)
             )
 
-    def _execute_degraded(self, shard: int, jobs: list[SolveJob]) -> list[tuple]:
+    def _execute_degraded(self, shard: int, jobs: list[SolveJob]) -> tuple[list, dict]:
         """Serve a batch on the in-parent degraded tier.
 
         The degraded worker is a plain :class:`ShardWorker` living in the
@@ -519,7 +525,9 @@ class CollisionSolveService:
         """
         worker = self._degraded_workers.get(shard)
         if worker is None:
-            worker = ShardWorker(shard, plan_budget=self.options.plan_budget)
+            worker = ShardWorker(
+                shard, plan_budget=self.options.plan_budget, tier="degraded"
+            )
             self._degraded_workers[shard] = worker
         sup = self._supervisors[shard] if self._supervisors else None
         if sup is not None:
@@ -527,9 +535,9 @@ class CollisionSolveService:
                 sup.counters["degraded_batches"] += 1
                 sup.counters["degraded_jobs"] += len(jobs)
         with self._degraded_lock:
-            return _job_results(worker, jobs)
+            return worker.execute_batch(jobs)
 
-    def _execute_process(self, shard: int, jobs: list[SolveJob]) -> list[tuple]:
+    def _execute_process(self, shard: int, jobs: list[SolveJob]) -> tuple[list, dict]:
         """Supervised process-tier execution.
 
         The shard's circuit breaker routes each batch: ``primary`` runs
@@ -813,73 +821,36 @@ class CollisionSolveService:
 
     # ------------------------------------------------------------------
     # observability
-    def _merge_degraded(self, shard: int, snap: dict) -> None:
-        """Fold the degraded tier's work into the shard's snapshot: jobs
-        served while the breaker was open must not vanish from the books."""
-        worker = self._degraded_workers.get(shard)
-        if worker is None:
-            return
-        dsnap = worker.snapshot()
-        for k in ("jobs_ok", "jobs_failed", "jobs_shed", "jobs_retried",
-                  "batches"):
-            snap[k] = snap.get(k, 0) + dsnap[k]
-        snap["batch_size_hist"] = merge_histograms(
-            [snap.get("batch_size_hist", {}), dsnap["batch_size_hist"]]
-        )
-        for section in ("plan_cache", "solver"):
-            base = snap.setdefault(section, {})
-            for k, v in dsnap[section].items():
-                if isinstance(v, bool) or not isinstance(v, int):
-                    continue  # derived rates are recomputed below
-                base[k] = base.get(k, 0) + v
-        pc = snap["plan_cache"]
-        pc["hit_rate"] = pc["hits"] / max(1, pc["hits"] + pc["misses"])
-        sv = snap["solver"]
-        launches = sv.get("field_launches", 0)
-        sv["launch_reduction"] = (
-            sv.get("equivalent_unbatched_launches", 0) / launches
-            if launches
-            else 0.0
-        )
-
     def shard_snapshots(self) -> list[dict]:
-        if self._pools is not None:
-            snaps = []
-            for s, pool in enumerate(self._pools):
-                try:
-                    snaps.append(pool.submit(_process_snapshot).result())
-                except BrokenProcessPool:
-                    self._restart_worker(s)
-                    snaps.append(
-                        self._pools[s].submit(_process_snapshot).result()
-                    )
-        else:
-            assert self._workers is not None
-            snaps = [w.snapshot() for w in self._workers]
+        """Each shard's books plus the admission, restart and
+        supervision counts the service keeps: parent state only, so
+        reading them sends nothing to a worker and restarts none."""
+        with self._books_lock:
+            snaps = [books.snapshot() for books in self._books]
         for s, snap in enumerate(snaps):
-            # admission and restarts happen in the parent: it owns them
             snap["rejected_submissions"] = self._rejected[s]
             snap["max_queue_depth"] = self._max_depth[s]
             snap["worker_restarts"] = self._restarts[s]
-            if self._supervisors is not None:
-                self._merge_degraded(s, snap)
-                sup_snap = self._supervisors[s].snapshot()
-                for k in _SUPERVISION_KEYS:
-                    snap[k] = snap.get(k, 0) + sup_snap.get(k, 0)
+            sup = self._supervisors[s].snapshot() if self._supervisors else {}
+            for k in _SUPERVISION_KEYS:
+                snap[k] = sup.get(k, 0)
+            if sup:
                 for k in (
                     "heartbeat_misses",
                     "degraded_jobs",
                     "restart_backoff_sleep_s",
                     "recoveries",
                     "mean_recovery_s",
+                    "breaker",
                 ):
-                    snap[k] = sup_snap.get(k, 0)
-                snap["breaker"] = sup_snap["breaker"]
+                    snap[k] = sup[k]
         return snaps
 
     def snapshot(self) -> dict:
         """Service-level rollup (JSON-able; see report.serve_summary)."""
         shards = self.shard_snapshots()
+        with self._books_lock:
+            by_tag = {tag: dict(c) for tag, c in sorted(self._tag_counts.items())}
         total_jobs = sum(
             s["jobs_ok"] + s["jobs_failed"] + s["jobs_shed"] for s in shards
         )
@@ -924,10 +895,7 @@ class CollisionSolveService:
                 "worker_restarts": sum(
                     s.get("worker_restarts", 0) for s in shards
                 ),
-                "by_tag": {
-                    tag: dict(c)
-                    for tag, c in sorted(self._tag_counts.items())
-                },
+                "by_tag": by_tag,
             },
             "failures": {
                 "injected_faults": sum(

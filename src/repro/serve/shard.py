@@ -39,7 +39,7 @@ from ..resilience.controller import TimeStepController
 from ..resilience.exceptions import InjectedFault, SolveFailure, StepRejected
 from ..resilience.faults import FaultInjector
 from .jobs import STATUS_FAILED, STATUS_OK, STATUS_SHED, JobResult, SolveJob
-from .metrics import ShardMetrics
+from .metrics import BATCH_KEYS, CACHE_COUNTS, SOLVER_KEYS
 from .plan import PlanCache, PlanRuntime
 
 __all__ = ["ShardWorker", "execute_jobs"]
@@ -70,23 +70,21 @@ def execute_jobs(
     runtime: PlanRuntime,
     jobs: list[SolveJob],
     fault_shim=None,
-) -> list[tuple[SolveJob, JobResult]]:
+) -> list[JobResult]:
     """Run one micro-batch through the warm runtime (steps 2-5 above).
 
     ``fault_shim(job_index, state) -> state`` may raise
     :class:`InjectedFault` or return a corrupted state; both route the job
-    to the retry path.  Returns ``(job, result)`` pairs in input order.
+    to the retry path.  Returns one result per job, in input order; each
+    job's latency is submit -> its result.
     """
     plan = runtime.plan
     solver = runtime.solver
-    states = np.stack([j.state for j in jobs])
-    t0 = time.monotonic()
-    out = solver.step(states, plan.dt)
+    out = solver.step(np.stack([j.state for j in jobs]), plan.dt)
     converged = solver.last_converged
     sweeps = solver.last_sweeps
-    batch_seconds = time.monotonic() - t0
 
-    results: list[tuple[SolveJob, JobResult]] = []
+    results: list[JobResult] = []
     for b, job in enumerate(jobs):
         state_b = out[b]
         err: str | None = None
@@ -108,47 +106,46 @@ def execute_jobs(
                 state_b, substeps = _retry_job(runtime, job)
             except (SolveFailure, StepRejected) as exc:
                 results.append(
-                    (
-                        job,
-                        JobResult(
-                            job_id=job.job_id,
-                            status=STATUS_FAILED,
-                            error=err or f"{type(exc).__name__}: {exc}",
-                            batch_size=len(jobs),
-                            retried=True,
-                            latency_s=time.monotonic() - job.submitted,
-                        ),
+                    JobResult(
+                        job_id=job.job_id,
+                        status=STATUS_FAILED,
+                        error=err or f"{type(exc).__name__}: {exc}",
+                        batch_size=len(jobs),
+                        retried=True,
+                        latency_s=time.monotonic() - job.submitted,
                     )
                 )
                 continue
         results.append(
-            (
-                job,
-                JobResult(
-                    job_id=job.job_id,
-                    status=STATUS_OK,
-                    state=state_b,
-                    error=err,
-                    batch_size=len(jobs),
-                    sweeps=substeps,
-                    retried=retried,
-                    latency_s=time.monotonic() - job.submitted,
-                ),
+            JobResult(
+                job_id=job.job_id,
+                status=STATUS_OK,
+                state=state_b,
+                error=err,
+                batch_size=len(jobs),
+                sweeps=substeps,
+                retried=retried,
+                latency_s=time.monotonic() - job.submitted,
             )
         )
-    # spread the shared batch compute into per-job latency accounting is
-    # deliberate: each job's latency is submit -> its result, and the
-    # batch finished at the same instant for all members
-    del batch_seconds
     return results
 
 
-class ShardWorker:
-    """One shard: metrics + plan cache + the batch pipeline.
+def _runtime_counters(runtime: PlanRuntime) -> list[int]:
+    """The runtime's running solver counts, in ``SOLVER_KEYS`` order."""
+    st, retry = runtime.solver.stats, runtime._retry_solver
+    retries = (retry.stats.time_steps, retry.stats.dt_backoffs) if retry else (0, 0)
+    return [*(getattr(st, k) for k in BATCH_KEYS), *retries]
 
-    The service's dispatcher (thread mode: one for every thread shard)
-    or the process-pool worker calls :meth:`execute_batch` with
-    micro-batches of same-plan jobs.
+
+class ShardWorker:
+    """One shard's plan cache + the batch pipeline.
+
+    The service's dispatcher (thread mode: one for every thread shard),
+    the process-pool worker or the in-parent degraded tier (``tier``)
+    calls :meth:`execute_batch` with micro-batches of same-plan jobs.
+    The worker keeps no books: each batch's counter delta travels back
+    with its results, and the service adds it to the shard's.
     """
 
     def __init__(
@@ -156,14 +153,15 @@ class ShardWorker:
         shard_id: int,
         plan_budget: int | None = None,
         injector=None,
+        tier: str = "primary",
     ):
         self.shard_id = shard_id
-        self.metrics = ShardMetrics(shard=shard_id)
+        self.tier = tier
         self.plans = PlanCache(budget=plan_budget)
-        #: untimed warm calls served (plan builds outside any batch)
-        self.warm_calls = 0
-        self.warm_seconds = 0.0
         self._injector = injector
+        #: plan-cache hits, misses, evictions and injected faults as of
+        #: this worker's last delta
+        self._reported = [0, 0, 0, 0]
         self._fault_shim = None
         if injector is not None:
             # adapt FaultInjector's factory(A)->solve(b) wrapping to a
@@ -186,93 +184,55 @@ class ShardWorker:
         seconds this call spent."""
         t0 = time.monotonic()
         self.plans.get(plan)
-        spent = time.monotonic() - t0
-        self.warm_calls += 1
-        self.warm_seconds += spent
-        return spent
+        return time.monotonic() - t0
 
-    def execute_batch(self, jobs: list[SolveJob]) -> list[tuple[SolveJob, JobResult]]:
+    def execute_batch(self, jobs: list[SolveJob]) -> tuple[list[JobResult], dict]:
+        """Shed the expired jobs and run the rest as one batch.
+
+        Returns one result per job (the shed ones first), and the batch's
+        counter delta: what it added to the runtime's solver counts, the
+        plan-cache counts and injected faults since this worker's last
+        delta (so a warm call's plan build rides with the next batch),
+        and the plan cache's current ``plans`` and ``bytes``.
+        """
         now = time.monotonic()
         live: list[SolveJob] = []
-        results: list[tuple[SolveJob, JobResult]] = []
+        results: list[JobResult] = []
         for job in jobs:
             if job.expired(now):
-                self.metrics.jobs_shed += 1
                 results.append(
-                    (
-                        job,
-                        JobResult(
-                            job_id=job.job_id,
-                            status=STATUS_SHED,
-                            error="deadline passed while queued",
-                            shard=self.shard_id,
-                            latency_s=now - job.submitted,
-                        ),
+                    JobResult(
+                        job_id=job.job_id,
+                        status=STATUS_SHED,
+                        error="deadline passed while queued",
+                        latency_s=now - job.submitted,
                     )
                 )
             else:
                 live.append(job)
+        solver = [0] * len(SOLVER_KEYS)
         if live:
             runtime = self.plans.get(live[0].plan)
-            self.metrics.record_batch(len(live))
-            executed = execute_jobs(runtime, live, fault_shim=self._fault_shim)
-            for job, res in executed:
-                res.shard = self.shard_id
-                if res.status == STATUS_OK:
-                    self.metrics.jobs_ok += 1
-                else:
-                    self.metrics.jobs_failed += 1
-                if res.retried:
-                    self.metrics.jobs_retried += 1
-                self.metrics.latency.add(res.latency_s)
-                results.append((job, res))
-        if self._injector is not None:
-            self.metrics.injected_faults = self._injector.n_injected
-        return results
-
-    # ------------------------------------------------------------------
-    def solver_counters(self) -> dict:
-        """Aggregate BatchStats + retry stats over the warm runtimes."""
-        agg = {
-            "field_launches": 0,
-            "equivalent_unbatched_launches": 0,
-            "factorizations": 0,
-            "refactorizations": 0,
-            "newton_sweeps": 0,
-            "symbolic_setups": 0,
-            "symbolic_reuses": 0,
-            "accelerated_sweeps": 0,
-            "retry_steps": 0,
-            "retry_backoffs": 0,
+            before = _runtime_counters(runtime)
+            results += execute_jobs(runtime, live, fault_shim=self._fault_shim)
+            solver = [a - b for a, b in zip(_runtime_counters(runtime), before)]
+        for res in results:
+            res.shard = self.shard_id
+        injected = self._injector.n_injected if self._injector is not None else 0
+        totals = [self.plans.hits, self.plans.misses, self.plans.evictions, injected]
+        counts = [a - b for a, b in zip(totals, self._reported)]
+        self._reported = totals
+        delta = {
+            "tier": self.tier,
+            "solver": dict(zip(SOLVER_KEYS, solver)),
+            "plan_cache": dict(
+                zip(CACHE_COUNTS, counts),
+                plans=len(self.plans),
+                bytes=self.plans.bytes,
+            ),
+            "injected_faults": counts[-1],
         }
-        for rt in self.plans.runtimes():
-            st = rt.solver.stats
-            agg["field_launches"] += st.field_launches
-            agg["equivalent_unbatched_launches"] += st.equivalent_unbatched_launches
-            agg["factorizations"] += st.factorizations
-            agg["refactorizations"] += st.refactorizations
-            agg["newton_sweeps"] += st.newton_sweeps
-            agg["symbolic_setups"] += st.symbolic_setups
-            agg["symbolic_reuses"] += st.symbolic_reuses
-            agg["accelerated_sweeps"] += st.accelerated_sweeps
-            if rt._retry_solver is not None:
-                agg["retry_steps"] += rt._retry_solver.stats.time_steps
-                agg["retry_backoffs"] += rt._retry_solver.stats.dt_backoffs
-        launches = agg["field_launches"]
-        # 0.0, not 1.0: a shard whose batches all shed before launching
-        # did no batched work and reports no reduction
-        agg["launch_reduction"] = (
-            agg["equivalent_unbatched_launches"] / launches if launches else 0.0
-        )
-        return agg
-
-    def snapshot(self) -> dict:
-        return self.metrics.snapshot() | {
-            "plan_cache": self.plans.counters(),
-            "solver": self.solver_counters(),
-            "warm_calls": self.warm_calls,
-            "warm_seconds": round(self.warm_seconds, 6),
-        }
+        return results, delta
 
 
 # ----------------------------------------------------------------------
@@ -364,11 +324,13 @@ def _process_warm(plan_key: str) -> float:
 
 def _process_execute(
     plan_key: str, meta: list[tuple], states: np.ndarray
-) -> list[tuple[str, JobResult]]:
+) -> tuple[list[JobResult], dict]:
     """Run one micro-batch against a previously published plan.
 
     ``meta`` is ``[(job_id, deadline, submitted), ...]``; ``states`` is
-    the ``(B, S, n)`` state stack, one row per job.
+    the ``(B, S, n)`` state stack, one row per job.  Returns what
+    :meth:`ShardWorker.execute_batch` returns: the results and the
+    batch's counter delta.
     """
     assert _PROCESS_WORKER is not None, "process worker not initialized"
     plan = _PLAN_STORE.get(plan_key)
@@ -389,11 +351,4 @@ def _process_execute(
         )
         for i, (job_id, deadline, submitted) in enumerate(meta)
     ]
-    return [
-        (job.job_id, res) for job, res in _PROCESS_WORKER.execute_batch(jobs)
-    ]
-
-
-def _process_snapshot() -> dict:
-    assert _PROCESS_WORKER is not None, "process worker not initialized"
-    return _PROCESS_WORKER.snapshot()
+    return _PROCESS_WORKER.execute_batch(jobs)

@@ -2,6 +2,8 @@
 quench vertex through the on-the-fly field launch, and the
 launch-reduction zero-launch regression."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.core import AssemblyOptions, LandauOperator
 from repro.core.batch import BatchedVertexSolver, BatchStats
 from repro.core.maxwellian import maxwellian_rz, species_maxwellian
 from repro.fem import FunctionSpace
+from repro.serve import SolveJob, SolvePlan
+from repro.serve.metrics import ShardMetrics
 from repro.serve.shard import ShardWorker
 
 
@@ -101,7 +105,18 @@ class TestLaunchReductionRegression:
         st = BatchStats(field_launches=4, equivalent_unbatched_launches=12)
         assert st.launch_reduction == 3.0
 
-    def test_shard_aggregate_zero_launches(self):
-        agg = ShardWorker(shard_id=0).solver_counters()
-        assert agg["field_launches"] == 0
-        assert agg["launch_reduction"] == 0.0
+    def test_shed_only_batch_reports_zero_reduction(self, fs_q2, electron_species):
+        """A shard whose one batch was shed before launching reports a
+        launch reduction of 0.0 in its books."""
+        plan = SolvePlan(fs=fs_q2, species=electron_species, dt=0.1)
+        job = SolveJob(
+            plan=plan,
+            state=np.zeros((1, fs_q2.ndofs)),
+            deadline=time.monotonic() - 1.0,
+        )
+        results, delta = ShardWorker(shard_id=0).execute_batch([job])
+        books = ShardMetrics()
+        books.record(results, delta)
+        solver = books.snapshot()["solver"]
+        assert solver["field_launches"] == 0
+        assert solver["launch_reduction"] == 0.0

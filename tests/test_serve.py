@@ -181,14 +181,13 @@ class TestPlanCache:
         cache = PlanCache(budget=int(1.5 * per_plan))
         cache.get(p1)
         cache.get(p1)
-        assert cache.counters()["hits"] == 1
+        assert cache.hits == 1
         cache.get(p2)  # over budget: evicts p1
-        assert cache.counters()["evictions"] == 1
+        assert cache.evictions == 1
         assert len(cache) == 1
         cache.get(p1)  # rebuilt: a miss
-        c = cache.counters()
-        assert (c["hits"], c["misses"], c["evictions"]) == (1, 3, 2)
-        assert 0 < c["bytes"] <= cache.budget
+        assert (cache.hits, cache.misses, cache.evictions) == (1, 3, 2)
+        assert 0 < cache.bytes <= cache.budget
 
     def test_runtime_bytes_are_the_resident_response(self, fs_q2, electron_species):
         """A cached plan is charged its response tables (the pair tables
@@ -222,13 +221,13 @@ class TestPlanCache:
         cache = PlanCache(budget=per_plan)
         for plan in plans:
             cache.get(plan)
-        assert len(cache) == 3 and cache.counters()["evictions"] == 0
+        assert len(cache) == 3 and cache.evictions == 0
         assert cache.bytes == per_plan
         cache.budget = per_plan - 1  # one byte short, checked on a miss
         cache.get(SolvePlan(fs=fs_q2, species=electron_species, dt=4 * DT))
         # no eviction brought the bytes down, so LRU eviction ran on to
         # the single-plan floor, and the survivor holds what all four did
-        assert len(cache) == 1 and cache.counters()["evictions"] == 3
+        assert len(cache) == 1 and cache.evictions == 3
         assert cache.bytes == per_plan
 
     def test_single_over_budget_plan_still_served(self, fs_q2, electron_species):
@@ -654,7 +653,7 @@ class TestServiceTakesTurns:
                     for i, s in enumerate(serve_states[:4])
                 ]
                 start.wait()
-                out[shard] = svc._execute_degraded(shard, jobs)
+                out[shard], _delta = svc._execute_degraded(shard, jobs)
 
             threads = [
                 threading.Thread(target=degraded, args=(s,)) for s in (0, 1)
@@ -665,4 +664,92 @@ class TestServiceTakesTurns:
                 t.join(120.0)
             assert not any(t.is_alive() for t in threads)
             assert in_flight["max"] == 1 and len(in_flight["calls"]) == 2
-            assert all(res.ok for s in (0, 1) for _, res in out[s])
+            assert all(res.ok for s in (0, 1) for res in out[s])
+
+
+class TestBooks:
+    def test_parallel_dispatchers_count_each_job_once(
+        self, fs_q2, electron_species, serve_states
+    ):
+        """Three process shards, one dispatcher thread each, switching
+        as often as the interpreter allows: the books and the per-tag
+        counts they share a lock with lose no update."""
+        svc = CollisionSolveService(
+            ServeOptions(num_shards=3, max_batch=4, executor="process")
+        )
+        plans = _one_plan_per_shard(svc, fs_q2, electron_species)
+        n_jobs = 36
+        interval = sys.getswitchinterval()
+        with svc:
+            svc.start()
+            sys.setswitchinterval(1e-6)
+            try:
+                handles = [
+                    svc.submit(plans[i % 3], serve_states[i % 10], tag=f"t{i % 2}")
+                    for i in range(n_jobs)
+                ]
+                results = [h.result(120.0) for h in handles]
+            finally:
+                sys.setswitchinterval(interval)
+            svc.stop()
+            snap = svc.snapshot()
+        assert all(r.ok for r in results)
+        assert snap["jobs"]["ok"] == n_jobs
+        assert [s["jobs_ok"] for s in snap["shards"]] == [n_jobs // 3] * 3
+        assert sum(
+            int(size) * count for size, count in snap["batch_size_hist"].items()
+        ) == n_jobs
+        assert sum(s["latency"]["samples"] for s in snap["shards"]) == n_jobs
+        assert {t: c["ok"] for t, c in snap["jobs"]["by_tag"].items()} == {
+            "t0": n_jobs // 2,
+            "t1": n_jobs // 2,
+        }
+
+    def test_counters_never_go_backwards(
+        self, fs_q2, fs_q3, electron_species, serve_states
+    ):
+        """Alternating two plans under a budget that holds one evicts a
+        runtime every round; the books keep what it counted."""
+        plans = [
+            SolvePlan(fs=fs, species=electron_species, dt=DT)
+            for fs in (fs_q2, fs_q3)
+        ]
+        q3_states = [
+            fs_q3.interpolate(
+                lambda r, z, v=v: maxwellian_rz(r, z, 1.0, v)
+            )[None, :]
+            for v in (0.80, 0.85, 0.90, 0.95)
+        ]
+        svc = CollisionSolveService(
+            ServeOptions(num_shards=1, max_batch=4, plan_budget=1)
+        )
+        (worker,) = svc._workers
+        snaps, launched = [svc.snapshot()], 0
+        for rnd in range(4):
+            plan = plans[rnd % 2]
+            states = q3_states if plan.fs is fs_q3 else serve_states[:4]
+            before = {
+                rt: rt.solver.stats.field_launches
+                for rt in worker.plans.runtimes()
+            }
+            for s in states:
+                svc.submit(plan, s)
+            svc.drain()
+            launched += sum(
+                rt.solver.stats.field_launches - before.get(rt, 0)
+                for rt in worker.plans.runtimes()
+            )
+            snaps.append(svc.snapshot())
+        svc.close()
+        for prev, cur in zip(snaps, snaps[1:]):
+            for k in prev["solver"]:
+                if k != "launch_reduction":
+                    assert cur["solver"][k] >= prev["solver"][k], k
+            for k in ("hits", "misses", "evictions"):
+                assert cur["plan_cache"][k] >= prev["plan_cache"][k], k
+        last = snaps[-1]
+        assert last["jobs"]["ok"] == 16
+        assert last["batch_size_hist"] == {"4": 4}
+        assert last["plan_cache"]["evictions"] == 3
+        assert last["plan_cache"]["plans"] == 1
+        assert last["solver"]["field_launches"] == launched > 0

@@ -113,15 +113,63 @@ class TestBrokenWorkerRecovery:
             assert shard0["worker_restarts"] == 1
         assert _own_segments() <= before
 
-    def test_snapshot_survives_dead_worker(self, plan, states):
+    def test_snapshot_of_dead_worker_reads_parent_books(
+        self, plan, states, monkeypatch
+    ):
+        """Reading metrics sends nothing to a worker and restarts none,
+        even when the pool is broken; the next batch heals the shard."""
         with CollisionSolveService(
             ServeOptions(executor="process", num_shards=1, max_batch=4)
         ) as svc:
             svc.solve_many(plan, states[:2])
             with pytest.raises(Exception):
                 svc._pools[0].submit(os._exit, 1).result()
-            snap = svc.snapshot()  # restarts the worker under the hood
-            assert snap["jobs"]["worker_restarts"] == 1
+            calls = []
+            pool = svc._pools[0]
+            monkeypatch.setattr(
+                pool, "submit", lambda *a, **k: calls.append(("submit", a))
+            )
+            monkeypatch.setattr(
+                svc, "_restart_worker", lambda s: calls.append(("restart", s))
+            )
+            snap = svc.snapshot()
+            assert calls == []
+            assert snap["jobs"]["ok"] == 2
+            assert snap["jobs"]["worker_restarts"] == 0
+            monkeypatch.undo()
+            res = svc.solve_many(plan, states[2:6])
+            assert all(r.status == STATUS_OK for r in res)
+            snap = svc.snapshot()
+        assert snap["jobs"]["worker_restarts"] == 1
+        assert snap["jobs"]["ok"] == 6
+        assert snap["batch_size_hist"] == {"2": 1, "4": 1}
+
+    def test_degraded_batches_counted_once(self, plan, states):
+        """Batches served by the in-parent tier while the breaker is
+        open land in the same books as the worker's: once each in the
+        histogram, the job counts and the latency samples."""
+        with CollisionSolveService(
+            ServeOptions(
+                executor="process",
+                num_shards=1,
+                max_batch=4,
+                supervision=SupervisorOptions(breaker_cooldown=8),
+            )
+        ) as svc:
+            svc.solve_many(plan, states[:4])
+            svc._supervisors[0].breaker._trip()
+            res = svc.solve_many(plan, states[:8])
+            assert all(r.status == STATUS_OK for r in res)
+            snap = svc.snapshot()
+        shard0 = snap["shards"][0]
+        assert snap["failures"]["degraded_batches"] == 2
+        assert snap["failures"]["degraded_jobs"] == 8
+        assert snap["batch_size_hist"] == {"4": 3}
+        assert snap["jobs"]["ok"] == 12
+        assert shard0["latency"]["samples"] == 12
+        # the worker built the plan once; the degraded tier once more
+        assert snap["plan_cache"]["plans"] == 2
+        assert snap["plan_cache"]["misses"] == 2
 
 
 #: jobs in the by-value batch: one full batch of the e Q3 workloads
@@ -213,9 +261,9 @@ class TestByValueStates:
             first = _started_batch(svc, q3_plan, q3_states)
             second = _started_batch(svc, q3_plan, q3_states)
             snap = svc.snapshot()
-        # the fresh worker ran the retried stack as one batch (the
-        # crashed worker's counters died with it)
-        assert snap["batch_size_hist"] == {str(FULL_BATCH): 1}
+        # both incarnations' batches stay in the service's books
+        assert snap["batch_size_hist"] == {str(FULL_BATCH): 2}
+        assert snap["jobs"]["ok"] == 2 * FULL_BATCH
         assert snap["failures"]["worker_crashes"] == 1
         assert snap["failures"]["degraded_batches"] == 0
         assert snap["jobs"]["worker_restarts"] == 1

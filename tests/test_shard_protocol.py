@@ -4,8 +4,9 @@ A process shard's worker holds one warm :class:`ShardWorker`, a store of
 published plans and, on chaos runs, a fault injector, all as module
 globals of :mod:`repro.serve.shard`.  These tests install those globals
 in the test process and call the worker entry points directly — publish,
-warm, execute by value, snapshot, heartbeat, the initializer and the
-parent watch — so each contract is checked without a pool in between.
+warm, execute by value (results and counter delta), heartbeat, the
+initializer and the parent watch — so each contract is checked without a
+pool in between.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.resilience.faults import FaultInjector
 from repro.serve import SolveJob, SolvePlan
 from repro.serve import shard
 from repro.serve.jobs import STATUS_OK, STATUS_SHED
+from repro.serve.metrics import ShardMetrics
 from repro.serve.shard import PlanNotPublished, ShardWorker
 
 DT = 0.3
@@ -85,26 +87,24 @@ class TestPublication:
             shard._process_publish_plan(plan)
         assert list(shard._PLAN_STORE) == [plan.key]
         # publishing builds nothing: the runtime waits for warm/execute
-        assert worker.plans.counters()["misses"] == 0
+        assert worker.plans.misses == 0
 
     def test_execute_unpublished_raises(self, worker, plan, stack):
         with pytest.raises(PlanNotPublished, match=plan.key):
             shard._process_execute(plan.key, _meta(len(stack)), stack)
-        assert worker.metrics.batches == 0
+        assert len(worker.plans) == 0
 
     def test_warm_unpublished_raises(self, worker, plan):
         with pytest.raises(PlanNotPublished, match=plan.key):
             shard._process_warm(plan.key)
-        assert worker.warm_calls == 0
+        assert len(worker.plans) == 0
 
     def test_warm_builds_runtime_once(self, worker, plan):
         shard._process_publish_plan(plan)
         first = shard._process_warm(plan.key)
         second = shard._process_warm(plan.key)
         assert first >= 0.0 and second >= 0.0
-        assert worker.warm_calls == 2
-        counters = worker.plans.counters()
-        assert counters["misses"] == 1 and counters["hits"] == 1
+        assert worker.plans.misses == 1 and worker.plans.hits == 1
 
 
 @pytest.mark.parametrize(
@@ -115,9 +115,8 @@ class TestPublication:
         lambda plan, stack: shard._process_execute(
             plan.key, _meta(len(stack)), stack
         ),
-        lambda plan, stack: shard._process_snapshot(),
     ],
-    ids=["publish", "warm", "execute", "snapshot"],
+    ids=["publish", "warm", "execute"],
 )
 def test_uninitialized_worker_rejects_calls(uninitialized, plan, stack, call):
     """An entry point called before the initializer ran fails loudly
@@ -135,23 +134,22 @@ class TestExecuteByValue:
         """Rows of the shipped stack become jobs that answer bitwise as
         the same jobs handed to a shard worker directly."""
         self._published(plan)
-        out = shard._process_execute(plan.key, _meta(len(stack)), stack)
-        direct = ShardWorker(1).execute_batch(
+        out, _ = shard._process_execute(plan.key, _meta(len(stack)), stack)
+        direct, _ = ShardWorker(1).execute_batch(
             [SolveJob(plan=plan, state=row) for row in stack]
         )
         assert len(out) == len(direct) == len(stack)
-        for (_, res), (_, ref) in zip(out, direct):
+        for res, ref in zip(out, direct):
             assert res.status == ref.status == STATUS_OK
             np.testing.assert_array_equal(res.state, ref.state)
 
     def test_keeps_job_order_and_ids(self, worker, plan, stack):
         self._published(plan)
         meta = _meta(len(stack))
-        out = shard._process_execute(plan.key, meta, stack)
-        assert [job_id for job_id, _ in out] == [m[0] for m in meta]
-        assert [res.job_id for _, res in out] == [m[0] for m in meta]
-        assert all(res.shard == 0 for _, res in out)
-        assert all(res.batch_size == len(stack) for _, res in out)
+        out, _ = shard._process_execute(plan.key, meta, stack)
+        assert [res.job_id for res in out] == [m[0] for m in meta]
+        assert all(res.shard == 0 for res in out)
+        assert all(res.batch_size == len(stack) for res in out)
 
     def test_does_not_mutate_stack(self, worker, plan, stack):
         self._published(plan)
@@ -164,8 +162,8 @@ class TestExecuteByValue:
         never carries a view back into the request."""
         self._published(plan)
         sent = stack.copy()
-        out = shard._process_execute(plan.key, _meta(len(sent)), sent)
-        for _, res in out:
+        out, _ = shard._process_execute(plan.key, _meta(len(sent)), sent)
+        for res in out:
             assert not np.shares_memory(res.state, sent)
 
     def test_expired_job_is_shed_in_worker(self, worker, plan, stack):
@@ -173,34 +171,57 @@ class TestExecuteByValue:
         meta = _meta(len(stack))
         job_id, _, submitted = meta[1]
         meta[1] = (job_id, time.monotonic() - 1.0, submitted)
-        out = dict(shard._process_execute(plan.key, meta, stack))
+        results, delta = shard._process_execute(plan.key, meta, stack)
+        out = {res.job_id: res for res in results}
         assert out[job_id].status == STATUS_SHED
         assert out[job_id].state is None
         ok = [res for jid, res in out.items() if jid != job_id]
         assert all(res.status == STATUS_OK for res in ok)
         assert all(res.batch_size == len(stack) - 1 for res in ok)
-        assert worker.metrics.jobs_shed == 1
-        assert worker.metrics.batch_size_hist == {len(stack) - 1: 1}
+        # the service's books count the shed job and the smaller batch
+        books = ShardMetrics()
+        books.record(results, delta)
+        assert books.jobs_shed == 1 and books.jobs_ok == len(stack) - 1
+        assert books.batch_size_hist == {len(stack) - 1: 1}
 
-    def test_all_expired_batch_launches_nothing(self, worker, plan, stack):
-        self._published(plan)
-        meta = _meta(len(stack), deadline=time.monotonic() - 1.0)
-        out = shard._process_execute(plan.key, meta, stack)
-        assert {res.status for _, res in out} == {STATUS_SHED}
-        solver = worker.solver_counters()
-        assert solver["field_launches"] == 0
-        assert solver["launch_reduction"] == 0.0
-        assert worker.metrics.batches == 0
-
-    def test_snapshot_reports_executed_jobs(self, worker, plan, stack):
+    def test_returns_results_and_batch_delta(self, worker, plan, stack):
+        """The delta is what this batch added to the runtime's
+        ``BatchStats``, with the plan cache's counts and levels."""
         self._published(plan)
         shard._process_execute(plan.key, _meta(len(stack)), stack)
-        snap = shard._process_snapshot()
-        assert snap["jobs_ok"] == len(stack)
-        assert snap["batch_size_hist"] == {str(len(stack)): 1}
-        assert snap["warm_calls"] == 1
-        assert snap["plan_cache"]["plans"] == 1
-        assert snap["solver"]["field_launches"] > 0
+        (runtime,) = worker.plans.runtimes()
+        stats = runtime.solver.stats
+        launches0, factors0 = stats.field_launches, stats.factorizations
+        out, delta = shard._process_execute(plan.key, _meta(len(stack)), stack)
+        assert len(out) == len(stack)
+        solver = delta["solver"]
+        assert solver["field_launches"] == stats.field_launches - launches0 > 0
+        assert solver["factorizations"] == stats.factorizations - factors0 > 0
+        assert delta["tier"] == "primary"
+        assert delta["plan_cache"] == {
+            "hits": 1,
+            "misses": 0,
+            "evictions": 0,
+            "plans": 1,
+            "bytes": runtime.bytes,
+        }
+        assert delta["injected_faults"] == 0
+
+    def test_warm_build_rides_with_first_delta(self, worker, plan, stack):
+        self._published(plan)
+        _, delta = shard._process_execute(plan.key, _meta(len(stack)), stack)
+        assert delta["plan_cache"]["misses"] == 1
+        assert delta["plan_cache"]["hits"] == 1
+
+    def test_all_expired_batch_launches_nothing(self, worker, plan, stack):
+        shard._process_publish_plan(plan)
+        meta = _meta(len(stack), deadline=time.monotonic() - 1.0)
+        out, delta = shard._process_execute(plan.key, meta, stack)
+        assert {res.status for res in out} == {STATUS_SHED}
+        assert set(delta["solver"].values()) == {0}
+        assert set(delta["plan_cache"].values()) == {0}
+        assert delta["injected_faults"] == 0
+        assert len(worker.plans) == 0
 
 
 class TestDispatchFaults:

@@ -145,7 +145,7 @@ class TestLifetime:
         refs = [weakref.ref(R) for R in rt.op.response_tables]
         del rt
         cache.get(SolvePlan(fs=fs_q3, species=electron_species, dt=0.3))
-        assert cache.counters()["evictions"] == 1
+        assert cache.evictions == 1
         gc.collect()
         assert all(ref() is None for ref in refs)
 

@@ -223,7 +223,6 @@ class TestRestartBackoff:
         assert [b.next_delay() for _ in range(4)] == [0.5, 1.0, 2.0, 2.0]
         b.reset()
         assert b.next_delay() == 0.5
-        assert b.restarts == 5
 
     def test_supervisor_snapshot_shape(self):
         sup = ShardSupervisor(_fast_supervision())
