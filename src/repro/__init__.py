@@ -9,8 +9,9 @@ The package implements, from scratch and in pure NumPy/SciPy Python:
   mesh refinement and hanging-node constraints (:mod:`repro.fem`,
   :mod:`repro.amr`, :mod:`repro.core`),
 * the paper's Algorithm 1 expressed against a functional, fully counted
-  simulator of the CUDA programming model and a Kokkos-style layer
-  (:mod:`repro.gpu`, :mod:`repro.kokkos`),
+  simulator of the CUDA programming model (:mod:`repro.gpu`,
+  :mod:`repro.core.kernel_cuda`); the Kokkos rows of the performance
+  tables are modelled from the same counts,
 * the PETSc-style sparse-matrix substrate, including the custom RCM band
   LU solver (:mod:`repro.sparse`),
 * the Vlasov-Poisson-Landau thermal quench model with Spitzer-resistivity

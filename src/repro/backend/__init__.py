@@ -6,9 +6,9 @@ batched einsum assembly, the CSR scatter-apply and the batched band
 factor/solve — serially in numpy/scipy; parallelism lives one level up,
 in the serve tier's shards.
 
-The shared Algorithm-1 kernel specification lives in
-``repro.backend.kernel_spec`` and is imported directly by the CUDA and
-Kokkos simulators (not re-exported here, to keep this package free of
+The Algorithm-1 kernel's SoA packing and instruction-mix constants live
+in ``repro.backend.kernel_spec`` and are imported directly by the CUDA
+simulator kernel (not re-exported here, to keep this package free of
 core/gpu imports).
 """
 

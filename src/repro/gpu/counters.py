@@ -81,11 +81,3 @@ class Counters:
                 for f in fields(self)
             }
         )
-
-    def merge(self, other: "Counters") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)

@@ -23,8 +23,8 @@ class ThreadBlock:
     """Execution handle for one thread block on one SM.
 
     Provides the CUDA vocabulary used by Algorithm 1: block/thread geometry,
-    shared memory allocation, ``syncthreads``, warp-shuffle reductions and
-    global atomics — each call also records the corresponding work.
+    global and shared-memory traffic, ``syncthreads`` and global atomics —
+    each call also records the corresponding work.
     """
 
     def __init__(
@@ -44,19 +44,8 @@ class ThreadBlock:
         self.dim_y = dim_y
         self.counters = counters
         self.device = device
-        self._shared_allocated = 0
 
     # --- memory -----------------------------------------------------------------
-    def shared(self, *shape: int) -> np.ndarray:
-        """Allocate a zeroed shared-memory array (counts the footprint)."""
-        arr = np.zeros(shape)
-        self._shared_allocated += arr.nbytes
-        return arr
-
-    @property
-    def shared_bytes_allocated(self) -> int:
-        return self._shared_allocated
-
     def global_read(self, count: int) -> None:
         """Record ``count`` doubles read from global memory (coalesced)."""
         self.counters.dram_read_bytes += count * FP64
@@ -82,22 +71,6 @@ class ThreadBlock:
     # --- synchronization -----------------------------------------------------------
     def syncthreads(self) -> None:
         self.counters.syncthreads += 1
-
-    def warp_shuffle_reduce(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Sum-reduce across the lane axis using warp shuffles.
-
-        Records ``log2(width)`` shuffle rounds over the participating
-        values (each round also an FP64 add per element), exactly the
-        butterfly of the CUDA kernel's manual reduction.
-        """
-        values = np.asarray(values)
-        width = values.shape[axis]
-        out = values.sum(axis=axis)
-        rounds = max(int(np.ceil(np.log2(width))), 0) if width > 1 else 0
-        n_items = int(np.prod(out.shape)) if out.shape else 1
-        self.counters.warp_shuffles += rounds * n_items
-        self.counters.add += rounds * n_items
-        return out
 
     def atomic_add(self, target: np.ndarray, index, values) -> None:
         """Global-memory atomic fetch-and-add scatter.

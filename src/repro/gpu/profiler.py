@@ -46,35 +46,12 @@ class KernelProfile:
         return self.counters.arithmetic_intensity
 
     @property
-    def achieved_tflops(self) -> float:
-        return self.counters.flops / self.time_s / 1e12 if self.time_s else 0.0
-
-    @property
     def roofline_fraction(self) -> float:
         """Achieved flops over the roofline ceiling at this kernel's AI."""
         ai = self.arithmetic_intensity
         peak = self.device.peak_fp64_flops
         ceiling = min(peak, ai * self.device.dram_peak_gbs * 1e9)
         return self.counters.flops / self.time_s / ceiling if self.time_s else 0.0
-
-    @property
-    def fp64_pipe_utilization(self) -> float:
-        """Fraction of FP64 issue-slot peak actually sustained."""
-        if not self.time_s:
-            return 0.0
-        return (
-            self.counters.issue_slots
-            / self.time_s
-            / self.device.peak_issue_slots
-        )
-
-    @property
-    def dram_utilization(self) -> float:
-        if not self.time_s:
-            return 0.0
-        return (
-            self.counters.dram_bytes / self.time_s / (self.device.dram_peak_gbs * 1e9)
-        )
 
 
 def profile_kernel(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nodes import FUGAKU, SPOCK, SUMMIT, NodeSpec
+from .nodes import FUGAKU, KOKKOS_KERNEL_OVERHEAD, SPOCK, SUMMIT, NodeSpec
 from .workload import LandauWorkload
 
 
@@ -67,8 +67,12 @@ def component_table(wl: LandauWorkload) -> list[ComponentRow]:
     """
     rows = [
         component_times(wl, SUMMIT, "CUDA"),
-        component_times(wl, SUMMIT, "Kokkos-CUDA", kernel_overhead=1.10),
-        component_times(wl, SPOCK, "Kokkos-HIP", kernel_overhead=1.10),
+        component_times(
+            wl, SUMMIT, "Kokkos-CUDA", kernel_overhead=KOKKOS_KERNEL_OVERHEAD
+        ),
+        component_times(
+            wl, SPOCK, "Kokkos-HIP", kernel_overhead=KOKKOS_KERNEL_OVERHEAD
+        ),
         component_times(
             wl, FUGAKU, "Fugaku (normalized)", host_kernel_threads=8
         ),

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..gpu.device import V100
-from .nodes import FUGAKU, SPOCK, SUMMIT
+from .nodes import FUGAKU, KOKKOS_KERNEL_OVERHEAD, SPOCK, SUMMIT
 from .throughput import (
     fugaku_table,
     spock_hip_table,
@@ -54,7 +54,7 @@ def summary_table(wl: LandauWorkload) -> list[SummaryRow]:
     )
 
     t3 = summit_kokkos_table(wl)
-    tk = wl.kernel_time(V100, overhead=1.10)
+    tk = wl.kernel_time(V100, overhead=KOKKOS_KERNEL_OVERHEAD)
     rows.append(
         SummaryRow(
             "Summit / Kokkos-CUDA",
@@ -65,7 +65,7 @@ def summary_table(wl: LandauWorkload) -> list[SummaryRow]:
     )
 
     t5 = spock_hip_table(wl)
-    th = wl.kernel_time(SPOCK.device, overhead=1.10)
+    th = wl.kernel_time(SPOCK.device, overhead=KOKKOS_KERNEL_OVERHEAD)
     norm = SPOCK.device.peak_fp64_tflops / V100.peak_fp64_tflops
     rows.append(
         SummaryRow(

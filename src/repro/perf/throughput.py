@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..gpu.device import DeviceSpec
 from .mps import MpsPipelineModel
-from .nodes import FUGAKU, SPOCK, SUMMIT, NodeSpec
+from .nodes import FUGAKU, KOKKOS_KERNEL_OVERHEAD, SPOCK, SUMMIT, NodeSpec
 from .workload import LandauWorkload
 
 
@@ -82,7 +82,7 @@ def summit_kokkos_table(wl: LandauWorkload) -> ThroughputTable:
         "Kokkos-CUDA, V100 Newton iterations/sec",
         [1, 2, 3, 5, 7],
         [1, 2, 3],
-        kernel_overhead=1.10,
+        kernel_overhead=KOKKOS_KERNEL_OVERHEAD,
     )
 
 
@@ -94,7 +94,7 @@ def spock_hip_table(wl: LandauWorkload) -> ThroughputTable:
         "Kokkos-HIP, MI100 Newton iterations/sec",
         [1, 2, 4, 8],
         [1, 2],
-        kernel_overhead=1.10,
+        kernel_overhead=KOKKOS_KERNEL_OVERHEAD,
     )
 
 

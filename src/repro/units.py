@@ -72,9 +72,6 @@ class UnitSystem:
         """``E~ = e E t0 / (m0 v0)`` (acceleration in code units per unit charge)."""
         return c.ELECTRON_CHARGE * E_si * self.t0 / (self.m0 * self.v0)
 
-    def distribution_to_code(self, f_si: float) -> float:
-        return f_si * self.v0**3 / self.n0
-
     # --- conversions: code units -> SI --------------------------------------
     def velocity_to_si(self, v_code: float) -> float:
         return v_code * self.v0
@@ -106,10 +103,6 @@ class UnitSystem:
     def c_code(self) -> float:
         """Speed of light in code (v0) units — needed for Connor-Hastie E_c."""
         return c.SPEED_OF_LIGHT / self.v0
-
-    def electron_collision_time(self) -> float:
-        """The e-e reference collision time is exactly ``t0`` by construction."""
-        return self.t0
 
 
 #: module-level default used by examples and benchmarks (1 keV, 1e20 m^-3)

@@ -2,9 +2,8 @@
 produce the same matrices and updates.
 
 The CPU reference (``LandauOperator.jacobian``), the CUDA-sim kernel
-(:class:`CudaLandauJacobian`), the Kokkos-sim kernel
-(:class:`KokkosLandauJacobian`) and the batched per-vertex path
-(:class:`BatchedVertexSolver`) are four implementations of the same
+(:class:`CudaLandauJacobian`) and the batched per-vertex path
+(:class:`BatchedVertexSolver`) are three implementations of the same
 discrete operator; any drift between them is a bug.  The grid covers a
 conforming structured mesh and the AMR mesh (hanging-node constraints),
 with single- and two-species sets, plus the CPU path with cached and
@@ -29,13 +28,10 @@ from repro.core import (
     electron,
 )
 from repro.core.kernel_cuda import CudaLandauJacobian
-from repro.core.kernel_kokkos import KokkosLandauJacobian
 from repro.core.landau_tensor import landau_tensors_cyl
 from repro.core.maxwellian import maxwellian_rz, species_maxwellian
 from repro.fem import FunctionSpace, Mesh
 from repro.fem.assembly import assemble_coefficient_operator, assemble_mass
-from repro.kokkos import KOKKOS_OPENMP
-from repro.kokkos.backends import fresh_backend
 
 
 def _make_fs(kind: str) -> FunctionSpace:
@@ -91,21 +87,6 @@ class TestKernelBackends:
         ref = op.jacobian(fields)
         J = CudaLandauJacobian(fs, spc).build(fields)
         _assert_matches(J, ref, "cuda-sim")
-
-    def test_kokkos_matches_reference(self, system):
-        fs, spc, op, fields = system
-        ref = op.jacobian(fields)
-        bk = fresh_backend(KOKKOS_OPENMP)
-        J = KokkosLandauJacobian(fs, spc, backend=bk).build(fields)
-        _assert_matches(J, ref, "kokkos-sim")
-
-    def test_cuda_matches_kokkos(self, system):
-        fs, spc, op, fields = system
-        J_cuda = CudaLandauJacobian(fs, spc).build(fields)
-        bk = fresh_backend(KOKKOS_OPENMP)
-        J_kk = KokkosLandauJacobian(fs, spc, backend=bk).build(fields)
-        scale = max(np.abs(J_cuda).max(), 1.0)
-        assert np.allclose(J_cuda, J_kk, atol=1e-12 * scale)
 
 
 class TestBatchedVertexPath:

@@ -1,6 +1,9 @@
 """Algorithm 1 on the simulated device: exactness vs the CPU reference,
 block configuration, mass kernel, counters."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,64 @@ class TestCounters:
         staged = ne * (3 + 3 * S) * N * 8
         assert m.counters.dram_read_bytes >= staged
         assert m.counters.dram_read_bytes < 2.0 * staged + ne * 16 * 200
+
+
+# Every counter and the exact Jacobian/mass bytes of one build + build_mass,
+# pinned per species set: the performance tables are these counts turned
+# into device times, so a change to the kernel body that moves any of them
+# must show up here, not only as a drifted table row.
+_PINNED = {
+    "e": (
+        dict(fma=5570560, mul=3475200, add=2055680, special=409600,
+             dram_read_bytes=324300, dram_write_bytes=14540,
+             shared_read_bytes=2664020, shared_write_bytes=354080,
+             atomic_adds=5120, warp_shuffles=7680, syncthreads=440,
+             kernel_launches=1, blocks_executed=20),
+        dict(fma=245760, mul=5440, add=0, special=0,
+             dram_read_bytes=11980, dram_write_bytes=14540,
+             shared_read_bytes=1455700, shared_write_bytes=31520,
+             atomic_adds=5120, warp_shuffles=0, syncthreads=0,
+             kernel_launches=1, blocks_executed=20),
+        "a309ab31562f3955e0be4ec5cec2186c08bc15576d0b4c924c7606691b6a69b2",
+        "e353275d1b7b9f1ffba4f966a4b7bb057e8d9b25131ca4f3d2dfee32515ee79e",
+    ),
+    "ed": (
+        dict(fma=44613632, mul=27001856, add=16077824, special=3211264,
+             dram_read_bytes=3686928, dram_write_bytes=81424,
+             shared_read_bytes=16810920, shared_write_bytes=3875256,
+             atomic_adds=28672, warp_shuffles=21504, syncthreads=3248,
+             kernel_launches=1, blocks_executed=56),
+        dict(fma=688128, mul=15232, add=0, special=0,
+             dram_read_bytes=59920, dram_write_bytes=81424,
+             shared_read_bytes=4481960, shared_write_bytes=176568,
+             atomic_adds=28672, warp_shuffles=0, syncthreads=0,
+             kernel_launches=1, blocks_executed=56),
+        "4919563bd566c9e28492c64d20376147160359590b4eeac969b9a83f383ce97c",
+        "2fa7d6c005d41e4b44221d1795c07b67bc3518d7bd57f94b3438bf8e4172e4fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("system", ["e", "ed"])
+def test_counters_and_bytes_pinned(system, request):
+    if system == "e":
+        fs = request.getfixturevalue("fs_q3")
+        spc = request.getfixturevalue("electron_species")
+        fields = [request.getfixturevalue("electron_maxwellian")]
+    else:
+        fs = request.getfixturevalue("ed_fs")
+        spc = request.getfixturevalue("ed_species")
+        fields = request.getfixturevalue("ed_maxwellians")
+    jac_counts, mass_counts, jac_sha, mass_sha = _PINNED[system]
+    m = CudaMachine(V100)
+    ck = CudaLandauJacobian(fs, spc, machine=m)
+    J = ck.build(fields)
+    after_jac = m.counters.snapshot()
+    M = ck.build_mass()
+    assert dataclasses.asdict(after_jac) == jac_counts
+    assert dataclasses.asdict(m.counters.diff(after_jac)) == mass_counts
+    assert hashlib.sha256(J.tobytes()).hexdigest() == jac_sha
+    assert hashlib.sha256(M.tobytes()).hexdigest() == mass_sha
 
 
 class TestKernelData:
