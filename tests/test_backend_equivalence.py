@@ -88,6 +88,22 @@ class TestKernelBackends:
         J = CudaLandauJacobian(fs, spc).build(fields)
         _assert_matches(J, ref, "cuda-sim")
 
+    def test_cuda_ragged_chunk_matches_reference(self, system):
+        """A chunk width that leaves a short last chunk (and is not a power
+        of two) stages, reduces and assembles the same matrices."""
+        fs, spc, op, fields = system
+        assert fs.n_integration_points % 13 != 0
+        ref = op.jacobian(fields)
+        J = CudaLandauJacobian(fs, spc, block_x=13).build(fields)
+        _assert_matches(J, ref, "cuda-sim, 13-wide chunks")
+
+    def test_cuda_mass_matches_reference(self, system):
+        fs, spc, op, fields = system
+        M = CudaLandauJacobian(fs, spc).build_mass(shift=1.0)
+        ref = assemble_mass(fs).toarray()
+        for s in range(len(spc)):
+            assert np.allclose(M[s], ref, atol=1e-13 * max(np.abs(ref).max(), 1.0))
+
 
 class TestBatchedVertexPath:
     def test_batched_fields_match_reference(self, system):

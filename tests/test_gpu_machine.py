@@ -96,3 +96,30 @@ class TestMachine:
         tb.atomic_add(target, np.array([0, 1, 1]), np.array([1.0, 2.0, 3.0]))
         assert np.allclose(target, [1.0, 5.0, 0.0, 0.0])
         assert c.atomic_adds == 3
+
+    @pytest.mark.parametrize("device", [V100, MI100], ids=lambda d: d.name)
+    def test_atomic_traffic_split_by_l1_hit(self, device):
+        """Each atomic moves its datum through DRAM except the L1-absorbed
+        share, plus 16 bytes of index metadata through L1."""
+        c = Counters()
+        tb = ThreadBlock(0, 16, 16, c, device)
+        n = 100
+        tb.atomic_add(np.zeros(n), np.arange(n), np.ones(n))
+        hit = device.atomic_l1_hit
+        assert c.dram_read_bytes == int(n * 8 * (1.0 - hit))
+        assert c.dram_write_bytes == int(n * 8 * (1.0 - hit)) + n
+        assert c.shared_write_bytes == int(n * 8 * hit)
+        assert c.shared_read_bytes == int(n * 16 * hit) + n * 16
+
+    def test_barriers_and_geometry_per_block(self):
+        m = CudaMachine(V100)
+        seen = []
+
+        def kernel(tb, b):
+            seen.append((tb.block_id, tb.dim_x, tb.dim_y, tb.device.name))
+            tb.syncthreads()
+            tb.syncthreads()
+
+        m.launch(kernel, 3, (8, 16))
+        assert seen == [(b, 8, 16, "V100") for b in range(3)]
+        assert m.counters.syncthreads == 6

@@ -183,6 +183,75 @@ def test_counters_and_bytes_pinned(system, request):
     assert hashlib.sha256(M.tobytes()).hexdigest() == mass_sha
 
 
+def _atomic_bytes(kd, S, device, shared_read):
+    """The L1 share of the per-element atomic scatters (machine.atomic_add)."""
+    hit = device.atomic_l1_hit
+    total = 0
+    for t in kd.elem_targets:
+        n = S * len(t) ** 2
+        total += int(n * 2 * 8 * hit) + n * 2 * 8 if shared_read else int(n * 8 * hit)
+    return total
+
+
+class TestAlgorithmStructure:
+    """The inline steps of Algorithm 1, counted per block: one barrier per
+    staged chunk plus two (after the shuffle, after the KK/DD staging), a
+    butterfly of ceil(log2 chunk) rounds over the 6 unique G components of
+    every integration point, and the KK/DD coefficients written to shared
+    memory once and replayed for every basis row."""
+
+    @pytest.fixture(scope="class")
+    def electron_fields(self, fs_q3, electron_species):
+        return [fs_q3.interpolate(species_maxwellian(electron_species[0]))]
+
+    def _build(self, fs, spc, fields, block_x):
+        m = CudaMachine(V100)
+        ck = CudaLandauJacobian(fs, spc, machine=m, block_x=block_x)
+        J = ck.build(fields)
+        return m.counters, ck.kd, J
+
+    # 13 leaves a ragged last chunk of the 320 integration points
+    @pytest.mark.parametrize("block_x", [1, 8, 13, 16])
+    def test_one_barrier_per_chunk_plus_two(
+        self, fs_q3, electron_species, electron_fields, block_x
+    ):
+        c, kd, _ = self._build(fs_q3, electron_species, electron_fields, block_x)
+        chunks = -(-kd.N // block_x)
+        assert c.syncthreads == kd.nelem * (chunks + 2)
+
+    @pytest.mark.parametrize("block_x", [1, 8, 13, 16])
+    def test_shuffle_rounds_are_log2_chunk(
+        self, fs_q3, electron_species, electron_fields, block_x
+    ):
+        c, kd, _ = self._build(fs_q3, electron_species, electron_fields, block_x)
+        rounds = int(np.ceil(np.log2(block_x))) if block_x > 1 else 0
+        assert c.warp_shuffles == kd.nelem * rounds * kd.nq * 6
+
+    def test_ragged_chunk_matches_reference(
+        self, fs_q3, electron_species, electron_fields, electron_operator
+    ):
+        _, kd, J = self._build(fs_q3, electron_species, electron_fields, 13)
+        assert kd.N % 13 != 0
+        ref = electron_operator.jacobian(electron_fields)[0].toarray()
+        assert np.allclose(J[0], ref, atol=1e-12 * max(np.abs(ref).max(), 1))
+
+    def test_shared_writes_stage_chunks_and_kk_dd_once(self, setup):
+        fs, spc, op, fields = setup
+        c, kd, _ = self._build(fs, spc, fields, None)
+        S = len(spc)
+        per_block = (3 + 3 * S) * kd.N + S * kd.nq * 6
+        expected = 8 * kd.nelem * per_block + _atomic_bytes(kd, S, V100, False)
+        assert c.shared_write_bytes == expected
+
+    def test_shared_reads_replay_kk_dd_per_basis_row(self, setup):
+        fs, spc, op, fields = setup
+        c, kd, _ = self._build(fs, spc, fields, None)
+        S, nq, nb = len(spc), kd.nq, kd.nb
+        per_block = (3 + 3 * S) * kd.N + S * nq * 6 * nb + S * nq * nb * nb * 3
+        expected = 8 * kd.nelem * per_block + _atomic_bytes(kd, S, V100, True)
+        assert c.shared_read_bytes == expected
+
+
 class TestKernelData:
     def test_constraint_distribution_consistent(self, setup):
         """Per-element distribution matrices reproduce P restricted to the

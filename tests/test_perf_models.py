@@ -19,6 +19,7 @@ from repro.perf import (
     summit_cuda_table,
     summit_kokkos_table,
 )
+from repro.perf.nodes import KOKKOS_KERNEL_OVERHEAD
 from repro.perf.summary import summary_table
 
 
@@ -44,6 +45,22 @@ class TestNodes:
         assert all(vals[i] < vals[i + 1] for i in range(3))
         with pytest.raises(ValueError):
             s.slowdown(5)
+
+
+class TestKokkosOverhead:
+    def test_overhead_is_table7_kernel_ratio(self):
+        """Table VII: 3.2 s Kokkos-CUDA vs 2.9 s CUDA kernel time."""
+        assert KOKKOS_KERNEL_OVERHEAD == pytest.approx(3.2 / 2.9, abs=0.01)
+
+    def test_kokkos_rows_scale_only_the_kernel(self, workload):
+        by = {r.label: r for r in component_table(workload)}
+        cuda, kk = by["CUDA"], by["Kokkos-CUDA"]
+        assert kk.kernel == pytest.approx(KOKKOS_KERNEL_OVERHEAD * cuda.kernel)
+        assert kk.factor == cuda.factor and kk.solve == cuda.solve
+
+    def test_summary_kokkos_kernel_pct(self, workload):
+        rows = summary_table(workload)
+        assert rows[1].kernel_pct_cuda == pytest.approx(100.0 / KOKKOS_KERNEL_OVERHEAD)
 
 
 class TestWorkload:

@@ -60,6 +60,34 @@ class TestProfile:
         t_m = profile_kernel("jac", c, MI100).time_s
         assert t_m > t_v
 
+    def test_time_is_bottleneck_plus_atomic_tail(self):
+        c = memory_bound_counters()
+        p = profile_kernel("mass", c, V100)
+        body = max(p.t_compute, p.t_dram, p.t_l1)
+        launch = V100.kernel_launch_us * 1e-6
+        assert p.t_l1 == body
+        assert p.t_atomic > 0
+        assert p.time_s == pytest.approx(
+            (body + p.t_atomic) / V100.software_efficiency + launch
+        )
+        assert p.bottleneck_utilization == V100.l1_efficiency
+
+    def test_launches_override_counted_launches(self):
+        c = compute_bound_counters()
+        p1 = profile_kernel("jac", c, V100)
+        p10 = profile_kernel("jac", c, V100, launches=10)
+        assert p10.time_s - p1.time_s == pytest.approx(
+            9 * V100.kernel_launch_us * 1e-6
+        )
+
+    def test_dram_bound_identified(self):
+        c = Counters(fma=int(1e5), dram_read_bytes=int(1e9), kernel_launches=1)
+        p = profile_kernel("stream", c, V100)
+        assert p.bottleneck == "DRAM"
+        assert p.bottleneck_utilization == V100.mem_efficiency
+        # below the knee the ceiling is bandwidth, and it is not exceeded
+        assert 0 < p.roofline_fraction <= 1.0
+
     def test_report_format(self):
         ps = [
             profile_kernel("Jacobian", compute_bound_counters(), V100),
