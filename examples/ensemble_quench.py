@@ -9,17 +9,19 @@ plus the one-at-a-time sensitivity indices.
 
 Run with::
 
-    PYTHONPATH=src python examples/ensemble_quench.py [--fast]
+    PYTHONPATH=src python examples/ensemble_quench.py [--fast] \
+        [--checkpoint-dir DIR] [--resume]
 
-The campaign ledger lands in a temp directory; to see resume-after-kill
-in action, point ``REPRO_ENSEMBLE_CHECKPOINT_DIR`` somewhere durable,
-kill the process mid-run, and re-run with ``--resume``.
+The campaign ledger lands in ``--checkpoint-dir`` (a temp directory when
+omitted); to see resume-after-kill in action, give a durable directory,
+kill the process mid-run, and re-run with the same directory and
+``--resume``.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
-import sys
 import tempfile
 
 from repro.ensemble import (
@@ -32,18 +34,21 @@ from repro.ensemble import (
 from repro.serve import CollisionSolveService, ServeOptions
 
 
-def main(fast: bool = False, resume: bool = False) -> None:
+def main(
+    fast: bool = False, resume: bool = False, checkpoint_dir: str | None = None
+) -> list:
+    """Run the campaign; returns its member results."""
     design = ScenarioDesign(members=4 if fast else 8, seed=1, Z_choices=(1.0, 2.0))
-    options = CampaignOptions.from_env(
+    ckpt = checkpoint_dir or tempfile.mkdtemp(prefix="ensemble_quench_")
+    options = CampaignOptions(
         dt=0.5,
         max_steps=6 if fast else 24,
         post_steps=2 if fast else 4,
         order=2,
         mesh_kwargs={"h_factor": 1.6} if fast else None,
         quench_threshold=0.8 if fast else 0.5,
+        checkpoint_dir=ckpt,
     )
-    ckpt = options.checkpoint_dir or tempfile.mkdtemp(prefix="ensemble_quench_")
-    options.checkpoint_dir = ckpt
 
     service = CollisionSolveService(ServeOptions(num_shards=2, max_batch=64))
     driver = CampaignDriver(design, options, service=service)
@@ -62,7 +67,17 @@ def main(fast: bool = False, resume: bool = False) -> None:
               f"members completed; JSON artifact: {out}")
     finally:
         service.close()
+    return results
 
 
 if __name__ == "__main__":
-    main(fast="--fast" in sys.argv, resume="--resume" in sys.argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--fast", action="store_true", help="4 members, coarse mesh")
+    parser.add_argument(
+        "--resume", action="store_true", help="resume from the ledger in DIR"
+    )
+    parser.add_argument(
+        "--checkpoint-dir", metavar="DIR", help="campaign ledger directory"
+    )
+    args = parser.parse_args()
+    main(fast=args.fast, resume=args.resume, checkpoint_dir=args.checkpoint_dir)

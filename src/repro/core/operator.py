@@ -217,7 +217,7 @@ class LandauOperator:
     options:
         assembly configuration (caching of the O(N^2) tensors as
         field-response tables, memory budget); defaults to
-        :meth:`AssemblyOptions.from_env`.
+        ``AssemblyOptions()``.
     """
 
     def __init__(
@@ -230,7 +230,7 @@ class LandauOperator:
         self.fs = fs
         self.species = species
         self.nu0 = float(nu0)
-        self.options = options if options is not None else AssemblyOptions.from_env()
+        self.options = options if options is not None else AssemblyOptions()
         #: the executor every hot path dispatches through
         self.backend = NumpyBackend()
         #: assembly work accounting consumed by ``NewtonStats``:
@@ -291,7 +291,7 @@ class LandauOperator:
                 f"still owed and one row block) for N={N} integration points "
                 f"and n={fs.ndofs} dofs, above the assembly memory budget "
                 f"of {self.options.memory_budget / 1e6:.2f} MB; raise "
-                "AssemblyOptions.memory_budget (REPRO_ASSEMBLY_MEMORY_BUDGET) "
+                "AssemblyOptions.memory_budget "
                 "or leave cache_pair_tables=None to fall back to chunked "
                 "on-the-fly evaluation"
             )

@@ -16,15 +16,11 @@ executor, :class:`repro.backend.NumpyBackend`.
   with a clear error instead of a ``MemoryError``.
 * **table caching** — build the response tables once or recompute the
   tensors on the fly every launch (the paper's regime).
-
-Both knobs have an environment override (prefix ``REPRO_ASSEMBLY_``) so
-runs can be reconfigured without touching driver code.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .landau_tensor import PAIR_BLOCK_PLANES
@@ -51,25 +47,6 @@ class PairTableMemoryError(RuntimeError):
     Raised *before* any allocation so the caller gets a clear, actionable
     message instead of a ``MemoryError`` mid-build.
     """
-
-
-def _env_int(name: str, default: int) -> int:
-    """``int`` of the variable ``name``, which may be written as a float
-    (``2e9``) but must be integral and finite; ``default`` when unset."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        value = float(raw)
-        if value.is_integer():  # false for inf and nan
-            return int(value)
-    except ValueError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -104,34 +81,6 @@ class AssemblyOptions:
             raise ValueError(
                 f"memory_budget must be positive, got {self.memory_budget}"
             )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_env(cls, **overrides) -> "AssemblyOptions":
-        """Defaults with ``REPRO_ASSEMBLY_*`` environment overrides applied.
-
-        Recognized variables: ``REPRO_ASSEMBLY_MEMORY_BUDGET`` and
-        ``REPRO_ASSEMBLY_CACHE_TABLES`` (``auto``/``1``/``0``).  Keyword
-        arguments win over the environment.
-        """
-        values = {
-            "memory_budget": _env_int(
-                "REPRO_ASSEMBLY_MEMORY_BUDGET", DEFAULT_MEMORY_BUDGET
-            ),
-        }
-        raw_cache = os.environ.get("REPRO_ASSEMBLY_CACHE_TABLES", "auto").strip().lower()
-        if raw_cache in ("auto", ""):
-            values["cache_pair_tables"] = None
-        elif raw_cache in ("1", "true", "yes", "on"):
-            values["cache_pair_tables"] = True
-        elif raw_cache in ("0", "false", "no", "off"):
-            values["cache_pair_tables"] = False
-        else:
-            raise ValueError(
-                f"REPRO_ASSEMBLY_CACHE_TABLES must be auto/1/0, got {raw_cache!r}"
-            )
-        values.update(overrides)
-        return cls(**values)
 
     # ------------------------------------------------------------------
     def cached_build_bytes(

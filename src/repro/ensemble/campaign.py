@@ -79,7 +79,7 @@ OUTPUTS = ("quench_time", "T_e_final", "eta_post", "runaway_fraction")
 
 @dataclass
 class CampaignOptions:
-    """Campaign sizing/physics knobs (env overrides: ``REPRO_ENSEMBLE_*``)."""
+    """Campaign sizing/physics knobs."""
 
     name: str = "ensemble"
     dt: float = 0.5
@@ -125,6 +125,11 @@ class CampaignOptions:
             raise ValueError(
                 f"CampaignOptions.max_inflight must be >= 1, got {self.max_inflight}"
             )
+        if self.checkpoint_every_rounds < 1:
+            raise ValueError(
+                "CampaignOptions.checkpoint_every_rounds must be >= 1, "
+                f"got {self.checkpoint_every_rounds}"
+            )
         if self.max_retries < 0:
             raise ValueError(
                 f"CampaignOptions.max_retries must be >= 0, got {self.max_retries}"
@@ -134,20 +139,6 @@ class CampaignOptions:
                 "CampaignOptions.seed_velocity_factor must be positive, "
                 f"got {self.seed_velocity_factor}"
             )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "CampaignOptions":
-        env = os.environ
-        kw = dict(
-            dt=float(env.get("REPRO_ENSEMBLE_DT", cls.dt)),
-            max_steps=int(env.get("REPRO_ENSEMBLE_MAX_STEPS", cls.max_steps)),
-            checkpoint_dir=env.get("REPRO_ENSEMBLE_CHECKPOINT_DIR") or None,
-            max_inflight=int(
-                env.get("REPRO_ENSEMBLE_MAX_INFLIGHT", cls.max_inflight)
-            ),
-        )
-        kw.update(overrides)
-        return cls(**kw)
 
 
 @dataclass
@@ -562,7 +553,7 @@ class CampaignDriver:
             self._round()
             if (
                 self.ledger_path is not None
-                and self.rounds % max(1, self.options.checkpoint_every_rounds) == 0
+                and self.rounds % self.options.checkpoint_every_rounds == 0
             ):
                 self.write_ledger()
         if self.ledger_path is not None:

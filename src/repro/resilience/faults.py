@@ -35,8 +35,8 @@ limits the plan to specific shard ids (``None`` = all shards).  With
 ``executor="thread"`` only the solver faults apply: crashing or hanging
 a shard *thread* would be an outage, not a recoverable fault.
 
-``REPRO_FAULT_PLAN`` carries a plan through the environment — inline
-JSON, or ``@/path/to/plan.json`` — so chaos runs need no code changes.
+:meth:`FaultPlan.to_json` / :meth:`FaultPlan.from_json` carry a plan
+through a file or a command-line argument; unknown fields are rejected.
 """
 
 from __future__ import annotations
@@ -132,21 +132,6 @@ class FaultPlan:
                 f"unknown fault plan fields {unknown}; known: {sorted(known)}"
             )
         return cls(**data)
-
-    @classmethod
-    def from_env(cls, env_var: str = "REPRO_FAULT_PLAN") -> "FaultPlan | None":
-        """Parse ``REPRO_FAULT_PLAN`` (inline JSON or ``@path``/path)."""
-        raw = os.environ.get(env_var)
-        if raw is None or not raw.strip():
-            return None
-        raw = raw.strip()
-        if raw.startswith("@") or (not raw.startswith("{") and os.path.exists(raw)):
-            with open(raw.removeprefix("@"), encoding="utf-8") as fh:
-                raw = fh.read()
-        try:
-            return cls.from_json(raw)
-        except (ValueError, TypeError) as err:
-            raise ValueError(f"invalid {env_var}: {err}") from err
 
 
 class FaultInjector:

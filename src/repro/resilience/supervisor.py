@@ -23,16 +23,14 @@ tier needs to survive the failures long quench runs actually hit:
 
 Everything here is executor-agnostic plumbing: the serve service wires
 it to real pools, and the knobs ride :class:`SupervisorOptions`
-(``REPRO_SERVE_HEARTBEAT_S``, ``REPRO_SERVE_BATCH_DEADLINE_S``,
-``REPRO_SERVE_BREAKER_*`` — see EXPERIMENTS.md).
+(``ServeOptions.supervision`` — see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "SupervisorOptions",
@@ -63,7 +61,7 @@ FAILURE_KINDS = (
 
 @dataclass(frozen=True)
 class SupervisorOptions:
-    """Supervision knobs (env overrides in :meth:`from_env`)."""
+    """Supervision knobs."""
 
     #: idle-worker heartbeat period in seconds; 0 disables the watchdog
     heartbeat_s: float = 0.0
@@ -113,40 +111,6 @@ class SupervisorOptions:
             )
         if self.restart_backoff_s < 0 or self.restart_backoff_max_s < 0:
             raise ValueError("restart backoff delays must be >= 0")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "SupervisorOptions":
-        env = os.environ
-        kw = dict(
-            heartbeat_s=float(env.get("REPRO_SERVE_HEARTBEAT_S", cls.heartbeat_s)),
-            batch_deadline_s=float(
-                env.get("REPRO_SERVE_BATCH_DEADLINE_S", cls.batch_deadline_s)
-            ),
-            warm_deadline_s=float(
-                env.get("REPRO_SERVE_WARM_DEADLINE_S", cls.warm_deadline_s)
-            ),
-            breaker_threshold=int(
-                env.get("REPRO_SERVE_BREAKER_THRESHOLD", cls.breaker_threshold)
-            ),
-            breaker_cooldown=int(
-                env.get("REPRO_SERVE_BREAKER_COOLDOWN", cls.breaker_cooldown)
-            ),
-            breaker_max_cooldown=int(
-                env.get(
-                    "REPRO_SERVE_BREAKER_MAX_COOLDOWN", cls.breaker_max_cooldown
-                )
-            ),
-            restart_backoff_s=float(
-                env.get("REPRO_SERVE_BREAKER_BACKOFF_S", cls.restart_backoff_s)
-            ),
-            restart_backoff_max_s=float(
-                env.get(
-                    "REPRO_SERVE_BREAKER_BACKOFF_MAX_S", cls.restart_backoff_max_s
-                )
-            ),
-        )
-        kw.update(overrides)
-        return cls(**kw)
 
 
 class RestartBackoff:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.batch import BatchedVertexSolver
-from ..core.options import AssemblyOptions
+from ..core.options import DEFAULT_MEMORY_BUDGET, AssemblyOptions
 from ..core.species import SpeciesSet
 from ..fem.function_space import FunctionSpace
 
@@ -63,7 +63,7 @@ class SolvePlan:
     rtol: float = 1e-9
     max_newton: int = 50
     accel_m: int = 2
-    options: AssemblyOptions = field(default_factory=AssemblyOptions.from_env)
+    options: AssemblyOptions = field(default_factory=AssemblyOptions)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -182,7 +182,7 @@ class PlanCache:
 
     def __init__(self, budget: int | None = None):
         if budget is None:
-            budget = AssemblyOptions.from_env().memory_budget
+            budget = DEFAULT_MEMORY_BUDGET
         if budget <= 0:
             raise ValueError(f"budget must be positive, got {budget}")
         self.budget = int(budget)

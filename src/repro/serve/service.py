@@ -56,7 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -102,17 +102,17 @@ _SUPERVISION_KEYS = (
 
 @dataclass(frozen=True)
 class ServeOptions:
-    """Service sizing knobs (see EXPERIMENTS.md for the env overrides)."""
+    """Service sizing knobs (see EXPERIMENTS.md)."""
 
     num_shards: int = 2
     max_batch: int = 32
     max_wait_ms: float = 2.0
     queue_bound: int = 256
     executor: str = "thread"
-    plan_budget: int | None = None  # bytes per shard's PlanCache; None = env
-    #: watchdog / circuit-breaker / backoff knobs (REPRO_SERVE_HEARTBEAT_S,
-    #: REPRO_SERVE_BATCH_DEADLINE_S, REPRO_SERVE_BREAKER_*)
-    supervision: SupervisorOptions = field(default_factory=SupervisorOptions.from_env)
+    #: bytes per shard's PlanCache; None = the default assembly budget
+    plan_budget: int | None = None
+    #: watchdog / circuit-breaker / backoff knobs
+    supervision: SupervisorOptions = field(default_factory=SupervisorOptions)
     #: directory for crash-consistent service checkpoints; None disables
     checkpoint_dir: str | None = None
     #: minimum seconds between automatic post-batch checkpoints
@@ -130,6 +130,10 @@ class ServeOptions:
             )
         if self.queue_bound < 1:
             raise ValueError(f"queue_bound must be >= 1, got {self.queue_bound}")
+        if self.plan_budget is not None and self.plan_budget <= 0:
+            raise ValueError(
+                f"plan_budget must be positive or None, got {self.plan_budget}"
+            )
         if self.executor not in _EXECUTORS:
             raise ValueError(
                 f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
@@ -142,27 +146,6 @@ class ServeOptions:
                 f"checkpoint_interval_s must be finite and >= 0, got "
                 f"{self.checkpoint_interval_s}"
             )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ServeOptions":
-        """Read ``REPRO_SERVE_*`` overrides (explicit kwargs win)."""
-        env = os.environ
-        kw = dict(
-            num_shards=int(env.get("REPRO_SERVE_SHARDS", cls.num_shards)),
-            max_batch=int(env.get("REPRO_SERVE_MAX_BATCH", cls.max_batch)),
-            max_wait_ms=float(env.get("REPRO_SERVE_MAX_WAIT_MS", cls.max_wait_ms)),
-            queue_bound=int(env.get("REPRO_SERVE_QUEUE_BOUND", cls.queue_bound)),
-            executor=env.get("REPRO_SERVE_EXECUTOR", cls.executor),
-            supervision=SupervisorOptions.from_env(),
-            checkpoint_dir=env.get("REPRO_SERVE_CHECKPOINT_DIR") or None,
-            checkpoint_interval_s=float(
-                env.get(
-                    "REPRO_SERVE_CHECKPOINT_INTERVAL_S", cls.checkpoint_interval_s
-                )
-            ),
-        )
-        kw.update(overrides)
-        return cls(**kw)
 
 
 def _hash64(text: str) -> int:
@@ -206,8 +189,8 @@ class CollisionSolveService:
       processed in submission order with reproducible batch composition
       (the mode the chaos tests rerun for bitwise stability).
 
-    ``fault_plan`` (a :class:`repro.resilience.FaultPlan`, or
-    ``REPRO_FAULT_PLAN`` in the environment) injects faults on purpose:
+    ``fault_plan`` (a :class:`repro.resilience.FaultPlan`) injects
+    faults on purpose:
     each shard interprets it with its own seeded
     :class:`~repro.resilience.FaultInjector` — solver faults on either
     executor; worker crashes and hangs on ``executor="process"``, whose
@@ -219,9 +202,7 @@ class CollisionSolveService:
         options: ServeOptions | None = None,
         fault_plan: FaultPlan | None = None,
     ):
-        self.options = options or ServeOptions.from_env()
-        if fault_plan is None:
-            fault_plan = FaultPlan.from_env()
+        self.options = options or ServeOptions()
         self._fault_plan = fault_plan
         n = self.options.num_shards
         self.ring = HashRing(n)
@@ -794,8 +775,7 @@ class CollisionSolveService:
             directory = self.options.checkpoint_dir
             if directory is None:
                 raise ValueError(
-                    "restore() needs a path or ServeOptions.checkpoint_dir "
-                    "(REPRO_SERVE_CHECKPOINT_DIR)"
+                    "restore() needs a path or ServeOptions.checkpoint_dir"
                 )
             path = checkpoint_path(directory)
         ckpt = load_service_checkpoint(path)
@@ -876,13 +856,7 @@ class CollisionSolveService:
             else 0.0
         )
         return {
-            "options": {
-                "num_shards": self.options.num_shards,
-                "max_batch": self.options.max_batch,
-                "max_wait_ms": self.options.max_wait_ms,
-                "queue_bound": self.options.queue_bound,
-                "executor": self.options.executor,
-            },
+            "options": asdict(self.options),
             "jobs": {
                 "total": total_jobs,
                 "ok": sum(s["jobs_ok"] for s in shards),

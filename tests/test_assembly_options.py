@@ -41,58 +41,9 @@ class TestOptionsParsing:
         assert o.memory_budget == DEFAULT_MEMORY_BUDGET
         assert o.cache_pair_tables is None
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSEMBLY_MEMORY_BUDGET", "1e6")
-        monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_TABLES", "1")
-        o = AssemblyOptions.from_env()
-        assert o.memory_budget == 1_000_000
-        assert o.cache_pair_tables is True
-
-    def test_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSEMBLY_MEMORY_BUDGET", "4e6")
-        monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_TABLES", "0")
-        o = AssemblyOptions.from_env(memory_budget=2_000_000, cache_pair_tables=True)
-        assert o.memory_budget == 2_000_000 and o.cache_pair_tables is True
-
-    def test_invalid_values_raise(self, monkeypatch):
+    def test_invalid_values_raise(self):
         with pytest.raises(ValueError):
             AssemblyOptions(memory_budget=0)
-        monkeypatch.setenv("REPRO_ASSEMBLY_CACHE_TABLES", "maybe")
-        with pytest.raises(ValueError):
-            AssemblyOptions.from_env()
-
-    @pytest.mark.parametrize(
-        "name, raw, expected",
-        [
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "3", 3),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", " 2 ", 2),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "2.0", 2),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "2e9", 2_000_000_000),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "123456789012345678", 123456789012345678),
-        ],
-    )
-    def test_integral_env_values_accepted(self, monkeypatch, name, raw, expected):
-        monkeypatch.setenv(name, raw)
-        assert AssemblyOptions.from_env().memory_budget == expected
-
-    @pytest.mark.parametrize(
-        "name, raw",
-        [
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "1.9"),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "inf"),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "-inf"),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "nan"),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "four"),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "2.5e0"),
-            ("REPRO_ASSEMBLY_MEMORY_BUDGET", "1e400"),
-        ],
-    )
-    def test_non_integral_env_values_name_the_variable(self, monkeypatch, name, raw):
-        """A fractional or non-finite value is rejected, never truncated
-        or let escape as an ``OverflowError``."""
-        monkeypatch.setenv(name, raw)
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            AssemblyOptions.from_env()
 
 
 class TestMemoryBudget:
@@ -101,7 +52,7 @@ class TestMemoryBudget:
         with pytest.raises(PairTableMemoryError) as err:
             LandauOperator(fs_q3, electron_species, options=opts)
         # the guard must be actionable, not a bare MemoryError
-        assert "REPRO_ASSEMBLY_MEMORY_BUDGET" in str(err.value)
+        assert "AssemblyOptions.memory_budget" in str(err.value)
 
     def test_auto_falls_back_to_chunked(self, fs_q3, electron_species, electron_maxwellian):
         opts = AssemblyOptions(memory_budget=1024)

@@ -282,22 +282,19 @@ class TestCampaignOptions:
             (dict(max_inflight=0), r"CampaignOptions\.max_inflight"),
             (dict(max_retries=-1), r"CampaignOptions\.max_retries"),
             (dict(seed_velocity_factor=0.0), r"CampaignOptions\.seed_velocity_factor"),
+            (
+                dict(checkpoint_every_rounds=0),
+                r"CampaignOptions\.checkpoint_every_rounds",
+            ),
+            (
+                dict(checkpoint_every_rounds=-2),
+                r"CampaignOptions\.checkpoint_every_rounds",
+            ),
         ],
     )
     def test_validation_names_field(self, kwargs, needle):
         with pytest.raises(ValueError, match=needle):
             CampaignOptions(**kwargs)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENSEMBLE_DT", "0.25")
-        monkeypatch.setenv("REPRO_ENSEMBLE_MAX_STEPS", "12")
-        monkeypatch.setenv("REPRO_ENSEMBLE_CHECKPOINT_DIR", "/tmp/led")
-        monkeypatch.setenv("REPRO_ENSEMBLE_MAX_INFLIGHT", "3")
-        o = CampaignOptions.from_env()
-        assert o.dt == 0.25 and o.max_steps == 12
-        assert o.checkpoint_dir == "/tmp/led" and o.max_inflight == 3
-        # explicit overrides beat the environment
-        assert CampaignOptions.from_env(dt=1.0).dt == 1.0
 
 
 class TestCampaignDriver:

@@ -63,6 +63,17 @@ class TestExamplesRun:
         assert "mesh.vtk" in out
         assert (tmp_path / "vtk" / "driven.vtk").exists()
 
+    def test_ensemble_quench_resumes_from_its_ledger(self, tmp_path, capsys):
+        """The README's run-then-``--resume`` pair, sharing one ledger
+        directory: the second run finds every member done."""
+        mod = load("ensemble_quench")
+        ledger = str(tmp_path / "ledger")
+        first = mod.main(fast=True, checkpoint_dir=ledger)
+        resumed = mod.main(fast=True, resume=True, checkpoint_dir=ledger)
+        assert [r.status for r in first] == ["ok"] * 4
+        assert [r.state_sha256 for r in resumed] == [r.state_sha256 for r in first]
+        assert capsys.readouterr().out.count("4/4 members completed") == 2
+
     def test_render_mesh_helper(self):
         amr = load("amr_meshes")
         from repro.amr import landau_mesh

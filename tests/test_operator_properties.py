@@ -185,7 +185,7 @@ def _random_maxwellian_mix(fs, species, seed):
 
 def _apply_on(fs, species, fields, **options):
     return LandauOperator(
-        fs, species, options=AssemblyOptions.from_env(**options)
+        fs, species, options=AssemblyOptions(**options)
     ).apply(fields)
 
 

@@ -152,7 +152,7 @@ class TestOnTheFlyFields:
         budget cuts."""
         kw = {} if budget is None else {"memory_budget": budget}
         op = LandauOperator(
-            *ed_q2, options=AssemblyOptions.from_env(cache_pair_tables=False, **kw)
+            *ed_q2, options=AssemblyOptions(cache_pair_tables=False, **kw)
         )
         if budget is not None:
             assert len(op._row_blocks(op.N)) > len(cached._row_blocks(op.N)) > 1

@@ -4,6 +4,8 @@ behavior under injected faults."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import sys
 import threading
 import time
@@ -15,6 +17,7 @@ from repro.core import ImplicitLandauSolver, LandauOperator
 from repro.core.maxwellian import maxwellian_rz
 from repro.core.options import AssemblyOptions
 from repro.resilience import FaultPlan, ServiceOverloaded
+from repro.resilience.supervisor import SupervisorOptions
 from repro.serve import (
     CollisionSolveService,
     HashRing,
@@ -237,25 +240,30 @@ class TestPlanCache:
 
 
 class TestServeOptions:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_SHARDS", "5")
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "7")
-        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "9.5")
-        monkeypatch.setenv("REPRO_SERVE_QUEUE_BOUND", "11")
-        opt = ServeOptions.from_env()
-        assert (opt.num_shards, opt.max_batch, opt.max_wait_ms, opt.queue_bound) == (
-            5,
-            7,
-            9.5,
-            11,
-        )
-        assert ServeOptions.from_env(num_shards=2).num_shards == 2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ServeOptions(num_shards=0)
         with pytest.raises(ValueError):
             ServeOptions(executor="gpu")
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_non_positive_plan_budget(self, budget):
+        # a process worker would raise it at start-up, be restarted as
+        # crashed, and the degraded tier would raise it again per batch
+        with pytest.raises(ValueError, match="plan_budget"):
+            ServeOptions(executor="process", num_shards=1, plan_budget=budget)
+
+    def test_snapshot_reports_every_option(self):
+        opts = ServeOptions(
+            num_shards=1,
+            plan_budget=10**8,
+            checkpoint_interval_s=0.5,
+            supervision=SupervisorOptions(heartbeat_s=0.5, breaker_threshold=4),
+        )
+        with CollisionSolveService(opts) as svc:
+            block = svc.snapshot()["options"]
+        assert block == dataclasses.asdict(opts)
+        assert json.loads(json.dumps(block)) == block
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["max_wait_ms", "checkpoint_interval_s"])
@@ -264,11 +272,6 @@ class TestServeOptions:
         # Condition.wait and killed the dispatcher thread
         with pytest.raises(ValueError, match=name):
             ServeOptions(**{name: value})
-
-    def test_rejects_non_finite_duration_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "nan")
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            ServeOptions.from_env()
 
 
 class TestAdmissionControl:

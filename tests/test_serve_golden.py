@@ -67,7 +67,7 @@ def _drain(fs, species, states):
     """Run the workload through a synchronous drain; returns (sha256 hex
     digest, stacked result states)."""
     plan = SolvePlan(
-        fs=fs, species=species, dt=0.3, options=AssemblyOptions.from_env()
+        fs=fs, species=species, dt=0.3, options=AssemblyOptions()
     )
     with CollisionSolveService(
         ServeOptions(executor="thread", num_shards=2, max_batch=4)

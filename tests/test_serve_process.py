@@ -348,18 +348,6 @@ class TestCallerStates:
         assert set(failures.values()) == {0}
 
 
-def test_retired_shm_budget_knob_is_ignored(monkeypatch, plan, states):
-    """``REPRO_SHM_BUDGET`` once sized the state arena and rejected a
-    budget of 0; a process service now serves by value whatever it says."""
-    monkeypatch.setenv("REPRO_SHM_BUDGET", "0")
-    assert ServeOptions.from_env() == ServeOptions()
-    with CollisionSolveService(
-        ServeOptions(executor="process", num_shards=1, max_batch=4)
-    ) as svc:
-        res = svc.solve_many(plan, states[:4])
-    assert all(r.status == STATUS_OK for r in res)
-
-
 def _source_trees() -> dict[str, ast.AST]:
     root = Path(repro.__file__).parent
     return {

@@ -75,10 +75,6 @@ class TestWarmDeadlineOptions:
     def test_default_is_untimed(self):
         assert SupervisorOptions().warm_deadline_s == 0.0
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WARM_DEADLINE_S", "2.5")
-        assert SupervisorOptions.from_env().warm_deadline_s == 2.5
-
 
 class TestColdWorkerDeadlines:
     """Per-batch deadlines must not count the first-call plan build:

@@ -100,26 +100,14 @@ class TestFaultPlan:
     @pytest.mark.parametrize(
         "text", ['{"explode_batches": [1]}', '{"shm_attach_failures": [0]}']
     )
-    def test_unknown_fields_rejected(self, monkeypatch, text):
+    def test_unknown_fields_rejected(self, text):
         with pytest.raises(ValueError, match="unknown fault plan fields"):
             FaultPlan.from_json(text)
-        monkeypatch.setenv("REPRO_FAULT_PLAN", text)
-        with pytest.raises(ValueError, match="unknown fault plan fields"):
-            FaultPlan.from_env()
 
-    def test_from_env_inline_and_path(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        assert FaultPlan.from_env() is None
-        monkeypatch.setenv("REPRO_FAULT_PLAN", '{"crash_batches": [1]}')
-        assert FaultPlan.from_env().crash_batches == (1,)
-        f = tmp_path / "plan.json"
-        f.write_text('{"hang_batches": [0], "hang_s": 2.5}')
-        monkeypatch.setenv("REPRO_FAULT_PLAN", f"@{f}")
-        p = FaultPlan.from_env()
-        assert p.hang_batches == (0,) and p.hang_s == 2.5
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "{not json")
-        with pytest.raises(ValueError, match="REPRO_FAULT_PLAN"):
-            FaultPlan.from_env()
+    @pytest.mark.parametrize("text", ["{not json", "[1]"])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ValueError):
+            FaultPlan.from_json(text)
 
     @pytest.mark.parametrize(
         "text, field",
@@ -138,12 +126,9 @@ class TestFaultPlan:
             ('{"hang_s": 1e999}', "hang_s"),
         ],
     )
-    def test_invalid_fields_rejected(self, monkeypatch, text, field):
+    def test_invalid_fields_rejected(self, text, field):
         with pytest.raises(ValueError, match=field):
             FaultPlan.from_json(text)
-        monkeypatch.setenv("REPRO_FAULT_PLAN", text)
-        with pytest.raises(ValueError, match=f"invalid REPRO_FAULT_PLAN: {field}"):
-            FaultPlan.from_env()
 
     def test_shard_scoping(self):
         p = FaultPlan(fail_first_solves=1, crash_batches=(0,), shards=(0,))
@@ -730,5 +715,5 @@ class TestServiceResume:
         with CollisionSolveService(
             ServeOptions(executor="thread", num_shards=1)
         ) as svc:
-            with pytest.raises(ValueError, match="REPRO_SERVE_CHECKPOINT_DIR"):
+            with pytest.raises(ValueError, match="ServeOptions.checkpoint_dir"):
                 svc.restore()
