@@ -21,6 +21,7 @@ executor, :class:`repro.backend.NumpyBackend`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .landau_tensor import PAIR_BLOCK_PLANES
@@ -77,6 +78,18 @@ class AssemblyOptions:
     cache_pair_tables: bool | None = None
 
     def __post_init__(self):
+        # an integral float (``2e9``) is taken as its int; a fractional
+        # or non-finite one is rejected, never truncated or let escape
+        # from row_chunk as an OverflowError
+        budget = self.memory_budget
+        if not (
+            isinstance(budget, numbers.Real)
+            and not isinstance(budget, bool)
+            and math.isfinite(budget)
+            and budget == int(budget)
+        ):
+            raise ValueError(f"memory_budget must be an integer, got {budget!r}")
+        object.__setattr__(self, "memory_budget", int(budget))
         if self.memory_budget <= 0:
             raise ValueError(
                 f"memory_budget must be positive, got {self.memory_budget}"

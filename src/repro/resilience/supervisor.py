@@ -28,6 +28,7 @@ it to real pools, and the knobs ride :class:`SupervisorOptions`
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -86,16 +87,10 @@ class SupervisorOptions:
     restart_backoff_max_s: float = 2.0
 
     def __post_init__(self):
-        if self.heartbeat_s < 0:
-            raise ValueError(f"heartbeat_s must be >= 0, got {self.heartbeat_s}")
-        if self.batch_deadline_s < 0:
-            raise ValueError(
-                f"batch_deadline_s must be >= 0, got {self.batch_deadline_s}"
-            )
-        if self.warm_deadline_s < 0:
-            raise ValueError(
-                f"warm_deadline_s must be >= 0, got {self.warm_deadline_s}"
-            )
+        for name in _DURATIONS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.breaker_threshold < 1:
             raise ValueError(
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
@@ -109,8 +104,17 @@ class SupervisorOptions:
                 "breaker_max_cooldown must be >= breaker_cooldown, got "
                 f"{self.breaker_max_cooldown} < {self.breaker_cooldown}"
             )
-        if self.restart_backoff_s < 0 or self.restart_backoff_max_s < 0:
-            raise ValueError("restart backoff delays must be >= 0")
+
+
+#: the :class:`SupervisorOptions` fields in seconds: a NaN or infinite
+#: one would make the watchdog wait forever or the backoff unbounded
+_DURATIONS = (
+    "heartbeat_s",
+    "batch_deadline_s",
+    "warm_deadline_s",
+    "restart_backoff_s",
+    "restart_backoff_max_s",
+)
 
 
 class RestartBackoff:

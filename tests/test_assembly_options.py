@@ -45,6 +45,33 @@ class TestOptionsParsing:
         with pytest.raises(ValueError):
             AssemblyOptions(memory_budget=0)
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (3, 3),
+            (2.0, 2),
+            (2e9, 2_000_000_000),
+            (np.int64(7), 7),
+            (123456789012345678, 123456789012345678),
+        ],
+    )
+    def test_integral_budget_accepted(self, value, expected):
+        """An integral budget written as a float is taken as its int, so
+        it compares (and keys a plan) like the int it equals."""
+        o = AssemblyOptions(memory_budget=value)
+        assert o.memory_budget == expected and type(o.memory_budget) is int
+        assert o == AssemblyOptions(memory_budget=expected)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.9, 2.5, float("inf"), float("-inf"), float("nan"), "four", True, None],
+    )
+    def test_non_integral_budget_rejected(self, value):
+        """A fractional, non-finite or non-numeric budget is rejected,
+        never truncated or let escape as an ``OverflowError``."""
+        with pytest.raises(ValueError, match="memory_budget must be an integer"):
+            AssemblyOptions(memory_budget=value)
+
 
 class TestMemoryBudget:
     def test_forced_cache_over_budget_raises(self, fs_q3, electron_species):

@@ -82,6 +82,27 @@ def _fast_supervision(**kw) -> SupervisorOptions:
 
 
 # ----------------------------------------------------------------------
+# SupervisorOptions
+class TestSupervisorOptions:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "heartbeat_s",
+            "batch_deadline_s",
+            "warm_deadline_s",
+            "restart_backoff_s",
+            "restart_backoff_max_s",
+        ],
+    )
+    def test_rejects_non_finite_durations(self, name, value):
+        """A NaN heartbeat or deadline would wait forever and an infinite
+        backoff cap would let restart delays grow without bound."""
+        with pytest.raises(ValueError, match=name):
+            SupervisorOptions(**{name: value})
+
+
+# ----------------------------------------------------------------------
 # FaultPlan
 class TestFaultPlan:
     def test_json_round_trip(self):
@@ -96,6 +117,14 @@ class TestFaultPlan:
         q = FaultPlan.from_json(p.to_json())
         assert q == p
         assert pickle.loads(pickle.dumps(p)) == p
+
+    def test_file_round_trip(self, tmp_path):
+        """A plan kept in a file, the way a chaos run carries one, reads
+        back as the plan written."""
+        p = FaultPlan(hang_batches=(0,), hang_s=2.5, seed=3)
+        f = tmp_path / "plan.json"
+        f.write_text(p.to_json())
+        assert FaultPlan.from_json(f.read_text()) == p
 
     @pytest.mark.parametrize(
         "text", ['{"explode_batches": [1]}', '{"shm_attach_failures": [0]}']
